@@ -18,7 +18,7 @@ func main() {
 	cfg := hierarchy.Scaled(4).WithCloudNoise()
 	host := hierarchy.NewHost(cfg, 42)
 	fmt.Printf("host: %s — %d slices x %d LLC sets, %d-way SF, noise %.1f acc/ms/set\n",
-		cfg.Name, cfg.Slices, cfg.LLCSets, cfg.SFWays, cfg.NoiseRate*2e6)
+		cfg.Name, cfg.Slices, cfg.LLCSets, cfg.SFWays, cfg.Tenants[0].Rate)
 
 	// The attacker: main thread + helper thread (the helper re-accesses
 	// lines to force them into the LLC, §4.2).

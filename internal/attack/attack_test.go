@@ -18,7 +18,7 @@ func newTestSession(t testing.TB, seed uint64, cloud bool) *Session {
 	if cloud {
 		cfg = cfg.WithCloudNoise()
 	} else {
-		cfg.NoiseRate = 0
+		cfg.Tenants = nil
 	}
 	return NewSession(cfg, ec2m.Sect163(), seed)
 }

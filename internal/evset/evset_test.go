@@ -10,7 +10,7 @@ import (
 func newQuietEnv(t testing.TB, seed uint64) *Env {
 	t.Helper()
 	cfg := hierarchy.Scaled(4)
-	cfg.NoiseRate = 0
+	cfg.Tenants = nil
 	h := hierarchy.NewHost(cfg, seed)
 	return NewEnv(h, seed^0xabcdef)
 }

@@ -113,7 +113,7 @@ func (p *hostPool) get(cfg hierarchy.Config, seed uint64) *hierarchy.Host {
 // with the trial index) after the pool has drained, never from a worker —
 // so a buggy trial cannot deadlock the pool or kill the process from an
 // unrecoverable goroutine. Callers that would rather handle the failure
-// use RunTrialsErr.
+// use RunTrialsObs.
 func RunTrials(n, workers int, seed uint64, fn func(t *Trial) Sample) []Sample {
 	out, tp, _ := runTrials(context.Background(), n, workers, seed, nil, fn)
 	if tp != nil {
@@ -124,22 +124,18 @@ func RunTrials(n, workers int, seed uint64, fn func(t *Trial) Sample) []Sample {
 	return out
 }
 
-// RunTrialsErr is RunTrials with two failure modes surfaced as errors
-// instead of panics: a panicking trial is converted into an error
-// identifying the trial, and a cancelled ctx stops the run between
-// trials (in-flight trials finish; no new trials start) and returns
-// ctx's error. Because cancellation is only ever checked on trial
-// boundaries, the samples of trials that did complete are exactly what
-// an uninterrupted run would have produced — which is what lets the
-// campaign layer checkpoint completed cells and resume byte-identically.
-// The sweep runner uses the error form so one broken grid cell fails the
-// sweep cleanly.
-func RunTrialsErr(ctx context.Context, n, workers int, seed uint64, fn func(t *Trial) Sample) ([]Sample, error) {
-	return RunTrialsObs(ctx, n, workers, seed, nil, fn)
-}
-
-// RunTrialsObs is RunTrialsErr with an observability sink: when
-// sink.Tracer is set every trial carries a TrialTrace on
+// RunTrialsObs is RunTrials with two failure modes surfaced as errors
+// instead of panics, and an optional observability sink. A panicking
+// trial is converted into an error identifying the trial, and a
+// cancelled ctx stops the run between trials (in-flight trials finish;
+// no new trials start) and returns ctx's error. Because cancellation is
+// only ever checked on trial boundaries, the samples of trials that did
+// complete are exactly what an uninterrupted run would have produced —
+// which is what lets the campaign layer checkpoint completed cells and
+// resume byte-identically. The sweep runner uses the error form so one
+// broken grid cell fails the sweep cleanly.
+//
+// When sink.Tracer is set every trial carries a TrialTrace on
 // (sink.TracePID, trial index), and when sink.Metrics is set the
 // engine records per-trial wall durations (engine_trial_seconds) and
 // a trial counter (engine_trials_total). A nil or empty sink is the

@@ -65,14 +65,14 @@ func TestRunTrialsEdgeCases(t *testing.T) {
 		t.Errorf("short run mishandled: %v", s)
 	}
 	// Zero trials through the error-returning variant.
-	if s, err := RunTrialsErr(context.Background(), 0, 4, 1, func(*Trial) Sample { return Sample{} }); s != nil || err != nil {
-		t.Errorf("RunTrialsErr(0) = %v, %v", s, err)
+	if s, err := RunTrialsObs(context.Background(), 0, 4, 1, nil, func(*Trial) Sample { return Sample{} }); s != nil || err != nil {
+		t.Errorf("RunTrialsObs(0) = %v, %v", s, err)
 	}
 }
 
 // TestRunTrialsPanicSurfacesError pins the pool-hardening contract: a
 // panicking trial must drain the pool and come back as a clean error
-// naming the trial (RunTrialsErr) or as a caller-side panic (RunTrials)
+// naming the trial (RunTrialsObs) or as a caller-side panic (RunTrials)
 // — never a deadlock or a process abort from a worker goroutine.
 func TestRunTrialsPanicSurfacesError(t *testing.T) {
 	boom := func(tr *Trial) Sample {
@@ -91,13 +91,13 @@ func TestRunTrialsPanicSurfacesError(t *testing.T) {
 		// t.Errorf against test completion.
 		done := make(chan result, 1)
 		go func() {
-			s, err := RunTrialsErr(context.Background(), 8, workers, 1, boom)
+			s, err := RunTrialsObs(context.Background(), 8, workers, 1, nil, boom)
 			done <- result{s, err}
 		}()
 		select {
 		case r := <-done:
 			if r.err == nil {
-				t.Errorf("workers=%d: RunTrialsErr missed the panic", workers)
+				t.Errorf("workers=%d: RunTrialsObs missed the panic", workers)
 				continue
 			}
 			if !strings.Contains(r.err.Error(), "trial 3") || !strings.Contains(r.err.Error(), "boom") {
@@ -107,20 +107,20 @@ func TestRunTrialsPanicSurfacesError(t *testing.T) {
 				t.Errorf("workers=%d: got samples alongside an error", workers)
 			}
 		case <-time.After(30 * time.Second):
-			t.Fatalf("workers=%d: RunTrialsErr deadlocked on a panicking trial", workers)
+			t.Fatalf("workers=%d: RunTrialsObs deadlocked on a panicking trial", workers)
 		}
 	}
 }
 
 // TestRunTrialsCancellation pins the context contract: cancelling the
 // ctx stops the run between trials (no trial is ever interrupted
-// mid-flight), RunTrialsErr reports the context's error, and every
+// mid-flight), RunTrialsObs reports the context's error, and every
 // worker goroutine exits.
 func TestRunTrialsCancellation(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		ctx, cancel := context.WithCancel(context.Background())
 		var started atomic.Int64
-		_, err := RunTrialsErr(ctx, 1000, workers, 1, func(tr *Trial) Sample {
+		_, err := RunTrialsObs(ctx, 1000, workers, 1, nil, func(tr *Trial) Sample {
 			if started.Add(1) == 3 {
 				cancel()
 			}
@@ -140,7 +140,7 @@ func TestRunTrialsCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	ran := false
-	if _, err := RunTrialsErr(ctx, 10, 4, 1, func(*Trial) Sample { ran = true; return Sample{} }); !errors.Is(err, context.Canceled) {
+	if _, err := RunTrialsObs(ctx, 10, 4, 1, nil, func(*Trial) Sample { ran = true; return Sample{} }); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled ctx: err = %v", err)
 	}
 	if ran {
@@ -155,7 +155,7 @@ func TestRunTrialsCancellation(t *testing.T) {
 // on trial boundaries and never perturbs a trial's seed or host).
 func TestRunTrialsCompletedPrefixUnperturbed(t *testing.T) {
 	const n = 64
-	full, err := RunTrialsErr(context.Background(), n, 1, 7, func(tr *Trial) Sample {
+	full, err := RunTrialsObs(context.Background(), n, 1, 7, nil, func(tr *Trial) Sample {
 		r := xrand.New(tr.Seed)
 		return Sample{OK: r.Bool(), Value: r.Float64()}
 	})
@@ -165,7 +165,7 @@ func TestRunTrialsCompletedPrefixUnperturbed(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var got [n]Sample
 	var gotMask [n]bool
-	_, err = RunTrialsErr(ctx, n, 1, 7, func(tr *Trial) Sample {
+	_, err = RunTrialsObs(ctx, n, 1, 7, nil, func(tr *Trial) Sample {
 		if tr.Index == 10 {
 			cancel()
 		}
@@ -196,7 +196,7 @@ func TestRunTrialsCompletedPrefixUnperturbed(t *testing.T) {
 func TestRunTrialsPanicLeavesNoWorkers(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for i := 0; i < 4; i++ {
-		_, err := RunTrialsErr(context.Background(), 64, 8, 1, func(tr *Trial) Sample {
+		_, err := RunTrialsObs(context.Background(), 64, 8, 1, nil, func(tr *Trial) Sample {
 			if tr.Index == 0 {
 				panic("boom")
 			}
@@ -206,7 +206,7 @@ func TestRunTrialsPanicLeavesNoWorkers(t *testing.T) {
 			t.Fatal("panic not surfaced")
 		}
 	}
-	// Workers are wg.Wait()ed before RunTrialsErr returns, so any excess
+	// Workers are wg.Wait()ed before RunTrialsObs returns, so any excess
 	// here would be a genuine leak; allow slack for runtime helpers.
 	deadline := time.Now().Add(5 * time.Second)
 	for {

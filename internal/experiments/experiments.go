@@ -200,10 +200,9 @@ func cloudConfig(o Options) hierarchy.Config {
 }
 
 // tenants applies the run's environment overrides — tenant workloads
-// and the LLC defense — to a runner config. Tenants win over the legacy
-// noise knobs inside the hierarchy (the preset NoiseRate becomes
-// inert), while later WithNoiseRate calls rescale the tenants' total
-// rate in place of the flat knob.
+// and the LLC defense — to a runner config. Override tenants replace
+// the preset's poisson tenant, and later WithNoiseRate calls rescale
+// their total rate.
 func (o Options) tenants(cfg hierarchy.Config) hierarchy.Config {
 	if len(o.Tenants) > 0 {
 		cfg = cfg.WithTenants(o.Tenants...)

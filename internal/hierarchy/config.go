@@ -17,9 +17,9 @@
 // every access advances the clock by a jittered latency, and overlapped
 // ("parallel") accesses are charged an MLP-aware cost instead of the sum
 // of their latencies. Background tenant interference is injected lazily
-// per LLC/SF set by the workload models of internal/tenant — a flat
-// Poisson process by default (§4.3 / Figure 2 of the paper), or
-// structured burst/stream/hotset/churn tenants via Config.Tenants.
+// per LLC/SF set by the workload models of internal/tenant declared in
+// Config.Tenants — one flat Poisson tenant by default (§4.3 / Figure 2
+// of the paper), or structured burst/stream/hotset/churn tenants.
 // Optionally one LLC countermeasure model (internal/defense) hooks the
 // shared structures via Config.Defense: way-partitioned allocation,
 // keyed/per-domain set-index derivation, and quantized or jittered
@@ -124,25 +124,12 @@ type Config struct {
 	// predictor [40, 82]).
 	ReuseInsertProb float64
 
-	// NoiseRate is the background tenant access rate per LLC/SF set in
-	// accesses per cycle (paper §4.3: 11.5/ms on Cloud Run, 0.29/ms on a
-	// quiescent local machine, at 2 GHz). It is the legacy flat-Poisson
-	// knob, kept as a shim: when Tenants is empty and NoiseRate > 0 the
-	// host builds one "poisson" tenant from it (byte-identical to the
-	// pre-tenant noise path); when Tenants is non-empty both noise knobs
-	// are ignored.
-	NoiseRate float64
-	// NoiseLLCProb is the probability a background access also installs a
-	// line in the LLC set (tenant shared data / L2 victims), in addition
-	// to its SF allocation. Part of the legacy shim, like NoiseRate.
-	NoiseLLCProb float64
-
-	// Tenants declares structured background tenants (internal/tenant):
-	// burst phases, streaming scans, hot-set collisions, serverless
-	// churn, or several at once. When non-empty it replaces the flat
-	// NoiseRate/NoiseLLCProb process entirely. Note that a non-empty
-	// Tenants makes the Config non-comparable (callers that need a map
-	// key use Key).
+	// Tenants declares the background co-tenant workload
+	// (internal/tenant): the paper's flat per-set Poisson rate (§4.3,
+	// the default), burst phases, streaming scans, hot-set collisions,
+	// serverless churn, or several at once. Empty means a silent host.
+	// Note that a non-empty Tenants makes the Config non-comparable
+	// (callers that need a map key use Key).
 	Tenants []tenant.Spec
 
 	// Defense declares an LLC countermeasure model (internal/defense):
@@ -207,17 +194,13 @@ func log2(n int) int {
 	return b
 }
 
-// Noise rate presets, converted from the paper's measured per-millisecond
-// rates at the 2 GHz host frequency.
+// Noise rate presets: the paper's measured background rates in
+// accesses per millisecond per set (§4.3).
 const (
-	// cyclesPerMs aliases tenant.CyclesPerMs rather than restating the
-	// literal: the poisson shim's byte-identity requires WithNoiseRate
-	// and tenant.Spec.Build to divide by the exact same float.
-	cyclesPerMs = tenant.CyclesPerMs
-	// CloudRunNoiseRate is 11.5 accesses/ms/set (paper §4.3).
-	CloudRunNoiseRate = 11.5 / cyclesPerMs
-	// QuiescentNoiseRate is 0.29 accesses/ms/set (paper §4.3).
-	QuiescentNoiseRate = 0.29 / cyclesPerMs
+	// CloudRunNoiseRate is the Cloud Run background rate.
+	CloudRunNoiseRate = 11.5
+	// QuiescentNoiseRate is the quiescent local machine's rate.
+	QuiescentNoiseRate = 0.29
 )
 
 // SkylakeSP returns the hierarchy of an Intel Skylake-SP server part
@@ -245,10 +228,12 @@ func SkylakeSP(slices int) Config {
 		SFPolicy:        cache.TrueLRU,
 		Lat:             DefaultLatencies(),
 		ReuseInsertProb: 0.3,
-		NoiseRate:       QuiescentNoiseRate,
-		NoiseLLCProb:    0.5,
-		MemoryBytes:     8 << 30,
-		TimerJitter:     2,
+		// The default background is one quiescent poisson tenant; each
+		// of its accesses installs an LLC line (tenant shared data, L2
+		// victims) with probability 0.5 besides its SF allocation.
+		Tenants:     []tenant.Spec{{Model: "poisson", Rate: QuiescentNoiseRate, LLCProb: 0.5}},
+		MemoryBytes: 8 << 30,
+		TimerJitter: 2,
 	}
 }
 
@@ -282,29 +267,29 @@ func Scaled(slices int) Config {
 }
 
 // WithCloudNoise returns a copy of the config with Cloud Run noise.
-func (c Config) WithCloudNoise() Config {
-	c.NoiseRate = CloudRunNoiseRate
-	return c
-}
+func (c Config) WithCloudNoise() Config { return c.WithNoiseRate(CloudRunNoiseRate) }
 
 // WithQuiescentNoise returns a copy with quiescent-local noise.
-func (c Config) WithQuiescentNoise() Config {
-	c.NoiseRate = QuiescentNoiseRate
-	return c
-}
+func (c Config) WithQuiescentNoise() Config { return c.WithNoiseRate(QuiescentNoiseRate) }
 
 // WithNoiseRate returns a copy whose background workload exerts the
 // given mean pressure, in accesses per millisecond per set (the
-// paper's unit). On a legacy-knob config it sets NoiseRate; when
-// structured Tenants are present it instead rescales every tenant's
-// Rate so their TOTAL mean matches perMs while the mix between them is
-// preserved — so noise-rate axes (the abl-noise runner, construction
-// equivalent-noise scaling) keep sweeping intensity under a -tenants
-// override instead of becoming silently inert.
+// paper's unit). A tenant-less config gains one poisson tenant at that
+// rate; a lone tenant takes the rate exactly; several tenants have
+// every Rate rescaled so their TOTAL mean matches perMs while the mix
+// between them is preserved — so noise-rate axes (the abl-noise
+// runner, construction equivalent-noise scaling) keep sweeping
+// intensity under a -tenants override instead of becoming silently
+// inert.
 func (c Config) WithNoiseRate(perMs float64) Config {
-	c.NoiseRate = perMs / cyclesPerMs
-	if len(c.Tenants) == 0 {
-		return c
+	switch len(c.Tenants) {
+	case 0:
+		return c.WithTenants(tenant.Spec{Model: "poisson", Rate: perMs, LLCProb: 0.5})
+	case 1:
+		// Set, not rescaled: Rate*(perMs/Rate) can miss perMs by an ulp.
+		sp := c.Tenants[0]
+		sp.Rate = perMs
+		return c.WithTenants(sp)
 	}
 	total := 0.0
 	for _, sp := range c.Tenants {
@@ -324,9 +309,9 @@ func (c Config) WithNoiseRate(perMs float64) Config {
 }
 
 // WithTenants returns a copy whose background workload is the given
-// structured tenant specs (replacing the flat NoiseRate/NoiseLLCProb
-// process). The specs slice is copied, so later mutation of the
-// arguments cannot alias into the config.
+// tenant specs, replacing the previous ones. The specs slice is
+// copied, so later mutation of the arguments cannot alias into the
+// config.
 func (c Config) WithTenants(specs ...tenant.Spec) Config {
 	c.Tenants = append([]tenant.Spec(nil), specs...)
 	return c
@@ -351,10 +336,6 @@ func (c Config) WithDefense(sp defense.Spec) Config {
 // graceful error.
 func (c Config) Validate() error {
 	switch {
-	case c.NoiseRate < 0:
-		return fmt.Errorf("hierarchy: negative NoiseRate %g", c.NoiseRate)
-	case c.NoiseLLCProb < 0 || c.NoiseLLCProb > 1:
-		return fmt.Errorf("hierarchy: NoiseLLCProb %g outside [0, 1]", c.NoiseLLCProb)
 	case c.ReuseInsertProb < 0 || c.ReuseInsertProb > 1:
 		return fmt.Errorf("hierarchy: ReuseInsertProb %g outside [0, 1]", c.ReuseInsertProb)
 	case c.TimerJitter < 0:

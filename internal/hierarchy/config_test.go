@@ -47,13 +47,13 @@ func TestGeometryInvariants(t *testing.T) {
 
 func TestNoisePresets(t *testing.T) {
 	c := SkylakeSP(4)
-	if c.NoiseRate != QuiescentNoiseRate {
+	if c.Tenants[0].Rate != QuiescentNoiseRate {
 		t.Error("default preset should be quiescent")
 	}
-	if c.WithCloudNoise().NoiseRate != CloudRunNoiseRate {
+	if c.WithCloudNoise().Tenants[0].Rate != CloudRunNoiseRate {
 		t.Error("WithCloudNoise failed")
 	}
-	if got := c.WithNoiseRate(11.5).NoiseRate; got != CloudRunNoiseRate {
+	if got := c.WithNoiseRate(11.5).Tenants[0].Rate; got != CloudRunNoiseRate {
 		t.Errorf("WithNoiseRate(11.5) = %v, want %v", got, CloudRunNoiseRate)
 	}
 }
@@ -80,7 +80,7 @@ func TestHostDeterminism(t *testing.T) {
 
 func TestLLCEvictionBackInvalidatesSharers(t *testing.T) {
 	cfg := Scaled(4)
-	cfg.NoiseRate = 0
+	cfg.Tenants = nil
 	h := NewHost(cfg, 123)
 	a := h.NewAgent(0)
 	helper := h.NewAgentSharing(1, a.AddressSpace())
@@ -116,7 +116,7 @@ func TestLLCEvictionBackInvalidatesSharers(t *testing.T) {
 
 func TestParallelBatchCheaperThanSequential(t *testing.T) {
 	cfg := Scaled(4)
-	cfg.NoiseRate = 0
+	cfg.Tenants = nil
 	h := NewHost(cfg, 7)
 	a := h.NewAgent(0)
 	buf := a.Alloc(256)

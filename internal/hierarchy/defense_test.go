@@ -68,7 +68,7 @@ func TestDefenseValidation(t *testing.T) {
 // observe nothing.
 func TestPartitionHidesVictimFromAttacker(t *testing.T) {
 	cfg := Scaled(2)
-	cfg.NoiseRate = 0
+	cfg.Tenants = nil
 	cfg = cfg.WithDefense(defense.Spec{Model: "partition", Ways: 4})
 	h := NewHost(cfg, 5)
 	att := h.NewAgent(0)

@@ -9,7 +9,7 @@ import (
 
 func quietScaled() Config {
 	c := Scaled(4)
-	c.NoiseRate = 0
+	c.Tenants = nil
 	return c
 }
 

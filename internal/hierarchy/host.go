@@ -89,32 +89,23 @@ func tenantSeed(seed uint64, i int) uint64 {
 }
 
 // buildTenants constructs the host's background workload from the
-// config: the structured Tenants specs when present, else the legacy
-// NoiseRate/NoiseLLCProb shim as a single poisson model (built from the
-// per-cycle rate directly, so no unit round trip can move a bit), else
-// nothing. It must not draw from the host rng: NewHost consumed no
-// draws after the policy split before tenants existed, and the poisson
-// shim's byte-identity with the legacy path depends on keeping it that
-// way. The config must already be validated.
+// config's Tenants specs. It must not draw from the host rng: tenant
+// schedules derive from tenantSeed, so adding or removing a tenant never
+// shifts the host's own random stream. The config must already be
+// validated.
 func buildTenants(cfg Config) []tenantState {
-	if len(cfg.Tenants) > 0 {
-		ts := make([]tenantState, len(cfg.Tenants))
-		for i, sp := range cfg.Tenants {
-			m, err := sp.Build()
-			if err != nil {
-				panic("hierarchy: " + err.Error()) // unreachable post-Validate
-			}
-			// LLCProb is literal on a directly constructed Spec (only the
-			// Parse/ParseList syntaxes default an absent key to 0.5), so a
-			// sparse spec's zero genuinely means "never installs in the LLC".
-			ts[i] = compileTenant(m, sp.LLCProb)
+	ts := make([]tenantState, len(cfg.Tenants))
+	for i, sp := range cfg.Tenants {
+		m, err := sp.Build()
+		if err != nil {
+			panic("hierarchy: " + err.Error()) // unreachable post-Validate
 		}
-		return ts
+		// LLCProb is literal on a directly constructed Spec (only the
+		// Parse/ParseList syntaxes default an absent key to 0.5), so a
+		// sparse spec's zero genuinely means "never installs in the LLC".
+		ts[i] = compileTenant(m, sp.LLCProb)
 	}
-	if cfg.NoiseRate > 0 {
-		return []tenantState{compileTenant(tenant.NewPoisson(cfg.NoiseRate), cfg.NoiseLLCProb)}
-	}
-	return nil
+	return ts
 }
 
 // compileTenant resolves a model's fast-path kind once, at build time.
@@ -343,12 +334,11 @@ func (h *Host) latency(l Level) float64 {
 
 // syncNoise applies the background tenant workload to one LLC/SF set,
 // covering the window since the set was last synced. Each tenant model
-// (internal/tenant; one legacy-shim poisson model when the config uses
-// the flat NoiseRate knob) reports how many accesses it performed on
-// the set during the window; each access allocates an SF entry
-// (evicting, with back-invalidation, whatever the replacement policy
-// selects) and, with the tenant's LLC probability, installs a line in
-// the LLC set as well.
+// (internal/tenant; one poisson model on the default config) reports
+// how many accesses it performed on the set during the window; each
+// access allocates an SF entry (evicting, with back-invalidation,
+// whatever the replacement policy selects) and, with the tenant's LLC
+// probability, installs a line in the LLC set as well.
 func (h *Host) syncNoise(set SetID) {
 	slot := set.Slice*h.cfg.LLCSets + set.Index
 	now := h.clk.Now()

@@ -43,19 +43,16 @@ func equalTraces(t *testing.T, label string, h1, h2 *Host) {
 	}
 }
 
-// TestPoissonShimByteIdentity pins the tentpole back-compat contract:
-// a host configured through the legacy NoiseRate/NoiseLLCProb knobs and
-// one configured with the equivalent explicit poisson tenant spec must
-// replay the exact same simulation — same serving levels, same clock,
-// same noise-event count — because both paths feed the same per-cycle
-// rate to the same model and draw from the host stream in the same
-// order.
-func TestPoissonShimByteIdentity(t *testing.T) {
-	legacy := Scaled(4).WithCloudNoise()
-	explicit := Scaled(4).WithTenants(tenant.Spec{Model: "poisson", Rate: 11.5, LLCProb: legacy.NoiseLLCProb})
-	h1 := NewHost(legacy, 1234)
+// TestNoisePresetMatchesExplicitSpec: a host configured through the
+// Cloud Run noise preset and one configured with the equivalent
+// explicit poisson tenant spec must replay the exact same simulation —
+// same serving levels, same clock, same noise-event count.
+func TestNoisePresetMatchesExplicitSpec(t *testing.T) {
+	preset := Scaled(4).WithCloudNoise()
+	explicit := Scaled(4).WithTenants(tenant.Spec{Model: "poisson", Rate: 11.5, LLCProb: 0.5})
+	h1 := NewHost(preset, 1234)
 	h2 := NewHost(explicit, 1234)
-	equalTraces(t, "legacy vs explicit poisson", h1, h2)
+	equalTraces(t, "preset vs explicit poisson", h1, h2)
 }
 
 // TestTenantHostDeterminism: every model family replays identically
@@ -115,9 +112,9 @@ func TestConfigValidate(t *testing.T) {
 		t.Fatalf("shipped config rejected: %v", err)
 	}
 	bad := []func(Config) Config{
-		func(c Config) Config { c.NoiseRate = -1; return c },
-		func(c Config) Config { c.NoiseLLCProb = 1.5; return c },
-		func(c Config) Config { c.NoiseLLCProb = -0.1; return c },
+		func(c Config) Config { return c.WithTenants(tenant.Spec{Model: "poisson", Rate: -1, LLCProb: 0.5}) },
+		func(c Config) Config { return c.WithTenants(tenant.Spec{Model: "poisson", Rate: 1, LLCProb: 1.5}) },
+		func(c Config) Config { return c.WithTenants(tenant.Spec{Model: "poisson", Rate: 1, LLCProb: -0.1}) },
 		func(c Config) Config { c.ReuseInsertProb = 2; return c },
 		func(c Config) Config { c.TimerJitter = -3; return c },
 		func(c Config) Config { c.Lat.JitterFrac = -0.5; return c },
@@ -170,6 +167,24 @@ func TestWithNoiseRateRescalesTenants(t *testing.T) {
 	).WithNoiseRate(8)
 	if zero.Tenants[0].Rate != 4 || zero.Tenants[1].Rate != 4 {
 		t.Fatalf("zero-rate split = %g, %g (want 4, 4)", zero.Tenants[0].Rate, zero.Tenants[1].Rate)
+	}
+}
+
+// TestWithNoiseRateExact: a lone tenant takes the requested rate
+// exactly — the proportional rescale 0.29 * (0.0411/0.29) lands one ulp
+// below 0.0411 — and a tenant-less config gains the paper's flat
+// background, one poisson tenant installing in the LLC with
+// probability 0.5.
+func TestWithNoiseRateExact(t *testing.T) {
+	lone := Scaled(2).WithTenants(tenant.Spec{Model: "poisson", Rate: 0.29, LLCProb: 0.25}).WithNoiseRate(0.0411)
+	if want := (tenant.Spec{Model: "poisson", Rate: 0.0411, LLCProb: 0.25}); len(lone.Tenants) != 1 || lone.Tenants[0] != want {
+		t.Errorf("lone tenant rescaled to %+v, want %+v", lone.Tenants, want)
+	}
+	silent := Scaled(2)
+	silent.Tenants = nil
+	got := silent.WithNoiseRate(11.5).Tenants
+	if want := (tenant.Spec{Model: "poisson", Rate: 11.5, LLCProb: 0.5}); len(got) != 1 || got[0] != want {
+		t.Errorf("tenant-less config gained %+v, want [%+v]", got, want)
 	}
 }
 

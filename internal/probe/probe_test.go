@@ -17,7 +17,7 @@ func setup(t testing.TB, seed uint64, cloud bool) (*evset.Env, []memory.VAddr, [
 	if cloud {
 		cfg = cfg.WithCloudNoise()
 	} else {
-		cfg.NoiseRate = 0
+		cfg.Tenants = nil
 	}
 	h := hierarchy.NewHost(cfg, seed)
 	e := evset.NewEnv(h, seed^0x77)

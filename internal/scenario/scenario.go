@@ -114,17 +114,33 @@ func Register(sc Scenario) {
 		Desc: "end-to-end scenario: " + sc.Desc,
 		Unit: "cycles",
 		Run: func(t *experiments.Trial, cfg hierarchy.Config) experiments.Sample {
-			own := sc.Config()
-			if cfg.Defense == nil && own.Defense != nil {
-				cfg = cfg.WithDefense(*own.Defense)
-			}
-			if len(cfg.Tenants) == 0 && len(own.Tenants) > 0 {
-				cfg = cfg.WithTenants(own.Tenants...)
-			}
-			o := sc.Run(t, cfg)
+			o := sc.Run(t, cellConfig(sc.Config(), cfg))
 			return experiments.Sample{OK: o.Success, Value: float64(o.TotalCycles)}
 		},
 	})
+}
+
+// cellConfig returns the grid config of a scenario cell with the
+// variant-defining parts of the scenario's own config carried over: its
+// defense when the grid's defenses axis is "none", and its tenant
+// workload when the grid cell runs the paper's flat poisson background
+// (the tenant_models default) and the scenario's own is anything else.
+// A scenario whose own background is itself one poisson tenant (at any
+// rate) takes the grid's, so noise_rates stays a real axis for it.
+func cellConfig(own, grid hierarchy.Config) hierarchy.Config {
+	if grid.Defense == nil && own.Defense != nil {
+		grid = grid.WithDefense(*own.Defense)
+	}
+	if flatPoisson(grid.Tenants) && !flatPoisson(own.Tenants) {
+		grid = grid.WithTenants(own.Tenants...)
+	}
+	return grid
+}
+
+// flatPoisson reports whether specs is the paper's flat background:
+// exactly one poisson tenant.
+func flatPoisson(specs []tenant.Spec) bool {
+	return len(specs) == 1 && specs[0].Model == "poisson"
 }
 
 // Lookup returns the scenario registered under id.
@@ -201,11 +217,11 @@ type Report struct {
 	Desc     string `json:"desc"`
 	Trials   int    `json:"trials"`
 	Seed     uint64 `json:"seed"`
-	// Tenants records a background-workload override (RunTenants), so
-	// the artifact self-describes the environment it measured; empty for
-	// the scenario's own default config.
+	// Tenants records a background-workload override (RunWithObs / the
+	// cmd/llcattack -tenants flag), so the artifact self-describes the
+	// environment it measured; empty for the scenario's own config.
 	Tenants []tenant.Spec `json:"tenants,omitempty"`
-	// Defense records an LLC-countermeasure override (RunWith / the
+	// Defense records an LLC-countermeasure override (RunWithObs / the
 	// cmd/llcattack -defense flag); nil for the scenario's own config
 	// (which may itself carry a defense in the defended variants).
 	Defense   *defense.Spec `json:"defense,omitempty"`
@@ -225,35 +241,24 @@ func (r *Report) WriteJSON(w io.Writer) error {
 // workers (<= 0 selects GOMAXPROCS) and aggregates the outcomes. The
 // report depends only on (id, trials, seed).
 func Run(id string, trials, workers int, seed uint64) (*Report, error) {
-	return RunTenants(id, nil, trials, workers, seed)
+	return RunWithObs(context.Background(), id, nil, nil, trials, workers, seed, nil)
 }
 
-// RunTenants is Run with the scenario's background workload replaced by
-// the given tenant specs (the cmd/llcattack -tenants override); nil
-// specs keep the scenario's own environment. Specs must already be
-// validated (tenant.ParseList / Spec.Validate); an invalid spec fails
-// host construction.
-func RunTenants(id string, tenants []tenant.Spec, trials, workers int, seed uint64) (*Report, error) {
-	return RunWith(context.Background(), id, tenants, nil, trials, workers, seed)
-}
-
-// RunWith is Run with both environment overrides: tenant specs replace
-// the scenario's background workload and def replaces its LLC defense
-// (the cmd/llcattack -tenants / -defense flags). Nil values keep the
-// scenario's own environment; a defense override must survive
+// RunWithObs is Run with both environment overrides and an
+// observability sink (the cmd/llcattack -tenants / -defense / -trace
+// flags). Tenant specs replace the scenario's background workload and
+// def replaces its LLC defense; nil values keep the scenario's own
+// environment. Tenant specs must already be validated (tenant.ParseList
+// / Spec.Validate); a defense override must survive
 // hierarchy.Config.Validate against the scenario's geometry, reported
 // as an error rather than a panic. Cancelling ctx (the CLI's signal
 // context) stops the run between trials and returns the context's
-// error; a completed report never depends on ctx.
-func RunWith(ctx context.Context, id string, tenants []tenant.Spec, def *defense.Spec, trials, workers int, seed uint64) (*Report, error) {
-	return RunWithObs(ctx, id, tenants, def, trials, workers, seed, nil)
-}
-
-// RunWithObs is RunWith with an observability sink (the cmd/llcattack
-// -trace flag): when sink.Tracer is set every trial's pipeline steps
-// land on the trace as cat="phase" spans, and when sink.Metrics is set
-// the engine's trial metrics record. A nil sink is exactly RunWith —
-// the report is byte-identical either way (determinism clause 10).
+// error; a completed report never depends on ctx. When sink.Tracer is
+// set every trial's pipeline steps land on the trace as cat="phase"
+// spans under the sink's PID track (named after the scenario), with the
+// trial index as TID; when sink.Metrics is set the engine's trial
+// metrics record. The report is byte-identical with or without a sink
+// (determinism clause 10).
 func RunWithObs(ctx context.Context, id string, tenants []tenant.Spec, def *defense.Spec, trials, workers int, seed uint64, sink *obs.Sink) (*Report, error) {
 	sc, ok := Lookup(id)
 	if !ok {
@@ -272,7 +277,17 @@ func RunWithObs(ctx context.Context, id string, tenants []tenant.Spec, def *defe
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("scenario: %s: %w", sc.ID, err)
 	}
-	outs, err := RunOnObs(ctx, sc, cfg, trials, workers, seed, sink)
+	if sink != nil && sink.Tracer != nil {
+		sink.Tracer.SetProcessName(sink.TracePID, "scenario "+sc.ID)
+	}
+	// Per-trial outcome slots keep the writes race-free at any worker
+	// count, like the engine's own sample slice.
+	outs := make([]Outcome, trials)
+	_, err := experiments.RunTrialsObs(ctx, trials, workers, experiments.SubSeed(seed, "scenario", sc.ID), sink, func(t *experiments.Trial) experiments.Sample {
+		o := sc.Run(t, cfg)
+		outs[t.Index] = o
+		return experiments.Sample{OK: o.Success, Value: float64(o.TotalCycles)}
+	})
 	if err != nil {
 		return nil, fmt.Errorf("scenario: %s: %w", sc.ID, err)
 	}
@@ -286,34 +301,6 @@ func RunWithObs(ctx context.Context, id string, tenants []tenant.Spec, def *defe
 		Outcomes:  outs,
 		Aggregate: AggregateOutcomes(outs),
 	}, nil
-}
-
-// RunOn executes trials of sc on an explicit config through the trial
-// engine, returning the outcomes in trial order (an error only on
-// cancellation or a panicking trial). Per-trial outcome slots keep the
-// writes race-free at any worker count, like the engine's own sample
-// slice.
-func RunOn(ctx context.Context, sc Scenario, cfg hierarchy.Config, trials, workers int, seed uint64) ([]Outcome, error) {
-	return RunOnObs(ctx, sc, cfg, trials, workers, seed, nil)
-}
-
-// RunOnObs is RunOn with an observability sink: trials run under the
-// sink's PID track (named after the scenario on the trace), with the
-// trial index as TID. A nil sink is exactly RunOn.
-func RunOnObs(ctx context.Context, sc Scenario, cfg hierarchy.Config, trials, workers int, seed uint64, sink *obs.Sink) ([]Outcome, error) {
-	if sink != nil && sink.Tracer != nil {
-		sink.Tracer.SetProcessName(sink.TracePID, "scenario "+sc.ID)
-	}
-	outs := make([]Outcome, trials)
-	_, err := experiments.RunTrialsObs(ctx, trials, workers, experiments.SubSeed(seed, "scenario", sc.ID), sink, func(t *experiments.Trial) experiments.Sample {
-		o := sc.Run(t, cfg)
-		outs[t.Index] = o
-		return experiments.Sample{OK: o.Success, Value: float64(o.TotalCycles)}
-	})
-	if err != nil {
-		return nil, err
-	}
-	return outs, nil
 }
 
 // AggregateOutcomes folds per-trial outcomes into the success-rate and

@@ -2,10 +2,14 @@ package scenario
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"repro/internal/clock"
+	"repro/internal/defense"
 	"repro/internal/experiments"
+	"repro/internal/hierarchy"
+	"repro/internal/tenant"
 	"repro/internal/xrand"
 )
 
@@ -190,5 +194,45 @@ func TestParallelEquivalence(t *testing.T) {
 				t.Errorf("parallel=1 and parallel=8 reports differ:\n%s\n---\n%s", reports[0], reports[1])
 			}
 		})
+	}
+}
+
+// TestCellConfigCarriesVariant: a scenario cell keeps the grid's
+// config except for what defines the scenario variant — a baked tenant
+// workload replaces the grid's flat poisson background (but not a swept
+// tenant model), and a baked defense fills an undefended grid cell. A
+// variant whose own background is flat poisson leaves the grid's
+// noise rate in force.
+func TestCellConfigCarriesVariant(t *testing.T) {
+	grid := func(model string) hierarchy.Config {
+		return hierarchy.Scaled(4).WithTenants(tenant.Spec{Model: model, Rate: 0.29, LLCProb: 0.5})
+	}
+	own := func(id string) hierarchy.Config {
+		sc, ok := Lookup(id)
+		if !ok {
+			t.Fatalf("scenario %q not registered", id)
+		}
+		return sc.Config()
+	}
+	for _, tc := range []struct {
+		id, gridModel string
+		want          []tenant.Spec
+	}{
+		{"covert/channel/stream", "poisson", own("covert/channel/stream").Tenants},
+		{"covert/channel/stream", "burst", grid("burst").Tenants},
+		{"covert/channel/noisy", "poisson", grid("poisson").Tenants},
+		{"covert/channel", "poisson", grid("poisson").Tenants},
+	} {
+		got := cellConfig(own(tc.id), grid(tc.gridModel))
+		if !reflect.DeepEqual(got.Tenants, tc.want) {
+			t.Errorf("%s on a %s grid: tenants %+v, want %+v", tc.id, tc.gridModel, got.Tenants, tc.want)
+		}
+	}
+	if got := cellConfig(own("covert/channel/quiesce"), grid("poisson")); got.Defense == nil || got.Defense.Model != "quiesce" {
+		t.Errorf("quiesce variant's defense did not carry over: %+v", got.Defense)
+	}
+	swept := grid("poisson").WithDefense(defense.Spec{Model: "partition", Ways: 4})
+	if got := cellConfig(own("covert/channel/quiesce"), swept); got.Defense.Model != "partition" {
+		t.Errorf("grid defense overridden by the variant's: %+v", got.Defense)
 	}
 }

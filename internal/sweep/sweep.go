@@ -66,9 +66,9 @@ type Spec struct {
 	// TenantModels sweeps the background-workload SHAPE at each noise
 	// rate: tenant model names (tenant.Models; poisson, burst, stream,
 	// hotset, churn), each built with its documented default parameters
-	// at the cell's noise rate. "poisson" reproduces the flat legacy
-	// noise process — and is the default, so existing specs and
-	// artifacts are unchanged.
+	// at the cell's noise rate. "poisson" is the paper's flat noise
+	// process — and is the default, so existing specs and artifacts are
+	// unchanged.
 	TenantModels []string `json:"tenant_models,omitempty"`
 	// Defenses sweeps LLC countermeasures: compact defense.Parse spec
 	// strings ("partition:ways=4", "randomize:period=100000",
@@ -187,7 +187,7 @@ type CellResult struct {
 	Slices     int     `json:"slices"`
 	NoiseRate  float64 `json:"noise_rate"`
 	// TenantModel is the background-workload shape at the cell's noise
-	// rate ("poisson" is the flat legacy process).
+	// rate ("poisson" is the paper's flat process).
 	TenantModel string `json:"tenant_model"`
 	// Defense is the cell's LLC countermeasure in canonical compact
 	// form ("none" is the undefended host).
@@ -312,14 +312,10 @@ func Expand(s Spec) []Cell {
 								if ce.ConstructionNoise {
 									effRate *= experiments.ConstructionNoiseScale(cfg, false)
 								}
-								if model == "poisson" {
-									// The flat legacy knob, byte-identical to the
-									// pre-tenant sweep path.
-									cfg = cfg.WithNoiseRate(effRate)
-									cfg.Name = fmt.Sprintf("sweep/%s/w%d/s%d", kind, assoc, slices)
-								} else {
-									cfg = cfg.WithTenants(tenant.Spec{Model: model, Rate: effRate, LLCProb: cfg.NoiseLLCProb})
-									cfg.Name = fmt.Sprintf("sweep/%s/w%d/s%d/%s", kind, assoc, slices, model)
+								cfg = cfg.WithTenants(tenant.Spec{Model: model, Rate: effRate, LLCProb: 0.5})
+								cfg.Name = fmt.Sprintf("sweep/%s/w%d/s%d", kind, assoc, slices)
+								if model != "poisson" {
+									cfg.Name += "/" + model
 								}
 								// Seed labels: the tenant and defense coordinates join
 								// only for non-default cells, so every pre-axis artifact
@@ -383,7 +379,7 @@ func cellKey(labels []any) string {
 }
 
 // Run executes the sweep: the whole grid flattens into one
-// experiments.RunTrialsErr call (so per-worker host pools are shared
+// experiments.RunTrialsObs call (so per-worker host pools are shared
 // across cells and one panicking cell fails the sweep cleanly), then
 // each cell's samples aggregate into a CellResult with deltas against
 // its experiment's baseline cell. workers <= 0 selects GOMAXPROCS; the

@@ -6,27 +6,18 @@ import (
 )
 
 func init() {
-	register("poisson", "homogeneous per-set Poisson background (the paper's §4.3 measurement; legacy NoiseRate shim)",
+	register("poisson", "homogeneous per-set Poisson background (the paper's §4.3 measurement; the default)",
 		func(s Spec) (Model, error) {
-			return NewPoisson(s.Rate / CyclesPerMs), nil
+			return &poisson{perCycle: s.Rate / CyclesPerMs}, nil
 		})
 }
 
-// poisson is the memoryless baseline: every set sees an independent
-// Poisson process at the same per-cycle rate. It is the structured
-// replacement for the flat Config.NoiseRate knob and reproduces that
-// path byte-for-byte: the per-window count is drawn from the host rng
-// with the same expression the legacy hierarchy.Host.syncNoise used.
+// poisson is the memoryless baseline and the default background of
+// every shipped host configuration: every set sees an independent
+// Poisson process at the same per-cycle rate, one Poisson(window*rate)
+// count drawn from the host rng per synced window.
 type poisson struct {
 	perCycle float64
-}
-
-// NewPoisson builds a poisson tenant from a per-CYCLE rate, bypassing
-// the Spec's per-millisecond unit. The hierarchy package's legacy-knob
-// shim uses it so Config.NoiseRate (already per-cycle) avoids a
-// ms-and-back float round trip that could break byte-identity.
-func NewPoisson(ratePerCycle float64) Model {
-	return &poisson{perCycle: ratePerCycle}
 }
 
 func (p *poisson) Reset(uint64) {}
@@ -36,6 +27,5 @@ func (p *poisson) Reset(uint64) {}
 func (p *poisson) PerCycleRate() float64 { return p.perCycle }
 
 func (p *poisson) Accesses(rng *xrand.Rand, _ Set, last, now clock.Cycles) int {
-	// Mirrors the legacy syncNoise expression exactly: window * rate.
 	return rng.Poisson(float64(now-last) * p.perCycle)
 }

@@ -10,8 +10,10 @@
 // victim sets and not others), and churning (serverless cold starts
 // arrive, touch a large transient footprint, and depart). Each of those
 // regimes is a Model here, built from a declarative Spec and injected by
-// internal/hierarchy into the same lazy per-set synchronisation path the
-// flat Poisson knob used.
+// internal/hierarchy into its lazy per-set synchronisation path. The
+// paper's own measurement is the "poisson" model, and one poisson
+// tenant at the quiescent rate is the default background of every
+// shipped hierarchy configuration.
 //
 // # Determinism contract
 //
@@ -22,19 +24,14 @@
 //     never from the host RNG — so building it lazily cannot perturb the
 //     host's own random stream.
 //   - Accesses draws per-window counts from the rng argument (the host's
-//     stream), exactly as the legacy Poisson path did: the draw order is
-//     fixed by the (deterministic) access sequence of the simulation.
+//     stream): the draw order is fixed by the (deterministic) access
+//     sequence of the simulation.
 //   - Queries arrive with non-decreasing `now` (the host clock), but in
 //     arbitrary per-set order; models must answer from schedule state
 //     that depends only on (seed, set, window), not on query order.
 //   - Reset must restore the exact post-construction state and stay
 //     allocation-light, so pooled hosts can recycle models across trials
 //     (the hierarchy.Host.Reset contract).
-//
-// The "poisson" model reproduces the legacy Config.NoiseRate /
-// Config.NoiseLLCProb path byte-for-byte at equal parameters; the
-// hierarchy package keeps those knobs as a shim that builds one poisson
-// Spec.
 package tenant
 
 import (
@@ -47,10 +44,6 @@ import (
 
 // CyclesPerMs converts the paper's per-millisecond rates to the
 // simulator's per-cycle rates at the 2 GHz host frequency (clock.GHz2).
-// hierarchy.Config uses the same constant, so a Spec rate in
-// accesses/ms/set converts to exactly the same per-cycle float as
-// hierarchy.Config.WithNoiseRate — the poisson shim's byte-identity
-// depends on it.
 const CyclesPerMs = 2_000_000.0
 
 // Set identifies one LLC/SF set to a model, in flat coordinates: Slot is

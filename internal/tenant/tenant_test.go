@@ -167,13 +167,15 @@ func TestSpecValidate(t *testing.T) {
 	}
 }
 
-// TestPoissonMatchesLegacyExpression pins the shim contract at the
-// model level: the poisson model must consume the host stream exactly
-// as the legacy syncNoise expression did — one Poisson(window*rate)
-// draw, nothing else.
+// TestPoissonMatchesLegacyExpression: the poisson model must consume
+// the host stream exactly as the expression the hierarchy inlines for
+// Memoryless models — one Poisson(window*rate) draw, nothing else.
 func TestPoissonMatchesLegacyExpression(t *testing.T) {
 	const rate = 11.5 / CyclesPerMs
-	m := NewPoisson(rate)
+	m, err := Spec{Model: "poisson", Rate: 11.5}.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
 	m.Reset(1)
 	a, b := xrand.New(42), xrand.New(42)
 	last := clock.Cycles(0)
@@ -181,12 +183,12 @@ func TestPoissonMatchesLegacyExpression(t *testing.T) {
 		got := m.Accesses(a, Set{Slot: 3, Total: 2048}, last, now)
 		want := b.Poisson(float64(now-last) * rate)
 		if got != want {
-			t.Fatalf("window (%d, %d]: model drew %d, legacy expression %d", last, now, got, want)
+			t.Fatalf("window (%d, %d]: model drew %d, inlined expression %d", last, now, got, want)
 		}
 		last = now
 	}
 	if a.Uint64() != b.Uint64() {
-		t.Fatal("model consumed a different number of host-stream draws than the legacy path")
+		t.Fatal("model consumed a different number of host-stream draws than the inlined expression")
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 func newVictimHost(t *testing.T) (*hierarchy.Host, *Victim) {
 	t.Helper()
 	cfg := hierarchy.Scaled(4)
-	cfg.NoiseRate = 0
+	cfg.Tenants = nil
 	h := hierarchy.NewHost(cfg, 41)
 	v := New(h, 2, ec2m.Sect163(), 42)
 	return h, v
