@@ -30,12 +30,12 @@
 // aggregate result, and their artifact endpoint serves the raw
 // checkpoint log for central merging. Up to -jobs campaigns run
 // concurrently in submission order, splitting the -parallel
-// cell-worker budget evenly; neither knob changes any artifact byte
+// trial-worker budget evenly; neither knob changes any artifact byte
 // (determinism clauses 4 and 8). The submit queue is unbounded —
 // accepting a job is a map insert and a slice append, so submission
 // never blocks on the runners. On SIGINT/SIGTERM the daemon drains:
-// in-flight cells finish their trials, the checkpoint log keeps every
-// completed cell, and the job is marked interrupted for the next
+// in-flight trials finish, the checkpoint log keeps every completed
+// cell, and the job is marked interrupted for the next
 // incarnation to resume.
 //
 // With -retain-age and/or -retain-count the daemon garbage-collects
@@ -72,7 +72,7 @@ func main() {
 	var (
 		addr     = fs.String("addr", "127.0.0.1:8077", "listen address")
 		dataDir  = fs.String("data", "", "directory for specs, checkpoint logs and results (required)")
-		parallel = fs.Int("parallel", 0, "total campaign cell workers across jobs (0 = GOMAXPROCS); never changes any artifact")
+		parallel = fs.Int("parallel", 0, "total campaign trial workers across jobs (0 = GOMAXPROCS); never changes any artifact")
 		jobs     = fs.Int("jobs", 1, "concurrent campaign jobs; the -parallel budget is split evenly between them")
 		retAge   = fs.Duration("retain-age", 0, "garbage-collect done jobs older than this (0 = keep forever)")
 		retCount = fs.Int("retain-count", 0, "keep at most this many done jobs, oldest reaped first (0 = keep all)")

@@ -395,9 +395,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	start := time.Now()
 	var res *sweep.Result
 	if ckpt != nil {
-		// Campaign path: cells shard across workers and checkpoint as
-		// they complete. Progress lines go to stderr (the artifact stays
-		// byte-identical to the flattened sweep.Run path).
+		// Campaign path: the same flattened engine call as sweep.Run,
+		// with each cell checkpointed as it completes. Progress lines go
+		// to stderr (the artifact stays byte-identical to sweep.Run's).
 		var stats *campaign.Stats
 		res, stats, err = campaign.Run(ctx, spec, campaign.Options{
 			Workers:    *parallel,

@@ -1,24 +1,21 @@
 // Package campaign turns a one-shot sweep into a resumable, sharded
-// run: the spec's grid cells are distributed across worker goroutines,
-// every completed cell is checkpointed to an append-only artifact log
-// (internal/artifact) before the next one starts, and a resumed run
-// skips exactly the cells whose checkpoint records verify — re-running
-// everything else. Because a cell's trial seeds derive from its own
-// coordinates (sweep cell-coordinate seeding) and engine cancellation
-// only ever lands between trials, a cell computed after a crash is
-// byte-identical to the one the interrupted run would have produced,
-// so a resumed campaign's final artifact is byte-for-byte the
-// uninterrupted run's.
+// run: the spec's pending grid cells run through sweep's grid executor
+// (sweep.RunCells), every completed cell is checkpointed to an
+// append-only artifact log (internal/artifact) by the worker that
+// finished its last trial, and a resumed run skips exactly the cells
+// whose checkpoint records verify — re-running everything else.
+// Because a cell's trial seeds derive from its own coordinates (sweep
+// cell-coordinate seeding) and engine cancellation only ever lands
+// between trials, a cell computed after a crash is byte-identical to
+// the one the interrupted run would have produced, so a resumed
+// campaign's final artifact is byte-for-byte the uninterrupted run's.
 //
-// The sharding unit is the CELL, not the trial: one worker runs all of
-// a cell's trials sequentially on its own pooled host, and cells
-// complete independently. That keeps the checkpoint granularity equal
-// to the durability granularity (a record either holds a whole cell or
-// nothing) and lets N workers make progress on N cells with zero
-// cross-worker coordination beyond an atomic claim counter — the same
-// discipline the trial engine uses one level down. The flattened
-// single-call path (sweep.Run) remains the fastest way to run a grid
-// that fits in one sitting; this package is for grids that might not.
+// The checkpoint unit is the CELL, the scheduling unit the TRIAL: the
+// engine's workers claim trials across all pending cells, so W workers
+// share even a one-cell grid, while a record still holds a whole cell
+// or nothing (the checkpoint granularity equals the durability
+// granularity). A campaign and sweep.Run therefore run a grid the same
+// way; the campaign adds the restore phase and the log.
 //
 // One campaign can also span PROCESSES or machines: Options.ShardCount
 // slices the grid round-robin into disjoint shards, each shard run
@@ -40,9 +37,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
-	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/artifact"
@@ -102,9 +97,9 @@ type Stats struct {
 
 // Options configures a campaign run.
 type Options struct {
-	// Workers is the number of cells in flight at once; <= 0 selects
-	// GOMAXPROCS (via the trial engine's convention). Within a cell,
-	// trials run sequentially on the claiming worker.
+	// Workers is the number of trials in flight at once, across all
+	// pending cells; <= 0 selects GOMAXPROCS (via the trial engine's
+	// convention).
 	Workers int
 	// Log, when non-nil, is the open checkpoint log: verified records
 	// skip their cells, completed cells append records. Nil runs the
@@ -217,37 +212,39 @@ func Run(ctx context.Context, spec sweep.Spec, opts Options) (*sweep.Result, *St
 
 	samples := make([][]experiments.Sample, len(cls))
 	pending := make([]int, 0, len(mine))
-	var done atomic.Int64
+	done := 0
 
-	// emit serialises OnCell callbacks and checkpoint appends; the log
-	// is not concurrency-safe and observers expect ordered counts.
+	// emit serialises OnCell callbacks and checkpoint appends: computed
+	// cells arrive from whichever engine worker finished their last
+	// trial, the log is not concurrency-safe, and observers expect
+	// ordered counts.
 	var mu sync.Mutex
 	emit := func(ci int, skipped bool) error {
 		mu.Lock()
 		defer mu.Unlock()
-		if !skipped && opts.Log != nil {
-			before := opts.Log.AppendedBytes()
-			if err := opts.Log.Append(cls[ci].Key, EncodeSamples(samples[ci])); err != nil {
-				return err
-			}
-			appendBytes.Add(opts.Log.AppendedBytes() - before)
-		}
 		if skipped {
 			cellsResumed.Inc()
 		} else {
+			if opts.Log != nil {
+				before := opts.Log.AppendedBytes()
+				if err := opts.Log.Append(cls[ci].Key, EncodeSamples(samples[ci])); err != nil {
+					return fmt.Errorf("cell %s: %w", cls[ci].Coords(), err)
+				}
+				appendBytes.Add(opts.Log.AppendedBytes() - before)
+			}
 			cellsComputed.Inc()
+			st.Ran++
 		}
+		done++
 		if opts.OnCell != nil {
 			opts.OnCell(Event{
 				Cell:    ci,
 				Key:     cls[ci].Key,
 				Coords:  cls[ci].Coords(),
-				Done:    int(done.Add(1)),
+				Done:    done,
 				Total:   len(mine),
 				Skipped: skipped,
 			})
-		} else {
-			done.Add(1)
 		}
 		return nil
 	}
@@ -275,74 +272,18 @@ func Run(ctx context.Context, spec sweep.Spec, opts Options) (*sweep.Result, *St
 		pending = append(pending, ci)
 	}
 
-	// Shard phase: workers claim pending cells via an atomic counter and
-	// run each cell's trials sequentially. One failing (panicking) cell
-	// or a cancellation stops the claim loop; in-flight cells finish
-	// their current trial and are NOT checkpointed unless complete.
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(pending) {
-		workers = len(pending)
-	}
-	var ran atomic.Int64
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	var firstErr atomic.Pointer[cellError]
-	record := func(ci int, err error) {
-		ce := &cellError{cell: ci, err: err}
-		for {
-			cur := firstErr.Load()
-			if cur != nil && cur.cell <= ci {
-				return
-			}
-			if firstErr.CompareAndSwap(cur, ce) {
-				return
-			}
-		}
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				k := int(next.Add(1)) - 1
-				if k >= len(pending) || firstErr.Load() != nil || ctx.Err() != nil {
-					return
-				}
-				ci := pending[k]
-				c := &cls[ci]
-				var t0 time.Time
-				if cellSec != nil {
-					t0 = time.Now()
-				}
-				ss, err := experiments.RunTrialsObs(ctx, n, 1, c.Seed, opts.Obs.WithPID(ci), func(t *experiments.Trial) experiments.Sample {
-					return c.Exp.Run(t, c.Config)
-				})
-				if cellSec != nil {
-					cellSec.Observe(time.Since(t0).Seconds())
-				}
-				if err != nil {
-					record(ci, err)
-					return
-				}
-				samples[ci] = ss
-				if err := emit(ci, false); err != nil {
-					record(ci, err)
-					return
-				}
-				ran.Add(1)
-			}
-		}()
-	}
-	wg.Wait()
-	st.Ran = int(ran.Load())
-	if ce := firstErr.Load(); ce != nil {
-		return nil, st, fmt.Errorf("campaign: cell %s: %w", cls[ce.cell].Coords(), ce.err)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, st, fmt.Errorf("campaign: %w", context.Cause(ctx))
+	// Run phase: the pending cells' trials run through sweep's grid
+	// executor, and each cell is checkpointed by the worker that
+	// finishes its last trial. A panicking trial, a failed append or a
+	// cancellation stops new trials from starting; in-flight trials
+	// finish, and a cell is never checkpointed unless complete.
+	_, err := sweep.RunCells(ctx, cls, pending, n, opts.Workers, opts.Obs, func(ci int, ss []experiments.Sample, start time.Time) error {
+		cellSec.Observe(time.Since(start).Seconds())
+		samples[ci] = ss
+		return emit(ci, false)
+	})
+	if err != nil {
+		return nil, st, fmt.Errorf("campaign: %w", err)
 	}
 	if opts.ShardCount > 0 || ranged {
 		// A shard or leased range holds only its slice of the samples;
@@ -355,13 +296,6 @@ func Run(ctx context.Context, spec sweep.Spec, opts Options) (*sweep.Result, *St
 		flat = append(flat, ss...)
 	}
 	return sweep.Aggregate(spec, cls, flat), st, nil
-}
-
-// cellError attributes a worker failure to the lowest-index cell, like
-// the trial engine's panic attribution one level down.
-type cellError struct {
-	cell int
-	err  error
 }
 
 // Merge combines per-shard checkpoint logs into one log at dstPath

@@ -40,8 +40,7 @@ func encodeResult(t *testing.T, r *sweep.Result) []byte {
 }
 
 // TestCampaignMatchesSweep pins the equivalence the whole layer rests
-// on: a sharded per-cell campaign (any worker count, checkpointed or
-// not) must produce the byte-identical artifact to the flattened
+// on: a campaign (any worker count, checkpointed or not) must produce the byte-identical artifact to the flattened
 // single-call sweep.
 func TestCampaignMatchesSweep(t *testing.T) {
 	spec := tinySpec()

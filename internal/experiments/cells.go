@@ -16,8 +16,8 @@ import (
 // cell experiment measures ONE protocol on an ARBITRARY hierarchy
 // config, so a sweep can place it in every cell of a replacement-policy
 // x associativity x slice-count x noise grid. Cells run as ordinary
-// engine trials, which is what lets a sweep flatten its whole grid into
-// a single RunTrials call and share per-worker host pools across cells.
+// engine trials, which is what lets a sweep (and a campaign) flatten its
+// whole grid into a single RunTrials call.
 
 // CellTrial runs one trial of a cell experiment on the given config. It
 // must obey the engine's determinism contract: all randomness from

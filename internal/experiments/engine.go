@@ -24,8 +24,8 @@ import (
 //  1. Trial i's randomness is fully determined by its seed, which is
 //     drawn from a splitmix64 stream (xrand.Stream) indexed by i — never
 //     by worker identity or completion order.
-//  2. A trial touches no state outside its own simulated host. Hosts are
-//     recycled through per-worker pools, and hierarchy.Host.Reset
+//  2. A trial touches no state outside its own simulated host. Each
+//     worker recycles one pooled host, and hierarchy.Host.Reset
 //     restores a pooled host to the exact state hierarchy.NewHost would
 //     produce for the trial's seed, so a recycled host replays the same
 //     virtual-time behaviour as a fresh one.
@@ -80,28 +80,29 @@ func (t *Trial) Host(cfg hierarchy.Config, seed uint64) *hierarchy.Host {
 	return t.pool.get(cfg, seed)
 }
 
-// hostPool caches one host per config for one worker. Hosts carry large
-// allocations (frame free-lists, per-slice cache arrays), so recycling
-// them drops the steady-state allocation rate of a trial to near zero.
-// The map keys on Config.Key (a deterministic fingerprint string):
-// Config itself stopped being a valid map key when it grew the Tenants
-// spec slice.
+// hostPool holds one worker's host. Hosts carry large allocations
+// (frame free-lists, per-slice cache arrays), so reusing one across the
+// worker's consecutive trials on an equal config (compared by
+// Config.Key, a deterministic fingerprint string) drops the
+// steady-state allocation rate of a trial to near zero. Runners lay a
+// cell's trials out next to each other, so a worker changes config only
+// at cell boundaries; it then drops the old host before building the
+// new one, so a worker never holds more than one host however many
+// configs a flattened run visits.
 type hostPool struct {
-	hosts map[string]*hierarchy.Host
+	key  string
+	host *hierarchy.Host
 }
 
 func (p *hostPool) get(cfg hierarchy.Config, seed uint64) *hierarchy.Host {
 	key := cfg.Key()
-	if h, ok := p.hosts[key]; ok {
-		h.Reset(seed)
-		return h
+	if p.host != nil && p.key == key {
+		p.host.Reset(seed)
+		return p.host
 	}
-	h := hierarchy.NewHost(cfg, seed)
-	if p.hosts == nil {
-		p.hosts = make(map[string]*hierarchy.Host)
-	}
-	p.hosts[key] = h
-	return h
+	p.host = nil // collectable while NewHost allocates the next one
+	p.host, p.key = hierarchy.NewHost(cfg, seed), key
+	return p.host
 }
 
 // RunTrials executes n trials of fn across a worker pool and returns the

@@ -12,7 +12,9 @@ import (
 // layer: two equal-valued configs built independently — including
 // pointer fields (Defense) and slice fields (Tenants) that a naive
 // %+v fingerprint would print by address — must resolve to the SAME
-// pooled host, while a value difference must build a second host.
+// pooled host, while a value difference must build a different host.
+// The pool holds one host, so going back to the first config builds a
+// fresh one.
 func TestHostPoolReusesEqualConfigs(t *testing.T) {
 	mk := func() hierarchy.Config {
 		return hierarchy.Scaled(2).
@@ -25,14 +27,12 @@ func TestHostPoolReusesEqualConfigs(t *testing.T) {
 	if h1 != h2 {
 		t.Fatal("equal configs must share one pool entry (host-pool reuse defeated)")
 	}
-	if len(p.hosts) != 1 {
-		t.Fatalf("pool holds %d hosts, want 1", len(p.hosts))
-	}
 	other := mk().WithDefense(defense.Spec{Model: "quiesce", Quantum: 128})
-	if h3 := p.get(other, 3); h3 == h1 {
+	h3 := p.get(other, 3)
+	if h3 == h1 {
 		t.Fatal("different defense parameters must not share a pooled host")
 	}
-	if len(p.hosts) != 2 {
-		t.Fatalf("pool holds %d hosts, want 2", len(p.hosts))
+	if h4 := p.get(mk(), 4); h4 == h1 || h4 == h3 {
+		t.Fatal("returning to the first config must build a fresh host, not keep or reuse a stale one")
 	}
 }

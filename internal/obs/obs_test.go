@@ -43,7 +43,7 @@ func TestNilSafety(t *testing.T) {
 		t.Fatal("nil TrialTrace reports enabled")
 	}
 	var s *Sink
-	if s.Enabled() || s.WithPID(3) != nil {
+	if s.Enabled() {
 		t.Fatal("nil sink must stay disabled")
 	}
 }

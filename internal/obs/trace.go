@@ -257,14 +257,3 @@ type Sink struct {
 func (s *Sink) Enabled() bool {
 	return s != nil && (s.Metrics != nil || s.Tracer != nil)
 }
-
-// WithPID returns a copy of the sink whose trials land on the given
-// PID track (nil-safe: a nil sink stays nil).
-func (s *Sink) WithPID(pid int) *Sink {
-	if s == nil {
-		return nil
-	}
-	c := *s
-	c.TracePID = pid
-	return &c
-}

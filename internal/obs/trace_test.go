@@ -124,15 +124,13 @@ func TestTracerConcurrentEmit(t *testing.T) {
 	}
 }
 
-// TestSinkWithPID: the copy carries the PID; the original is
-// untouched.
-func TestSinkWithPID(t *testing.T) {
-	s := &Sink{Tracer: NewTracer()}
-	c := s.WithPID(9)
-	if c.TracePID != 9 || s.TracePID != 0 || c.Tracer != s.Tracer {
-		t.Fatalf("WithPID: got %+v from %+v", c, s)
+// TestSinkEnabled: a sink is enabled exactly when it carries a tracer
+// or a registry.
+func TestSinkEnabled(t *testing.T) {
+	if (&Sink{TracePID: 9}).Enabled() {
+		t.Fatal("sink with no outputs must be disabled")
 	}
-	if !c.Enabled() {
-		t.Fatal("sink with tracer must be enabled")
+	if !(&Sink{Tracer: NewTracer()}).Enabled() || !(&Sink{Metrics: NewRegistry()}).Enabled() {
+		t.Fatal("sink with a tracer or a registry must be enabled")
 	}
 }

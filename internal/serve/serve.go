@@ -105,11 +105,11 @@ func (j *job) ranged() bool { return j.CellEnd > 0 }
 
 // Options configures a daemon instance.
 type Options struct {
-	// Workers is the total cell-worker budget shared by all concurrent
+	// Workers is the total trial-worker budget shared by all concurrent
 	// jobs (0 = GOMAXPROCS). It never changes any artifact byte.
 	Workers int
 	// Jobs is how many campaigns run concurrently (<= 0 means 1). Each
-	// running job gets max(1, Workers/Jobs) cell workers.
+	// running job gets max(1, Workers/Jobs) trial workers.
 	Jobs int
 	// RetainAge garbage-collects done jobs finished longer ago than
 	// this (0 = no age limit).
@@ -124,7 +124,7 @@ type Options struct {
 // after cancelling the start context (drain).
 type Server struct {
 	dataDir     string
-	workers     int // cell workers per running job
+	workers     int // trial workers per running job
 	jobSlots    int // concurrent job runners
 	retainAge   time.Duration
 	retainCount int

@@ -11,19 +11,13 @@
 // cache organisation; a sweep is how that claim is checked as a grid
 // rather than a point.
 //
-// Determinism: the whole grid flattens into a single RunTrials call, so
-// per-worker host pools are shared across cells and the artifact is
-// byte-identical for every worker count. The flip side of pool sharing
-// is retention: a worker keeps one pooled host per distinct config it
-// has touched until the sweep ends, so peak memory grows with
-// (distinct configs) x workers (a scaled host is a few MB). For the
-// intended grid sizes (tens of cells) that is far cheaper than
-// rebuilding hosts per cell; truly huge grids should be split into
-// several sweeps. Additionally, a cell's trial
-// seeds are derived from the cell's own coordinates (not from its flat
-// position in the grid), so adding or removing grid values never changes
-// the numbers of the cells that remain — artifacts from different grids
-// diff cleanly against each other.
+// Determinism: the whole grid flattens into a single RunTrials call
+// (RunCells, the one grid executor, which internal/campaign runs on
+// too), and the artifact is byte-identical for every worker count. A
+// cell's trial seeds are derived from the cell's own coordinates (not
+// from its flat position in the grid), so adding or removing grid
+// values never changes the numbers of the cells that remain —
+// artifacts from different grids diff cleanly against each other.
 package sweep
 
 import (
@@ -34,6 +28,8 @@ import (
 	"io"
 	"strconv"
 	"strings"
+	"sync/atomic"
+	"time"
 
 	"repro/internal/cache"
 	"repro/internal/defense"
@@ -243,8 +239,7 @@ type Cell struct {
 	Config hierarchy.Config
 	// Seed is the cell's base seed, derived from its coordinates alone
 	// (never from its flat grid position): trial i of this cell runs on
-	// xrand.Stream(Seed, i) whether the grid is flattened into one
-	// RunTrials call or the cell is run on its own.
+	// xrand.Stream(Seed, i) whichever cells share its RunCells call.
 	Seed uint64
 	// Key is the canonical cell coordinate string ("|"-joined seed
 	// labels). It identifies the cell in checkpoint artifacts: two cells
@@ -378,15 +373,14 @@ func cellKey(labels []any) string {
 	return strings.Join(strs, "|")
 }
 
-// Run executes the sweep: the whole grid flattens into one
-// experiments.RunTrialsObs call (so per-worker host pools are shared
-// across cells and one panicking cell fails the sweep cleanly), then
-// each cell's samples aggregate into a CellResult with deltas against
-// its experiment's baseline cell. workers <= 0 selects GOMAXPROCS; the
-// Result is identical for every worker count. Cancelling ctx stops the
-// grid between trials and returns the context's error; Run itself
-// persists nothing (the resumable path is internal/campaign.Run, which
-// produces the identical Result).
+// Run executes the sweep: the whole grid runs through RunCells as one
+// flattened engine call (one panicking cell fails the sweep cleanly),
+// then each cell's samples aggregate into a CellResult with deltas
+// against its experiment's baseline cell. workers <= 0 selects
+// GOMAXPROCS; the Result is identical for every worker count.
+// Cancelling ctx stops the grid between trials and returns the
+// context's error; Run itself persists nothing (the resumable path is
+// internal/campaign.Run, which produces the identical Result).
 func Run(ctx context.Context, spec Spec, workers int) (*Result, error) {
 	return RunObs(ctx, spec, workers, nil)
 }
@@ -403,38 +397,93 @@ func RunObs(ctx context.Context, spec Spec, workers int, sink *obs.Sink) (*Resul
 		return nil, err
 	}
 	cls := Expand(spec)
-	n := spec.Trials
-	var tracer *obs.Tracer
+	all := make([]int, len(cls))
+	for ci := range all {
+		all[ci] = ci
+	}
 	if sink != nil && sink.Tracer != nil {
-		tracer = sink.Tracer
 		for ci := range cls {
-			tracer.SetProcessName(ci, cls[ci].Coords())
+			sink.Tracer.SetProcessName(ci, cls[ci].Coords())
 		}
 	}
-	samples, err := experiments.RunTrialsObs(ctx, len(cls)*n, workers, spec.Seed, sink, func(t *experiments.Trial) experiments.Sample {
-		c := cls[t.Index/n]
+	samples, err := RunCells(ctx, cls, all, spec.Trials, workers, sink, nil)
+	if err != nil {
+		return nil, err
+	}
+	return Aggregate(spec, cls, samples), nil
+}
+
+// RunCells is the one grid executor: it runs n trials of each cell
+// cls[ci], ci in which, as a single experiments.RunTrialsObs call and
+// returns the samples cell after cell in which order. Trials are
+// scheduled individually, so W workers share even a one-cell grid, and
+// each worker reuses its host across the consecutive trials of a cell.
+//
+// Trial i of a cell runs on xrand.Stream(cell.Seed, i) and, on a traced
+// run, on the track (PID = cell index, TID = i), so a cell's samples
+// and spans do not depend on which other cells share the call. A
+// panicking trial fails the run with an error naming its cell.
+//
+// done, when non-nil, is called once per completed cell with the cell's
+// index in cls, its samples in trial order and the wall time its first
+// trial started. It runs on the worker that finished the cell's last
+// trial, inside that trial, while other workers carry on, so calls may
+// overlap. An error from done cancels the run between trials (as the
+// context's cause) and is returned.
+func RunCells(ctx context.Context, cls []Cell, which []int, n, workers int, sink *obs.Sink,
+	done func(ci int, ss []experiments.Sample, start time.Time) error) ([]experiments.Sample, error) {
+	ctx, cancel := context.WithCancelCause(ctx)
+	defer cancel(nil)
+	var tracer *obs.Tracer
+	if sink != nil {
+		tracer = sink.Tracer
+	}
+	samples := make([]experiments.Sample, len(which)*n)
+	// left[k] counts cell k's unfinished trials; the worker that takes
+	// it to zero owns the cell's hook. The atomic decrement orders every
+	// other trial's sample write before the hook reads the cell.
+	left := make([]atomic.Int32, len(which))
+	starts := make([]time.Time, len(which))
+	for k := range left {
+		left[k].Store(int32(n))
+	}
+	// The engine's own seed stream is unused: every trial re-roots on
+	// its cell's stream below.
+	_, err := experiments.RunTrialsObs(ctx, len(which)*n, workers, 0, sink, func(t *experiments.Trial) experiments.Sample {
+		k, i := t.Index/n, t.Index%n
+		ci := which[k]
+		c := &cls[ci]
+		if done != nil && i == 0 {
+			starts[k] = time.Now()
+		}
 		// The trial's seed comes from the cell's own stream, not the flat
 		// grid index, so cells are stable across grid reshapes.
-		t2 := t.WithSeed(xrand.Stream(c.Seed, uint64(t.Index%n)))
+		t2 := t.WithSeed(xrand.Stream(c.Seed, uint64(i)))
 		if tracer != nil {
-			// Re-root the trial's track on its grid cell: PID = cell
-			// index, TID = trial within the cell (the engine's default
-			// track is the flat index, meaningless in a grid).
-			t2.Trace = &obs.TrialTrace{Tracer: tracer, PID: t.Index / n, TID: t.Index % n}
+			// Re-root the trial's track on its grid cell (the engine's
+			// default track is the flat index, meaningless in a grid).
+			t2.Trace = &obs.TrialTrace{Tracer: tracer, PID: ci, TID: i}
 		}
-		return c.Exp.Run(t2, c.Config)
+		s := c.Exp.Run(t2, c.Config)
+		samples[t.Index] = s
+		if done != nil && left[k].Add(-1) == 0 {
+			if err := done(ci, samples[k*n:(k+1)*n], starts[k]); err != nil {
+				cancel(err)
+			}
+		}
+		return s
 	})
 	if err != nil {
 		// Name the failing grid cell, not just the flat trial index: the
 		// coordinates are what the operator needs to reproduce one cell.
 		if tp, ok := err.(interface{ TrialIndex() int }); ok {
-			if ci := tp.TrialIndex() / n; ci >= 0 && ci < len(cls) {
-				return nil, fmt.Errorf("sweep: cell %s: %w", cls[ci].Coords(), err)
+			if k := tp.TrialIndex() / n; k >= 0 && k < len(which) {
+				return nil, fmt.Errorf("sweep: cell %s: %w", cls[which[k]].Coords(), err)
 			}
 		}
 		return nil, err
 	}
-	return Aggregate(spec, cls, samples), nil
+	return samples, nil
 }
 
 // Coords renders the cell's grid coordinates the way sweep errors and
