@@ -414,6 +414,55 @@ func BenchmarkMicro_LatticeHNPToy(b *testing.B) {
 	}
 }
 
+// BenchmarkMicro_LatticeHNP163 times one key-recovery lattice attempt at
+// the scale e2e/keyrecovery runs: sect163, 5 leaks of 40 known nonce bits
+// each, an LLL basis of dimension 7.
+func BenchmarkMicro_LatticeHNP163(b *testing.B) {
+	c := ec2m.Sect163()
+	rng := xrand.New(22)
+	key := ecdsa.GenerateKey(c, rng)
+	const known = 40
+	var leaks []lattice.Leak
+	for i := 0; len(leaks) < 5; i++ {
+		z := big.NewInt(int64(11000 + i))
+		sig, nonce, err := key.Sign(z, rng, nil)
+		if err != nil || nonce.BitLen() <= known {
+			continue
+		}
+		top := new(big.Int).Rsh(nonce, uint(nonce.BitLen()-known))
+		leaks = append(leaks, lattice.LeakFromTopBits(sig.R, sig.S, z, top, nonce.BitLen(), known))
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := lattice.HNP(c.N, leaks, func(d *big.Int) bool { return d.Cmp(key.D) == 0 }); !ok {
+			b.Fatal("HNP failed")
+		}
+	}
+}
+
+// BenchmarkMicro_ForestTrain fits a boundary forest of the size
+// attack.TrainExtractor fits per trial: about 2.4k rows of 5 clamped gap
+// features, 25 trees of depth 10.
+func BenchmarkMicro_ForestTrain(b *testing.B) {
+	rng := xrand.New(23)
+	x := make([][]float64, 2400)
+	y := make([]int, len(x))
+	for i := range x {
+		row := make([]float64, 5)
+		for f := range row {
+			row[f] = math.Min(3, math.Abs(rng.Norm(1, 0.5)))
+		}
+		x[i] = row
+		if math.Abs(row[0]-1) < 0.15 && math.Abs(row[1]-1) < 0.3 && rng.Float64() < 0.95 {
+			y[i] = 1
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		classify.NewForest(classify.ForestConfig{Trees: 25, MaxDepth: 10}).Train(x, y, xrand.New(24))
+	}
+}
+
 // --- End-to-end scenarios (internal/scenario) --------------------------------
 
 // BenchmarkScenario_E2EExtract times one full §7.3 pipeline trial —

@@ -45,6 +45,7 @@ import (
 
 	"repro/internal/fleet"
 	"repro/internal/obs"
+	"repro/internal/serve"
 	"repro/internal/sweep"
 
 	// Register the end-to-end attack scenarios as sweepable cell
@@ -136,7 +137,7 @@ func run(ctx context.Context, args []string, stderr io.Writer) int {
 			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 			metrics.WritePrometheus(w)
 		})
-		ms := &http.Server{Handler: mux}
+		ms := serve.NewHTTPServer(mux)
 		defer ms.Close()
 		go ms.Serve(ln)
 		fmt.Fprintf(stderr, "llcfleet: metrics on http://%s/metrics\n", ln.Addr())

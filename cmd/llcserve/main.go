@@ -113,7 +113,7 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Fprintf(os.Stderr, "llcserve: listening on %s, data in %s\n", ln.Addr(), *dataDir)
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := serve.NewHTTPServer(srv.Handler())
 	go func() {
 		<-ctx.Done()
 		// Drain: stop accepting, let in-flight responses finish briefly,

@@ -1,8 +1,9 @@
 package classify
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/xrand"
 )
@@ -25,6 +26,16 @@ type Tree struct {
 	maxDepth    int
 	minLeaf     int
 	maxFeatures int // features sampled per split (random forest mode)
+	// scratch holds one node's (value, label) pairs during Train: sized
+	// to the training set once and reused by every node's split search.
+	scratch []sample
+}
+
+// sample is one training row's value on the feature being split, with
+// the row's label.
+type sample struct {
+	v float64
+	y int
 }
 
 // TreeConfig bundles decision-tree hyperparameters.
@@ -51,9 +62,28 @@ func (t *Tree) Train(x [][]float64, y []int, rng *xrand.Rand) {
 	for i := range idx {
 		idx[i] = i
 	}
+	t.scratch = make([]sample, len(x))
 	t.root = t.build(x, y, idx, 0, rng)
+	t.scratch = nil
 }
 
+// build grows the subtree over rows idx. A feature's candidate
+// thresholds are the midpoints (a+b)/2 of its distinct consecutive
+// sorted values, and rows go left when value <= threshold. The split
+// with the lowest weighted Gini wins, the first in (feature, threshold)
+// order on ties.
+//
+// splitOn finds a feature's best split with one sort and one sweep. It
+// sorts the non-NaN values once with their labels. Midpoints of sorted
+// values never decrease (rounding is monotone), so one pointer sweeps
+// forward over every value <= the current midpoint, keeping the left
+// side's count and label sum. That also covers a midpoint that rounds
+// up to the upper value (the value's whole run goes left) or overflows
+// to ±Inf. NaN rows are never <= a threshold and always count on the
+// right. The one NaN midpoint, (-Inf+Inf)/2, can only be the first
+// candidate, since nothing sorts below -Inf; it leaves the left side
+// empty, so minLeaf rejects it. reference_test.go keeps the quadratic
+// rescan as the test oracle.
 func (t *Tree) build(x [][]float64, y []int, idx []int, depth int, rng *xrand.Rand) *treeNode {
 	ones := 0
 	for _, i := range idx {
@@ -76,55 +106,68 @@ func (t *Tree) build(x [][]float64, y []int, idx []int, depth int, rng *xrand.Ra
 
 	bestGini := math.Inf(1)
 	bestF, bestThr := -1, 0.0
-	vals := make([]float64, 0, len(idx))
 	for _, f := range features {
-		vals = vals[:0]
-		for _, i := range idx {
-			vals = append(vals, x[i][f])
-		}
-		sort.Float64s(vals)
-		// Candidate thresholds: midpoints of distinct consecutive values.
-		for v := 1; v < len(vals); v++ {
-			if vals[v] == vals[v-1] {
-				continue
-			}
-			thr := (vals[v] + vals[v-1]) / 2
-			lo, lt, ro, rt := 0, 0, 0, 0
-			for _, i := range idx {
-				if x[i][f] <= thr {
-					lt++
-					lo += y[i]
-				} else {
-					rt++
-					ro += y[i]
-				}
-			}
-			if lt < t.minLeaf || rt < t.minLeaf {
-				continue
-			}
-			g := gini(lo, lt)*float64(lt)/float64(len(idx)) + gini(ro, rt)*float64(rt)/float64(len(idx))
-			if g < bestGini {
-				bestGini, bestF, bestThr = g, f, thr
-			}
+		if g, thr, ok := t.splitOn(x, y, idx, f, ones); ok && g < bestGini {
+			bestGini, bestF, bestThr = g, f, thr
 		}
 	}
 	if bestF < 0 {
 		return &treeNode{leaf: true, prob: prob}
 	}
-	var li, ri []int
-	for _, i := range idx {
-		if x[i][bestF] <= bestThr {
-			li = append(li, i)
+	// Partition idx in place: the subtrees depend only on which rows
+	// they get, not on their order.
+	l, r := 0, len(idx)
+	for l < r {
+		if x[idx[l]][bestF] <= bestThr {
+			l++
 		} else {
-			ri = append(ri, i)
+			r--
+			idx[l], idx[r] = idx[r], idx[l]
 		}
 	}
 	return &treeNode{
 		feature:   bestF,
 		threshold: bestThr,
-		left:      t.build(x, y, li, depth+1, rng),
-		right:     t.build(x, y, ri, depth+1, rng),
+		left:      t.build(x, y, idx[:l], depth+1, rng),
+		right:     t.build(x, y, idx[l:], depth+1, rng),
 	}
+}
+
+// splitOn returns the lowest weighted Gini over feature f's candidate
+// thresholds (the first on ties) and that threshold; ok is false when no
+// threshold leaves minLeaf rows on each side. ones is the number of
+// label-1 rows in idx.
+func (t *Tree) splitOn(x [][]float64, y []int, idx []int, f, ones int) (bestGini, bestThr float64, ok bool) {
+	s := t.scratch[:0]
+	for _, i := range idx {
+		if v := x[i][f]; !math.IsNaN(v) {
+			s = append(s, sample{v, y[i]})
+		}
+	}
+	slices.SortFunc(s, func(a, b sample) int { return cmp.Compare(a.v, b.v) })
+
+	n := len(idx)
+	bestGini = math.Inf(1)
+	lt, lo := 0, 0
+	for v := 1; v < len(s); v++ {
+		if s[v].v == s[v-1].v {
+			continue
+		}
+		thr := (s[v].v + s[v-1].v) / 2
+		for lt < len(s) && s[lt].v <= thr {
+			lo += s[lt].y
+			lt++
+		}
+		rt, ro := n-lt, ones-lo
+		if lt < t.minLeaf || rt < t.minLeaf {
+			continue
+		}
+		g := gini(lo, lt)*float64(lt)/float64(n) + gini(ro, rt)*float64(rt)/float64(n)
+		if g < bestGini {
+			bestGini, bestThr, ok = g, thr, true
+		}
+	}
+	return bestGini, bestThr, ok
 }
 
 func gini(ones, total int) float64 {

@@ -518,6 +518,18 @@ func writeResult(path string, res *sweep.Result) error {
 	return err
 }
 
+// readHeaderTimeout bounds how long a client may take to send a
+// request's headers. A connection that never finishes them is closed
+// instead of holding a server goroutine forever.
+const readHeaderTimeout = 10 * time.Second
+
+// NewHTTPServer returns the http.Server that llcserve and llcfleet
+// listen with: h behind readHeaderTimeout. It sets no WriteTimeout,
+// because /events streams for as long as its job runs.
+func NewHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout}
+}
+
 // Handler returns the daemon's HTTP API.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()

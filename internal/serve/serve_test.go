@@ -6,6 +6,8 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -913,5 +915,36 @@ func TestDrainLeavesNoGoroutines(t *testing.T) {
 				baseline, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
 		}
 		time.Sleep(50 * time.Millisecond)
+	}
+}
+
+// TestSlowHeaderClientDisconnected: a client that starts a request and
+// never finishes its headers is disconnected after readHeaderTimeout
+// instead of pinning a connection forever.
+func TestSlowHeaderClientDisconnected(t *testing.T) {
+	hs := NewHTTPServer(http.NotFoundHandler())
+	if hs.ReadHeaderTimeout <= 0 || hs.WriteTimeout != 0 {
+		t.Fatalf("ReadHeaderTimeout = %v, WriteTimeout = %v; want a header bound and no write bound",
+			hs.ReadHeaderTimeout, hs.WriteTimeout)
+	}
+	hs.ReadHeaderTimeout = 100 * time.Millisecond
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go hs.Serve(ln)
+	defer hs.Close()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "GET /healthz HTTP/1.1\r\nHost: x\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := io.ReadAll(conn); err != nil {
+		t.Fatalf("server kept the half-sent request open: %v", err)
 	}
 }
