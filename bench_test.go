@@ -316,6 +316,39 @@ func BenchmarkMicro_HostReset(b *testing.B) {
 	}
 }
 
+// BenchmarkMicro_ParallelProbe times the Parallel-Probing loop of an
+// 8-line monitor on a recycled cloud host as keyrecovery's extract runs
+// it (probe.Monitor.Capture): one probe per op, re-priming only after a
+// detection. Nearly every probe is a batch of 8 overlapped L1 hits, so
+// the op prices the batch max of jittered latencies.
+func BenchmarkMicro_ParallelProbe(b *testing.B) {
+	cfg := cloudCfg()
+	h := hierarchy.NewHost(cfg, 1)
+	h.Reset(17)
+	e := evset.NewEnv(h, 17^0xbe)
+	pool := evset.NewCandidates(e, 2*evset.DefaultPoolSize(cfg), 0)
+	target := e.Main.SetOf(pool.Addrs[0])
+	var lines []memory.VAddr
+	for _, va := range pool.Addrs {
+		if e.Main.SetOf(va) == target {
+			lines = append(lines, va)
+			if len(lines) == cfg.SFWays {
+				break
+			}
+		}
+	}
+	if len(lines) != 8 {
+		b.Fatalf("found %d congruent lines, want 8", len(lines))
+	}
+	m := probe.NewMonitor(e, probe.Parallel, lines)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if m.Probe() {
+			m.Prime()
+		}
+	}
+}
+
 // --- Substrate micro-benchmarks ----------------------------------------------
 
 func BenchmarkMicro_HierarchyAccess(b *testing.B) {

@@ -109,21 +109,23 @@ func (a *Agent) AccessSeq(vas []memory.VAddr) clock.Cycles {
 // attacker's rdtsc-delimited MEASUREMENT of the batch, so a quiescing
 // defense filters it; the virtual clock always advances by the true
 // duration.
+//
+// Only the batch's maximum jittered latency is observable, so each
+// access draws its jitter uniforms in stream order and the values are
+// evaluated at batch end, Box–Muller only for draws that can be the
+// maximum (jitter.go): bit-identical to evaluating every draw.
 func (a *Agent) AccessParallel(vas []memory.VAddr) (clock.Cycles, int) {
 	if len(vas) == 0 {
 		return 0, 0
 	}
-	lat := a.h.cfg.Lat
+	lat := &a.h.cfg.Lat
 	total := lat.Issue * float64(len(vas))
-	maxBase := 0.0
+	mark := len(a.h.jit)
 	misses := 0
 	for i, va := range vas {
 		pa := a.as.Translate(va)
 		res := a.h.accessState(a.core, pa)
-		base := a.h.latency(res.level)
-		if base > maxBase {
-			maxBase = base
-		}
+		a.h.drawJitter(res.level)
 		if i > 0 {
 			total += lat.Drain[res.level]
 		}
@@ -134,6 +136,7 @@ func (a *Agent) AccessParallel(vas []memory.VAddr) (clock.Cycles, int) {
 		// with long traversals at the right granularity.
 		a.h.clk.Advance(clock.Cycles(lat.Issue + lat.Drain[res.level]))
 	}
+	maxBase := a.h.batchMax(mark)
 	total += maxBase
 	a.h.clk.Advance(clock.Cycles(maxBase))
 	return clock.Cycles(a.h.observe(total)), misses
@@ -162,23 +165,22 @@ func (a *Agent) LoadShared(helper *Agent, va memory.VAddr) clock.Cycles {
 // immediately (it runs concurrently, a fixed short distance behind the
 // main thread), so every line transitions E->S and is installed in the
 // LLC before the main thread's private copy can be displaced by later
-// accesses of the batch.
+// accesses of the batch. Like AccessParallel, the batch is charged its
+// maximum jittered latency, evaluated at batch end from draws taken in
+// stream order.
 func (a *Agent) LoadSharedAll(helper *Agent, vas []memory.VAddr) clock.Cycles {
 	if len(vas) == 0 {
 		return 0
 	}
-	lat := a.h.cfg.Lat
+	lat := &a.h.cfg.Lat
 	total := 0.0
-	maxBase := 0.0
+	mark := len(a.h.jit)
 	for i, va := range vas {
 		pa := a.as.Translate(va)
 		a.h.dropPrivate(a.core, pa)
 		res := a.h.accessState(a.core, pa)
 		helper.h.accessState(helper.core, helper.as.Translate(va))
-		base := a.h.latency(res.level)
-		if base > maxBase {
-			maxBase = base
-		}
+		a.h.drawJitter(res.level)
 		step := lat.Issue * 2 // main issue + helper sync
 		if i > 0 {
 			step += lat.Drain[res.level]
@@ -186,6 +188,7 @@ func (a *Agent) LoadSharedAll(helper *Agent, vas []memory.VAddr) clock.Cycles {
 		total += step
 		a.h.clk.Advance(clock.Cycles(step))
 	}
+	maxBase := a.h.batchMax(mark)
 	total += maxBase
 	a.h.clk.Advance(clock.Cycles(maxBase))
 	return clock.Cycles(total)

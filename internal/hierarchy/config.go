@@ -28,6 +28,7 @@ package hierarchy
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/cache"
 	"repro/internal/defense"
@@ -325,23 +326,29 @@ func (c Config) WithDefense(sp defense.Spec) Config {
 	return c
 }
 
-// Validate rejects configurations whose noise, tenant or defense
-// parameters are out of range — a negative rate, a probability outside
-// [0, 1], a malformed tenant spec, or a way partition that leaves a
-// shared structure without ways on one side — before they can silently
-// produce a nonsense host. Geometry errors (non-power-of-two set
-// counts) still panic in the index helpers, as before. NewHost calls
-// Validate and panics on error; callers that assemble configs from
-// external input (sweep specs, CLI flags) call it directly for a
-// graceful error.
+// Validate rejects configurations whose noise, latency, tenant or
+// defense parameters are out of range — a negative rate, a probability
+// outside [0, 1], a negative or non-finite latency (the batch-max
+// jitter bounds rely on it), a malformed tenant spec, or a way
+// partition that leaves a shared structure without ways on one side —
+// before they can silently produce a nonsense host. Geometry errors
+// (non-power-of-two set counts) still panic in the index helpers, as
+// before. NewHost calls Validate and panics on error; callers that
+// assemble configs from external input (sweep specs, CLI flags) call it
+// directly for a graceful error.
 func (c Config) Validate() error {
 	switch {
 	case c.ReuseInsertProb < 0 || c.ReuseInsertProb > 1:
 		return fmt.Errorf("hierarchy: ReuseInsertProb %g outside [0, 1]", c.ReuseInsertProb)
 	case c.TimerJitter < 0:
 		return fmt.Errorf("hierarchy: negative TimerJitter %g", c.TimerJitter)
-	case c.Lat.JitterFrac < 0:
-		return fmt.Errorf("hierarchy: negative latency JitterFrac %g", c.Lat.JitterFrac)
+	case !(c.Lat.JitterFrac >= 0 && c.Lat.JitterFrac <= math.MaxFloat64):
+		return fmt.Errorf("hierarchy: latency JitterFrac %g must be finite and non-negative", c.Lat.JitterFrac)
+	}
+	for l, b := range c.Lat.Base {
+		if !(b >= 0 && b <= math.MaxFloat64) {
+			return fmt.Errorf("hierarchy: %v base latency %g must be finite and non-negative", Level(l), b)
+		}
 	}
 	for i, sp := range c.Tenants {
 		if err := sp.Validate(); err != nil {

@@ -59,6 +59,11 @@ type Host struct {
 
 	sched eventQueue // scheduled external (victim) accesses
 
+	// jit is the scratch buffer of an open batch's deferred jitter
+	// draws (jitter.go). It is empty between batches and keeps its
+	// capacity across Reset.
+	jit []jitterDraw
+
 	// Statistics for instrumentation and tests.
 	NoiseEvents uint64
 	Accesses    uint64
@@ -319,15 +324,11 @@ func (h *Host) observe(measured float64) float64 {
 
 // latency draws a jittered base latency for the level.
 func (h *Host) latency(l Level) float64 {
-	base := h.cfg.Lat.Base[l]
 	if h.cfg.Lat.JitterFrac <= 0 {
-		return base
+		return h.cfg.Lat.Base[l]
 	}
-	v := h.rng.Norm(base, base*h.cfg.Lat.JitterFrac)
-	if v < 1 {
-		v = 1
-	}
-	return v
+	k1, k2 := h.rng.NormDraw()
+	return h.cfg.Lat.jittered(l, k1, k2)
 }
 
 // --- Noise injection -----------------------------------------------------

@@ -1,6 +1,7 @@
 package hierarchy
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/tenant"
@@ -118,6 +119,10 @@ func TestConfigValidate(t *testing.T) {
 		func(c Config) Config { c.ReuseInsertProb = 2; return c },
 		func(c Config) Config { c.TimerJitter = -3; return c },
 		func(c Config) Config { c.Lat.JitterFrac = -0.5; return c },
+		func(c Config) Config { c.Lat.JitterFrac = math.NaN(); return c },
+		func(c Config) Config { c.Lat.JitterFrac = math.Inf(1); return c },
+		func(c Config) Config { c.Lat.Base[L2Hit] = -14; return c },
+		func(c Config) Config { c.Lat.Base[DRAM] = math.Inf(1); return c },
 		func(c Config) Config { return c.WithTenants(tenant.Spec{Model: "nope", Rate: 1}) },
 		func(c Config) Config { return c.WithTenants(tenant.Spec{Model: "poisson", Rate: -2}) },
 		func(c Config) Config {

@@ -216,10 +216,27 @@ func (r *Rand) Poisson(mean float64) int {
 }
 
 // Norm returns a Gaussian sample with the given mean and standard
-// deviation, using the Box–Muller transform.
+// deviation, using the Box–Muller transform. It is NormAt(r.NormDraw()).
 func (r *Rand) Norm(mean, stddev float64) float64 {
-	u1 := r.Float64()
-	u2 := r.Float64()
+	k1, k2 := r.NormDraw()
+	return NormAt(k1, k2, mean, stddev)
+}
+
+// NormDraw consumes the two uniforms of one Norm sample and returns
+// them raw: 53-bit integers k, each standing for the uniform k/2^53.
+// A caller that needs only some samples' values (the maximum of a
+// batch) draws every sample in stream order and evaluates later.
+func (r *Rand) NormDraw() (k1, k2 uint64) {
+	k1 = r.Uint64() >> 11
+	k2 = r.Uint64() >> 11
+	return k1, k2
+}
+
+// NormAt evaluates the Box–Muller transform on the raw uniforms of a
+// NormDraw: a pure function, so deferring it never moves the stream.
+func NormAt(k1, k2 uint64, mean, stddev float64) float64 {
+	u1 := float64(k1) / (1 << 53)
+	u2 := float64(k2) / (1 << 53)
 	if u1 < 1e-300 {
 		u1 = 1e-300
 	}

@@ -116,6 +116,30 @@ func TestPoissonZeroAndNegative(t *testing.T) {
 	}
 }
 
+// TestNormIsDrawThenAt pins the NormDraw/NormAt split to the one-piece
+// Box–Muller sampler it replaced: the same bits, the same stream state.
+func TestNormIsDrawThenAt(t *testing.T) {
+	a, b := New(10), New(10)
+	for i := 0; i < 100000; i++ {
+		mean, sd := float64(i%7), 0.5+float64(i%5)
+		u1 := b.Float64()
+		u2 := b.Float64()
+		if u1 < 1e-300 {
+			u1 = 1e-300
+		}
+		want := mean + sd*(math.Sqrt(-2*math.Log(u1))*math.Cos(2*math.Pi*u2))
+		if got := a.Norm(mean, sd); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("draw %d: Norm %v, verbatim Box–Muller %v", i, got, want)
+		}
+	}
+	if a.Uint64() != b.Uint64() {
+		t.Fatal("Norm consumed a different number of draws")
+	}
+	if NormAt(0, 0, 0, 1) != math.Sqrt(-2*math.Log(1e-300)) {
+		t.Fatal("NormAt must clamp u1 = 0 to 1e-300")
+	}
+}
+
 func TestNormMoments(t *testing.T) {
 	r := New(9)
 	const n = 100000
