@@ -81,14 +81,16 @@ func (t *Trial) Host(cfg hierarchy.Config, seed uint64) *hierarchy.Host {
 }
 
 // hostPool holds one worker's host. Hosts carry large allocations
-// (frame free-lists, per-slice cache arrays), so reusing one across the
-// worker's consecutive trials on an equal config (compared by
-// Config.Key, a deterministic fingerprint string) drops the
-// steady-state allocation rate of a trial to near zero. Runners lay a
-// cell's trials out next to each other, so a worker changes config only
-// at cell boundaries; it then drops the old host before building the
-// new one, so a worker never holds more than one host however many
-// configs a flattened run visits.
+// (a uint32 frame free-list of 1 MiB per GiB of host memory, per-slice
+// cache arrays), so reusing one across the worker's consecutive trials
+// on an equal config (compared by Config.Key, a deterministic
+// fingerprint string) drops the steady-state allocation rate of a trial
+// to near zero. Reset still reshuffles the whole frame pool, one rng
+// draw per frame, so reuse saves the allocation, not the shuffle.
+// Runners lay a cell's trials out next to each other, so a worker
+// changes config only at cell boundaries; it then drops the old host
+// before building the new one, so a worker never holds more than one
+// host however many configs a flattened run visits.
 type hostPool struct {
 	key  string
 	host *hierarchy.Host

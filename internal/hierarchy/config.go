@@ -326,8 +326,9 @@ func (c Config) WithDefense(sp defense.Spec) Config {
 	return c
 }
 
-// Validate rejects configurations whose noise, latency, tenant or
-// defense parameters are out of range — a negative rate, a probability
+// Validate rejects configurations whose memory, noise, latency, tenant
+// or defense parameters are out of range — a memory size below one page
+// or above memory.MaxFrames frames, a negative rate, a probability
 // outside [0, 1], a negative or non-finite latency (the batch-max
 // jitter bounds rely on it), a malformed tenant spec, or a way
 // partition that leaves a shared structure without ways on one side —
@@ -338,6 +339,10 @@ func (c Config) WithDefense(sp defense.Spec) Config {
 // directly for a graceful error.
 func (c Config) Validate() error {
 	switch {
+	case c.MemoryBytes < memory.PageSize:
+		return fmt.Errorf("hierarchy: MemoryBytes %d is below one %d B page", c.MemoryBytes, memory.PageSize)
+	case c.MemoryBytes/memory.PageSize > memory.MaxFrames:
+		return fmt.Errorf("hierarchy: MemoryBytes %d exceeds %d frames", c.MemoryBytes, uint64(memory.MaxFrames))
 	case c.ReuseInsertProb < 0 || c.ReuseInsertProb > 1:
 		return fmt.Errorf("hierarchy: ReuseInsertProb %g outside [0, 1]", c.ReuseInsertProb)
 	case c.TimerJitter < 0:

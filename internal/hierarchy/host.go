@@ -150,7 +150,7 @@ func buildDefense(cfg Config) defense.Model {
 }
 
 // NewHost builds a host from the config with the given seed. It panics
-// on a config whose noise, tenant or defense parameters fail
+// on a config whose memory, noise, tenant or defense parameters fail
 // Config.Validate.
 func NewHost(cfg Config, seed uint64) *Host {
 	if err := cfg.Validate(); err != nil {

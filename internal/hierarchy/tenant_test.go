@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/memory"
 	"repro/internal/tenant"
 )
 
@@ -116,6 +117,8 @@ func TestConfigValidate(t *testing.T) {
 		func(c Config) Config { return c.WithTenants(tenant.Spec{Model: "poisson", Rate: -1, LLCProb: 0.5}) },
 		func(c Config) Config { return c.WithTenants(tenant.Spec{Model: "poisson", Rate: 1, LLCProb: 1.5}) },
 		func(c Config) Config { return c.WithTenants(tenant.Spec{Model: "poisson", Rate: 1, LLCProb: -0.1}) },
+		func(c Config) Config { c.MemoryBytes = 0; return c },
+		func(c Config) Config { c.MemoryBytes = (memory.MaxFrames + 1) * memory.PageSize; return c },
 		func(c Config) Config { c.ReuseInsertProb = 2; return c },
 		func(c Config) Config { c.TimerJitter = -3; return c },
 		func(c Config) Config { c.Lat.JitterFrac = -0.5; return c },

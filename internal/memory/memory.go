@@ -59,30 +59,32 @@ func (p PAddr) FrameNumber() uint64 { return uint64(p) >> PageBits }
 // Host models the physical memory of one machine: a pool of frames that
 // address spaces draw from at page-fault time.
 type Host struct {
-	frames     uint64 // total number of 4 kB frames
-	rng        *xrand.Rand
-	freeList   []uint64
-	nextVictim int // index into freeList for sequential carve-outs
+	frames     uint64   // total number of 4 kB frames
+	freeList   []uint32 // frame numbers in allocation order
+	nextVictim int      // index into freeList for sequential carve-outs
 }
+
+// MaxFrames is the largest frame pool a host can have: the free list
+// numbers frames in uint32.
+const MaxFrames = 1 << 32
 
 // NewHost creates a host with the given physical memory size in bytes.
 // Frames are handed out in a pseudo-random order, reproducing the fact
-// that a container's pages land on effectively arbitrary frames.
+// that a container's pages land on effectively arbitrary frames. It
+// panics on a host smaller than one page or larger than 2^32 frames.
+//
+// The shuffle costs one rng draw per frame (262,144 for a 1 GiB host)
+// however few pages a trial maps; see shuffle for why it cannot be lazy.
 func NewHost(bytes uint64, rng *xrand.Rand) *Host {
 	if bytes < PageSize {
 		panic("memory: host smaller than one page")
 	}
 	n := bytes / PageSize
-	h := &Host{frames: n, rng: rng}
-	h.freeList = make([]uint64, n)
-	for i := range h.freeList {
-		h.freeList[i] = uint64(i)
+	if n > MaxFrames {
+		panic("memory: host larger than 2^32 frames")
 	}
-	// Fisher-Yates over the frame pool; allocation order is then random.
-	for i := len(h.freeList) - 1; i > 0; i-- {
-		j := rng.Intn(i + 1)
-		h.freeList[i], h.freeList[j] = h.freeList[j], h.freeList[i]
-	}
+	h := &Host{frames: n, freeList: make([]uint32, n)}
+	h.shuffle(rng)
 	return h
 }
 
@@ -90,19 +92,28 @@ func NewHost(bytes uint64, rng *xrand.Rand) *Host {
 func (h *Host) Frames() uint64 { return h.frames }
 
 // Reset returns every frame to the pool and reshuffles it with rng,
-// restoring the state NewHost would produce with the same size and rng.
-// Address spaces created before the reset are invalidated — their pages
-// may alias newly handed-out frames — so callers must rebuild them.
-func (h *Host) Reset(rng *xrand.Rand) {
-	h.rng = rng
+// restoring the state NewHost would produce with the same size and rng
+// at the same cost, minus the allocation. Address spaces created before
+// the reset are invalidated — their pages may alias newly handed-out
+// frames — so callers must rebuild them.
+func (h *Host) Reset(rng *xrand.Rand) { h.shuffle(rng) }
+
+// shuffle refills the pool with a Fisher–Yates permutation of every
+// frame drawn from rng and rewinds allocation to its start.
+//
+// It stays O(frames) on purpose. Allocation hands out positions 0, 1,
+// 2, … while backward Fisher–Yates fixes those positions last, so the
+// first frame handed out depends on every one of the n-1 draws; a lazy
+// shuffle would draw a different permutation and move every set mapping
+// in the simulator. What it saves instead is constant factor: the pool
+// is uint32 (1 MiB per GiB, so the random swaps stay in L2) and
+// xrand.ShuffleUint32 keeps the generator in registers.
+func (h *Host) shuffle(rng *xrand.Rand) {
 	h.nextVictim = 0
 	for i := range h.freeList {
-		h.freeList[i] = uint64(i)
+		h.freeList[i] = uint32(i)
 	}
-	for i := len(h.freeList) - 1; i > 0; i-- {
-		j := rng.Intn(i + 1)
-		h.freeList[i], h.freeList[j] = h.freeList[j], h.freeList[i]
-	}
+	rng.ShuffleUint32(h.freeList)
 }
 
 // allocFrame pops one random frame from the pool.
@@ -112,7 +123,7 @@ func (h *Host) allocFrame() uint64 {
 	}
 	f := h.freeList[h.nextVictim]
 	h.nextVictim++
-	return f
+	return uint64(f)
 }
 
 // vaBase is the first virtual page number handed out by every address

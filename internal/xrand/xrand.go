@@ -15,7 +15,7 @@ import (
 // concurrent use; derive independent sub-streams with Split instead of
 // sharing one Rand across goroutines.
 type Rand struct {
-	s [4]uint64
+	x xoshiro
 
 	// expMemo caches exp(-mean) for Poisson. The simulation draws Poisson
 	// counts with a small set of recurring means (per-set noise windows are
@@ -89,29 +89,54 @@ func New(seed uint64) *Rand {
 // models) can re-derive their streams on reset without allocating.
 func (r *Rand) Seed(seed uint64) {
 	sm := seed
-	for i := range r.s {
-		r.s[i] = splitmix64(&sm)
-	}
+	r.x.s0 = splitmix64(&sm)
+	r.x.s1 = splitmix64(&sm)
+	r.x.s2 = splitmix64(&sm)
+	r.x.s3 = splitmix64(&sm)
 	// xoshiro must not start from the all-zero state; splitmix64 cannot
 	// produce four zero outputs in a row, so this is just defensive.
-	if r.s[0]|r.s[1]|r.s[2]|r.s[3] == 0 {
-		r.s[0] = 1
+	if r.x.s0|r.x.s1|r.x.s2|r.x.s3 == 0 {
+		r.x.s0 = 1
 	}
 }
 
+// xoshiro is the xoshiro256** state. Four scalar fields rather than an
+// array let the compiler keep a local copy entirely in registers, which
+// is what ShuffleUint32's loop relies on.
+type xoshiro struct{ s0, s1, s2, s3 uint64 }
+
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
 
+// next returns the next 64 random bits and the advanced state. It is the
+// only copy of the generator step and inlines into every caller; taking
+// and returning the state by value keeps a caller's local copy out of
+// memory.
+func (x xoshiro) next() (uint64, xoshiro) {
+	result := rotl(x.s1*5, 7) * 9
+	t := x.s1 << 17
+	x.s2 ^= x.s0
+	x.s3 ^= x.s1
+	x.s1 ^= x.s2
+	x.s0 ^= x.s3
+	x.s2 ^= t
+	x.s3 = rotl(x.s3, 45)
+	return result, x
+}
+
+// lemire maps 64 random bits v onto [0, n) by Lemire's multiply-shift:
+// j is the high word of v*n, and ok is false when v falls in the biased
+// low region and must be redrawn. It is the only copy of the rejection
+// rule; the modulo is evaluated only when lo < n, which a random v hits
+// with probability n/2^64.
+func lemire(v, n uint64) (j uint64, ok bool) {
+	hi, lo := bits.Mul64(v, n)
+	return hi, lo >= n || lo >= (-n)%n
+}
+
 // Uint64 returns the next 64 random bits.
-func (r *Rand) Uint64() uint64 {
-	result := rotl(r.s[1]*5, 7) * 9
-	t := r.s[1] << 17
-	r.s[2] ^= r.s[0]
-	r.s[3] ^= r.s[1]
-	r.s[1] ^= r.s[2]
-	r.s[0] ^= r.s[3]
-	r.s[2] ^= t
-	r.s[3] = rotl(r.s[3], 45)
-	return result
+func (r *Rand) Uint64() (v uint64) {
+	v, r.x = r.x.next()
+	return v
 }
 
 // Split returns a new generator whose stream is statistically independent
@@ -133,11 +158,9 @@ func (r *Rand) Uint64n(n uint64) uint64 {
 	if n == 0 {
 		panic("xrand: Uint64n with zero n")
 	}
-	// Multiply-shift with rejection to remove modulo bias.
 	for {
-		hi, lo := bits.Mul64(r.Uint64(), n)
-		if lo >= n || lo >= (-n)%n {
-			return hi
+		if j, ok := lemire(r.Uint64(), n); ok {
+			return j
 		}
 	}
 }
@@ -166,6 +189,28 @@ func (r *Rand) ShuffleInts(p []int) {
 		j := r.Intn(i + 1)
 		p[i], p[j] = p[j], p[i]
 	}
+}
+
+// ShuffleUint32 shuffles the slice in place with the same draws and the
+// same resulting permutation as ShuffleInts, and leaves the generator in
+// the same state. It is the frame-pool kernel: the generator state lives
+// in a local copy for the whole loop (registers, not memory) and is
+// written back once, and the step and rejection rule inline, so a swap
+// costs no function call.
+func (r *Rand) ShuffleUint32(p []uint32) {
+	x := r.x
+	var v uint64
+	for i := len(p) - 1; i > 0; i-- {
+		n := uint64(i) + 1
+		v, x = x.next()
+		j, ok := lemire(v, n)
+		for !ok {
+			v, x = x.next()
+			j, ok = lemire(v, n)
+		}
+		p[i], p[j] = p[j], p[i]
+	}
+	r.x = x
 }
 
 // Shuffle shuffles n elements using the provided swap function.
