@@ -131,22 +131,29 @@ func (c *Cache) Sets() int { return c.nsets }
 func (c *Cache) Ways() int { return c.ways }
 
 // base returns the flat-array offset of set i, panicking on
-// out-of-range indices.
+// out-of-range indices. The panic lives in a separate function so base
+// itself inlines into every access.
 func (c *Cache) base(i int) int {
-	if i < 0 || i >= c.nsets {
-		panic(fmt.Sprintf("cache %q: set index %d out of range [0,%d)", c.name, i, c.nsets))
+	if uint(i) >= uint(c.nsets) {
+		c.badSet(i)
 	}
 	return i * c.ways
 }
 
+//go:noinline
+func (c *Cache) badSet(i int) {
+	panic(fmt.Sprintf("cache %q: set index %d out of range [0,%d)", c.name, i, c.nsets))
+}
+
 // Lookup probes set idx for tag. On a hit it updates replacement state and
-// returns the way's payload.
+// returns the way's payload. The tag is compared first: it rarely
+// matches, so the valid bit is loaded only for a candidate hit.
 func (c *Cache) Lookup(idx int, tag Tag) (payload uint8, hit bool) {
 	b := c.base(idx)
 	tags := c.tags[b : b+c.ways]
-	valid := c.valid[b : b+c.ways]
-	for w, v := range valid {
-		if v && tags[w] == tag {
+	valid := c.valid[b : b+len(tags)]
+	for w, t := range tags {
+		if t == tag && valid[w] {
 			c.touch(idx, w)
 			return c.payload[b+w], true
 		}
@@ -167,6 +174,18 @@ func (c *Cache) Contains(idx int, tag Tag) bool {
 		}
 	}
 	return false
+}
+
+// Peek returns the payload of a resident line without touching
+// replacement state. Like Contains it is for validation only.
+func (c *Cache) Peek(idx int, tag Tag) (payload uint8, ok bool) {
+	b := c.base(idx)
+	for w := 0; w < c.ways; w++ {
+		if c.valid[b+w] && c.tags[b+w] == tag {
+			return c.payload[b+w], true
+		}
+	}
+	return 0, false
 }
 
 // Evicted describes a line displaced by an insertion.

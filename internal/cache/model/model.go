@@ -158,6 +158,18 @@ func (c *Cache) Contains(idx int, tag cache.Tag) bool {
 	return false
 }
 
+// Peek returns the payload of a resident line without touching
+// replacement state.
+func (c *Cache) Peek(idx int, tag cache.Tag) (payload uint8, ok bool) {
+	s := c.set(idx)
+	for w, v := range s.valid {
+		if v && s.tags[w] == tag {
+			return s.payload[w], true
+		}
+	}
+	return 0, false
+}
+
 // Insert fills tag into set idx, evicting a line if the set is full.
 func (c *Cache) Insert(idx int, tag cache.Tag, payload uint8) cache.Evicted {
 	return c.InsertRegion(-1, idx, tag, payload)

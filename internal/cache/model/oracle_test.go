@@ -67,6 +67,10 @@ func (p pair) step(t *testing.T, cfg cache.Config, op, a, b byte) {
 	if fc, rc := p.fast.Contains(set, tag), p.ref.Contains(set, tag); fc != rc {
 		t.Fatalf("Contains(%d, %d) = %v fast vs %v model", set, tag, fc, rc)
 	}
+	fp, fk := p.fast.Peek(set, tag)
+	if rp, rk := p.ref.Peek(set, tag); fp != rp || fk != rk {
+		t.Fatalf("Peek(%d, %d) = (%d,%v) fast vs (%d,%v) model", set, tag, fp, fk, rp, rk)
+	}
 	if fo, ro := p.fast.OccupiedWays(set), p.ref.OccupiedWays(set); fo != ro {
 		t.Fatalf("OccupiedWays(%d) = %d fast vs %d model", set, fo, ro)
 	}

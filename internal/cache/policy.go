@@ -15,7 +15,9 @@
 package cache
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"strings"
 
 	"repro/internal/xrand"
@@ -201,8 +203,22 @@ func (p *regionPolicy) resetAll() {
 	}
 }
 
-// moveToFront promotes way w to MRU in an LRU recency order.
+// moveToFront promotes way w to MRU in an LRU recency order. The
+// entries ahead of it shift down one by one: orders are a few bytes
+// long, where a loop beats a call to memmove. An 8-way order (every
+// L1) is one word, shifted in a register.
 func moveToFront(order []uint8, way uint8) {
+	if len(order) == 8 {
+		const ones, highs = 0x0101010101010101, 0x8080808080808080
+		x := binary.LittleEndian.Uint64(order)
+		// The order is a permutation, so the lowest zero byte of v is
+		// way's position (higher false positives cannot precede it).
+		v := x ^ ones*uint64(way)
+		pos := bits.TrailingZeros64((v-ones)&^v&highs) >> 3
+		ahead := uint64(1)<<(8*pos+8) - 1 // bytes 0..pos; all ones at pos 7
+		binary.LittleEndian.PutUint64(order, x&^ahead|(x<<8)&ahead|uint64(way))
+		return
+	}
 	pos := 0
 	for i, v := range order {
 		if v == way {
@@ -210,7 +226,9 @@ func moveToFront(order []uint8, way uint8) {
 			break
 		}
 	}
-	copy(order[1:pos+1], order[:pos])
+	for ; pos > 0; pos-- {
+		order[pos] = order[pos-1]
+	}
 	order[0] = way
 }
 

@@ -211,3 +211,35 @@ func TestPolicyResetReplay(t *testing.T) {
 		}
 	}
 }
+
+// TestMoveToFrontWord checks the one-word 8-way moveToFront against the
+// byte loop on every 8-way permutation and every way.
+func TestMoveToFrontWord(t *testing.T) {
+	perm := []uint8{0, 1, 2, 3, 4, 5, 6, 7}
+	var visit func(k int)
+	visit = func(k int) {
+		if k == len(perm) {
+			for way := uint8(0); way < 8; way++ {
+				got := append([]uint8(nil), perm...)
+				moveToFront(got, way)
+				want := append([]uint8{way}, perm...)
+				for i := 1; i < len(want); i++ {
+					if want[i] == way {
+						want = append(want[:i], want[i+1:]...)
+						break
+					}
+				}
+				if string(got) != string(want) {
+					t.Fatalf("moveToFront(%v, %d) = %v, want %v", perm, way, got, want)
+				}
+			}
+			return
+		}
+		for i := k; i < len(perm); i++ {
+			perm[k], perm[i] = perm[i], perm[k]
+			visit(k + 1)
+			perm[k], perm[i] = perm[i], perm[k]
+		}
+	}
+	visit(0)
+}

@@ -112,8 +112,11 @@ func (a *Agent) AccessSeq(vas []memory.VAddr) clock.Cycles {
 //
 // Only the batch's maximum jittered latency is observable, so each
 // access draws its jitter uniforms in stream order and the values are
-// evaluated at batch end, Box–Muller only for draws that can be the
-// maximum (jitter.go): bit-identical to evaluating every draw.
+// evaluated at batch end (jitter.go): bit-identical to evaluating every
+// draw. Without a defense measurement hook the batch needs only that
+// maximum's two truncations, which bounds usually settle with no
+// Box–Muller at all (batchFloors); otherwise Box–Muller runs only for
+// draws that can be the maximum (batchMax).
 func (a *Agent) AccessParallel(vas []memory.VAddr) (clock.Cycles, int) {
 	if len(vas) == 0 {
 		return 0, 0
@@ -135,6 +138,11 @@ func (a *Agent) AccessParallel(vas []memory.VAddr) (clock.Cycles, int) {
 		// Advance the clock incrementally so background noise interleaves
 		// with long traversals at the right granularity.
 		a.h.clk.Advance(clock.Cycles(lat.Issue + lat.Drain[res.level]))
+	}
+	if !a.h.defHooks.Observe {
+		maxC, totalC := a.h.batchFloors(mark, total)
+		a.h.clk.Advance(maxC)
+		return totalC, misses
 	}
 	maxBase := a.h.batchMax(mark)
 	total += maxBase
@@ -166,8 +174,9 @@ func (a *Agent) LoadShared(helper *Agent, va memory.VAddr) clock.Cycles {
 // main thread), so every line transitions E->S and is installed in the
 // LLC before the main thread's private copy can be displaced by later
 // accesses of the batch. Like AccessParallel, the batch is charged its
-// maximum jittered latency, evaluated at batch end from draws taken in
-// stream order.
+// maximum jittered latency from draws taken in stream order; no
+// measurement hook filters the result, so only its truncations are
+// needed (batchFloors).
 func (a *Agent) LoadSharedAll(helper *Agent, vas []memory.VAddr) clock.Cycles {
 	if len(vas) == 0 {
 		return 0
@@ -188,10 +197,9 @@ func (a *Agent) LoadSharedAll(helper *Agent, vas []memory.VAddr) clock.Cycles {
 		total += step
 		a.h.clk.Advance(clock.Cycles(step))
 	}
-	maxBase := a.h.batchMax(mark)
-	total += maxBase
-	a.h.clk.Advance(clock.Cycles(maxBase))
-	return clock.Cycles(total)
+	maxC, totalC := a.h.batchFloors(mark, total)
+	a.h.clk.Advance(maxC)
+	return totalC
 }
 
 // DropL1 discards the agent's L1 copy of the line at no time cost,

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/bits"
 
+	"repro/internal/clock"
 	"repro/internal/xrand"
 )
 
@@ -44,15 +45,18 @@ const (
 	boundAbs = 1e-9
 )
 
-// sqrtLogHi[b][m] bounds sqrt(-2 ln u1) over every k1 of bit length b
-// whose 4 bits below the leading one are m. The function decreases in
-// u1, so the bucket's smallest k1, (16+m)<<(b-5), attains the bound.
-// cosHi[j] bounds max(cos(2π u2), 0) over every k2 with k2>>45 == j:
-// cos decreases on [0, ½] and increases on [½, 1), so the bucket's
-// left edge attains it below 128 and its right edge from 128 on.
+// sqrtLogHi[b][m] and sqrtLogLo[b][m] bound sqrt(-2 ln u1) over every
+// k1 of bit length b whose 4 bits below the leading one are m. The
+// function decreases in u1, so the bucket's smallest k1, (16+m)<<(b-5),
+// attains the upper bound and its largest, (17+m)<<(b-5)-1, the lower.
+// cosHi[j] bounds max(cos(2π u2), 0) from above and cosLo[j] bounds
+// cos(2π u2) from below over every k2 with k2>>45 == j: cos decreases
+// on [0, ½] and increases on [½, 1), so below bucket 128 the left edge
+// attains the maximum and the right edge the minimum, and from 128 on
+// the other way round.
 var (
-	sqrtLogHi [54][16]float64
-	cosHi     [256]float64
+	sqrtLogHi, sqrtLogLo [54][16]float64
+	cosHi, cosLo         [256]float64
 )
 
 func init() {
@@ -60,14 +64,16 @@ func init() {
 		for m := range sqrtLogHi[b] {
 			k1 := uint64(16+m) << (b - minBoundBits)
 			sqrtLogHi[b][m] = sqrtLogAt(k1) * (1 + tablePad)
+			sqrtLogLo[b][m] = sqrtLogAt(uint64(17+m)<<(b-minBoundBits)-1) * (1 - tablePad)
 		}
 	}
 	for j := range cosHi {
-		k2 := uint64(j) << 45
+		left, right := uint64(j)<<45, uint64(j+1)<<45-1
 		if j >= len(cosHi)/2 {
-			k2 = uint64(j+1)<<45 - 1
+			left, right = right, left
 		}
-		cosHi[j] = math.Max(cosAt(k2), 0) + tablePad
+		cosHi[j] = math.Max(cosAt(left), 0) + tablePad
+		cosLo[j] = cosAt(right) - tablePad
 	}
 }
 
@@ -144,6 +150,46 @@ func (lat *Latencies) maxJittered(ds []jitterDraw) float64 {
 	return maxV
 }
 
+// maxRange bounds the largest jittered latency of a batch's draws:
+// lo <= maxJittered(ds) <= hi. hi is the largest of the draws' upper
+// bounds, latency base + sigma·z at z's bound from the tables. Any one
+// draw's lower bound is also a lower bound on the max, so lo is taken
+// from the draw most likely to be the max: the one with the largest
+// upper bound. The rounding margins are applied once, at the end; they
+// are increasing functions, so the margined max is the max of the
+// margined values. ok is false when it cannot bound the batch:
+// JitterFrac 0 (nothing was drawn), an empty batch, a k1 below the
+// tables, or bounds that are not finite.
+func (lat *Latencies) maxRange(ds []jitterDraw) (lo, hi float64, ok bool) {
+	jf := lat.JitterFrac
+	if jf <= 0 || len(ds) == 0 {
+		return 0, 0, false
+	}
+	hi, top := math.Inf(-1), 0
+	for i, d := range ds {
+		b := bits.Len64(d.k1)
+		if b < minBoundBits {
+			return 0, 0, false
+		}
+		// z's upper bound is positive, so v is never NaN.
+		base := lat.Base[d.level]
+		if v := base + base*jf*(sqrtLogHi[b][(d.k1>>(b-minBoundBits))&15]*cosHi[d.k2>>45]); v > hi {
+			hi, top = v, i
+		}
+	}
+	d := ds[top]
+	b := bits.Len64(d.k1)
+	m := (d.k1 >> (b - minBoundBits)) & 15
+	// The square-root factor is non-negative, so z's low end is at one
+	// of its two bounds times cos's low bound.
+	cLo := cosLo[d.k2>>45]
+	base := lat.Base[d.level]
+	lo = base + base*jf*min(sqrtLogLo[b][m]*cLo, sqrtLogHi[b][m]*cLo)
+	lo = max(lo*(1-boundRel)-boundAbs, 1)
+	hi = max(hi*(1+boundRel)+boundAbs, 1)
+	return lo, hi, lo >= 1 && hi < 1<<53
+}
+
 // drawJitter consumes one level-l access's jitter draw, at this point
 // in the host rng stream, into the batch scratch buffer (nothing is
 // drawn when JitterFrac is 0, as in latency).
@@ -153,6 +199,25 @@ func (h *Host) drawJitter(l Level) {
 		d.k1, d.k2 = h.rng.NormDraw()
 	}
 	h.jit = append(h.jit, d)
+}
+
+// batchFloors returns clock.Cycles(v) and clock.Cycles(partial+v) for
+// the maximum jittered latency v of the draws made since len(h.jit) was
+// mark, and drops them. These two truncations are all an unobserved
+// batch uses of v. When v's bounds (maxRange) give the same two floors
+// at both ends, those are the floors of v itself, because truncation
+// and fl(partial + ·) are monotone; no Box–Muller is evaluated. Only
+// otherwise does it fall back to the exact batchMax.
+func (h *Host) batchFloors(mark int, partial float64) (maxC, totalC clock.Cycles) {
+	if lo, hi, ok := h.cfg.Lat.maxRange(h.jit[mark:]); ok {
+		maxC, totalC = clock.Cycles(lo), clock.Cycles(partial+lo)
+		if maxC == clock.Cycles(hi) && totalC == clock.Cycles(partial+hi) {
+			h.jit = h.jit[:mark]
+			return maxC, totalC
+		}
+	}
+	v := h.batchMax(mark)
+	return clock.Cycles(v), clock.Cycles(partial + v)
 }
 
 // batchMax returns the maximum jittered latency of the draws made since

@@ -6,6 +6,7 @@ import (
 	"math/bits"
 	"testing"
 
+	"repro/internal/clock"
 	"repro/internal/xrand"
 )
 
@@ -30,10 +31,12 @@ func exactBatchMax(lat Latencies, rng *xrand.Rand, levels []Level) float64 {
 }
 
 // checkBatchMaxMatchesExact runs n random batches through a host's
-// deferred path (drawJitter, batchMax) and through exactBatchMax on a
-// twin rng, requiring the same maxBase bits and the same next rng draw
-// after every batch. Batch sizes are 1–64 and 767, the largest batch
-// the attack issues; levels are uniform, or one level per batch.
+// deferred path (drawJitter, then batchMax or batchFloors) and through
+// exactBatchMax on a twin rng, requiring the same maxBase bits, or the
+// same two floors for a random partial sum, and the same next rng draw
+// after every batch. The bounds of maxRange must hold on every batch.
+// Batch sizes are 1–64 and 767, the largest batch the attack issues;
+// levels are uniform, or one level per batch.
 func checkBatchMaxMatchesExact(t *testing.T, n int, seed uint64) {
 	t.Helper()
 	gen := xrand.New(seed)
@@ -63,8 +66,17 @@ func checkBatchMaxMatchesExact(t *testing.T, n int, seed uint64) {
 			for _, l := range levels {
 				h.drawJitter(l)
 			}
-			got := h.batchMax(mark)
-			if math.Float64bits(got) != math.Float64bits(want) {
+			if lo, hi, ok := lat.maxRange(h.jit[mark:]); ok && !(lo <= want && want <= hi) {
+				t.Fatalf("jf %g batch %d (%d accesses): exact max %v outside its range [%v, %v]", jf, b, size, want, lo, hi)
+			}
+			if b%2 == 1 {
+				partial := float64(gen.Intn(20000)) + float64(gen.Intn(4))/4
+				gotMax, gotTotal := h.batchFloors(mark, partial)
+				if gotMax != clock.Cycles(want) || gotTotal != clock.Cycles(partial+want) {
+					t.Fatalf("jf %g batch %d (%d accesses): floors (%d, %d) of max + %v, exact (%d, %d)",
+						jf, b, size, gotMax, gotTotal, partial, clock.Cycles(want), clock.Cycles(partial+want))
+				}
+			} else if got := h.batchMax(mark); math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("jf %g batch %d (%d accesses): deferred max %v, exact %v", jf, b, size, got, want)
 			}
 			if len(h.jit) != mark {
@@ -83,9 +95,10 @@ func TestBatchMaxMatchesExact(t *testing.T) {
 	checkBatchMaxMatchesExact(t, 1_000_000, 1)
 }
 
-// TestJitterBoundTablesSound checks that every bucket's table entry is
-// at least the float-evaluated factor at both extreme draws of the
-// bucket, and that the joint bound holds on random draws.
+// TestJitterBoundTablesSound checks that every bucket's upper (lower)
+// table entry is at least (at most) the float-evaluated factor at both
+// extreme draws of the bucket, and that the joint bounds hold on random
+// draws.
 func TestJitterBoundTablesSound(t *testing.T) {
 	for b := minBoundBits; b < len(sqrtLogHi); b++ {
 		for m := range sqrtLogHi[b] {
@@ -95,8 +108,12 @@ func TestJitterBoundTablesSound(t *testing.T) {
 				if bits.Len64(k1) != b || (k1>>(b-minBoundBits))&15 != uint64(m) {
 					t.Fatalf("k1 %#x is not in bucket [%d][%d]", k1, b, m)
 				}
-				if v := sqrtLogAt(k1); v > sqrtLogHi[b][m] {
+				v := sqrtLogAt(k1)
+				if v > sqrtLogHi[b][m] {
 					t.Errorf("sqrtLogHi[%d][%d] = %v below sqrt(-2 ln u1) = %v at k1 %#x", b, m, sqrtLogHi[b][m], v, k1)
+				}
+				if v < sqrtLogLo[b][m] || sqrtLogLo[b][m] <= 0 {
+					t.Errorf("sqrtLogLo[%d][%d] = %v not in (0, sqrt(-2 ln u1) = %v] at k1 %#x", b, m, sqrtLogLo[b][m], v, k1)
 				}
 			}
 		}
@@ -105,8 +122,12 @@ func TestJitterBoundTablesSound(t *testing.T) {
 		lo := uint64(j) << 45
 		hi := uint64(j+1)<<45 - 1
 		for _, k2 := range []uint64{lo, hi} {
-			if v := cosAt(k2); v > cosHi[j] {
+			v := cosAt(k2)
+			if v > cosHi[j] {
 				t.Errorf("cosHi[%d] = %v below cos(2π u2) = %v at k2 %#x", j, cosHi[j], v, k2)
+			}
+			if v < cosLo[j] {
+				t.Errorf("cosLo[%d] = %v above cos(2π u2) = %v at k2 %#x", j, cosLo[j], v, k2)
 			}
 		}
 	}
@@ -117,10 +138,39 @@ func TestJitterBoundTablesSound(t *testing.T) {
 		if b < minBoundBits {
 			continue
 		}
-		zHi := sqrtLogHi[b][(k1>>(b-minBoundBits))&15] * cosHi[k2>>45]
-		if z := xrand.NormAt(k1, k2, 0, 1); z > zHi {
-			t.Fatalf("draw (%#x, %#x): z %v above its bound %v", k1, k2, z, zHi)
+		m := (k1 >> (b - minBoundBits)) & 15
+		zHi := sqrtLogHi[b][m] * cosHi[k2>>45]
+		zLo := min(sqrtLogLo[b][m]*cosLo[k2>>45], sqrtLogHi[b][m]*cosLo[k2>>45])
+		if z := xrand.NormAt(k1, k2, 0, 1); z > zHi || z < zLo {
+			t.Fatalf("draw (%#x, %#x): z %v outside its bounds [%v, %v]", k1, k2, z, zLo, zHi)
 		}
+	}
+}
+
+// TestBatchFloorsSettleRate pins the mechanism batchFloors exists for:
+// at the shipped jitter, the monitor's probe — a batch of 8 L1 hits —
+// almost always has both floors settled by the bounds alone, with no
+// Box–Muller evaluated.
+func TestBatchFloorsSettleRate(t *testing.T) {
+	lat := DefaultLatencies()
+	rng := xrand.New(8)
+	ds := make([]jitterDraw, 8)
+	const batches = 100_000
+	partial := lat.Issue*8 + lat.Drain[L1Hit]*7
+	settled := 0
+	for i := 0; i < batches; i++ {
+		for j := range ds {
+			ds[j].k1, ds[j].k2 = rng.NormDraw()
+		}
+		lo, hi, ok := lat.maxRange(ds)
+		if ok && clock.Cycles(lo) == clock.Cycles(hi) && clock.Cycles(partial+lo) == clock.Cycles(partial+hi) {
+			settled++
+		}
+	}
+	if rate := float64(settled) / batches; rate < 0.95 {
+		t.Fatalf("%d of %d 8×L1 batches settled (%.4f), want at least 95%%", settled, batches, rate)
+	} else {
+		t.Logf("%d of %d 8×L1 batches settled (%.4f)", settled, batches, rate)
 	}
 }
 
@@ -164,12 +214,14 @@ func decodeJitterInput(data []byte) (Latencies, []jitterDraw, bool) {
 	return lat, ds, true
 }
 
-// FuzzJitterMaxMatchesExact licenses the deferred batch max on raw
-// draws, so adversarial uniforms reach it directly: k1 = 0 and other
-// k1 below the table, k2 on every cos bucket edge, duplicated draws and
-// mixed base configs (seed corpus in testdata/fuzz/). The batch max must
-// equal the verbatim running max bit for bit, and every bound it used
-// must hold for its draw.
+// FuzzJitterMaxMatchesExact licenses the deferred batch max and the
+// settled floors on raw draws, so adversarial uniforms reach them
+// directly: k1 = 0 and other k1 below the table, k2 on every cos bucket
+// edge, duplicated draws and mixed base configs (seed corpus in
+// testdata/fuzz/). The batch max must equal the verbatim running max
+// bit for bit, every bound it used must hold for its draw, the batch's
+// range (maxRange) must contain the max, and settled floors must be the
+// max's own for each of a few partial sums.
 func FuzzJitterMaxMatchesExact(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		lat, ds, ok := decodeJitterInput(data)
@@ -187,6 +239,18 @@ func FuzzJitterMaxMatchesExact(f *testing.F) {
 			}
 			if base > want {
 				want = base
+			}
+		}
+		if lo, hi, ok := lat.maxRange(ds); ok {
+			if !(lo <= want && want <= hi) {
+				t.Fatalf("bases %v jf %g: exact max %v outside its range [%v, %v]", lat.Base, lat.JitterFrac, want, lo, hi)
+			}
+			for _, partial := range []float64{0, 23, 0.5, 1e6 + 0.25} {
+				if clock.Cycles(lo) == clock.Cycles(hi) && clock.Cycles(partial+lo) == clock.Cycles(partial+hi) &&
+					(clock.Cycles(lo) != clock.Cycles(want) || clock.Cycles(partial+lo) != clock.Cycles(partial+want)) {
+					t.Fatalf("bases %v jf %g partial %v: settled floors of [%v, %v] differ from those of the exact max %v",
+						lat.Base, lat.JitterFrac, partial, lo, hi, want)
+				}
 			}
 		}
 		got := lat.maxJittered(ds)

@@ -98,10 +98,19 @@ func (h *Host) ScheduledLen() int { return h.sched.Len() }
 func (h *Host) ClearScheduled() { h.sched.events = h.sched.events[:0] }
 
 // drainScheduled applies every scheduled event whose time has passed.
-// It re-enters accessState, so a guard prevents recursion: events applied
-// while draining do not recursively drain.
+// The common case, nothing due, is decided inline on every access;
+// drainDue does the work.
 func (h *Host) drainScheduled() {
-	if h.sched.draining || len(h.sched.events) == 0 {
+	if len(h.sched.events) != 0 && h.sched.events[0].Time <= h.clk.Now() {
+		h.drainDue()
+	}
+}
+
+// drainDue applies the due events in time order. It re-enters
+// accessState, so a guard prevents recursion: events applied while
+// draining do not recursively drain.
+func (h *Host) drainDue() {
+	if h.sched.draining {
 		return
 	}
 	h.sched.draining = true

@@ -1,10 +1,27 @@
 package slicehash
 
 import (
+	"math/bits"
 	"testing"
 
 	"repro/internal/memory"
+	"repro/internal/xrand"
 )
+
+// refSlice is Slice by the hash's definition: one parity per XOR mask
+// over the line address, then the lookup for non-power-of-two counts.
+// It is the oracle for the fold tables.
+func refSlice(h *Hash, pa memory.PAddr) int {
+	line := uint64(pa.Line())
+	idx := 0
+	for i, m := range h.masks {
+		idx |= (bits.OnesCount64(line&m) & 1) << i
+	}
+	if 1<<len(h.masks) == h.nslices {
+		return idx
+	}
+	return int(h.lookup[idx])
+}
 
 // FuzzSlice fuzzes the hash over slice counts (power-of-two and not) and
 // physical addresses, checking the properties every consumer relies on:
@@ -15,7 +32,8 @@ import (
 //     repeated calls and on an independently constructed Hash (the
 //     "fixed silicon" property that makes experiments reproducible);
 //   - all addresses within one line map to the same slice (the hash is a
-//     function of the line address only).
+//     function of the line address only);
+//   - the fold tables agree with the parity loop (refSlice).
 func FuzzSlice(f *testing.F) {
 	// The fuzz body maps n to int(n)%64 + 1 slices, so each seed is the
 	// target slice count minus one.
@@ -35,6 +53,9 @@ func FuzzSlice(f *testing.F) {
 		s := h.Slice(pa)
 		if s < 0 || s >= nslices {
 			t.Fatalf("Slice(%#x) = %d, out of range [0, %d)", addr, s, nslices)
+		}
+		if want := refSlice(h, pa); s != want {
+			t.Fatalf("Slice(%#x) = %d, parity loop says %d", addr, s, want)
 		}
 		if again := h.Slice(pa); again != s {
 			t.Fatalf("Slice(%#x) unstable: %d then %d", addr, s, again)
@@ -69,6 +90,28 @@ func TestSliceDistributionNonPow2(t *testing.T) {
 	for s, c := range counts {
 		if float64(c) < 0.7*want || float64(c) > 1.3*want {
 			t.Errorf("slice %d received %d lines, want ~%.0f (±30%%)", s, c, want)
+		}
+	}
+}
+
+// TestSliceMatchesParityLoop checks the fold tables against refSlice
+// for every slice count 1–64: on every single address bit (each table
+// column alone), and on random addresses over all 64 bits.
+func TestSliceMatchesParityLoop(t *testing.T) {
+	rng := xrand.New(64)
+	for n := 1; n <= 64; n++ {
+		h := New(n)
+		for b := 0; b < 64; b++ {
+			pa := memory.PAddr(1) << b
+			if got, want := h.Slice(pa), refSlice(h, pa); got != want {
+				t.Fatalf("n=%d bit %d: Slice %d, parity loop %d", n, b, got, want)
+			}
+		}
+		for i := 0; i < 2000; i++ {
+			pa := memory.PAddr(rng.Uint64())
+			if got, want := h.Slice(pa), refSlice(h, pa); got != want {
+				t.Fatalf("n=%d pa %#x: Slice %d, parity loop %d", n, uint64(pa), got, want)
+			}
 		}
 	}
 }

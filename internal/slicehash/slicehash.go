@@ -27,12 +27,21 @@ import (
 )
 
 // Hash maps physical line addresses to slice indices.
+//
+// The linear stage is an XOR of per-address-bit contributions, so it is
+// evaluated as one table load per address byte: fold[k][v] is the
+// intermediate index of the line address whose byte k is v and whose
+// other bytes are zero. The masks remain the hash's definition; fold is
+// derived from them.
 type Hash struct {
 	nslices int
 	masks   []uint64 // one XOR-fold mask per intermediate bit
-	lookup  []uint8  // non-linear fold for non-power-of-two counts
-	linear  bool
+	fold    [foldBytes][256]uint16
+	lookup  []uint8 // intermediate index -> slice (the identity for power-of-two counts)
 }
+
+// foldBytes is the number of line-address bytes the masks can touch.
+const foldBytes = (maxPABits + 7) / 8
 
 // maxPABits bounds the physical address bits participating in the hash.
 // 46 bits covers any realistic host memory size.
@@ -55,12 +64,17 @@ func New(nslices int) *Hash {
 	rng := xrand.New(0x51CEA5 ^ uint64(nslices)*0x9e3779b97f4a7c15)
 
 	nbits := bitsFor(nslices)
-	h.linear = 1<<nbits == nslices
-	if h.linear {
+	if 1<<nbits == nslices {
+		// Linear: the intermediate index is the slice.
 		h.masks = make([]uint64, nbits)
 		for i := range h.masks {
 			h.masks[i] = randomMask(rng)
 		}
+		h.lookup = make([]uint8, nslices)
+		for i := range h.lookup {
+			h.lookup[i] = uint8(i)
+		}
+		h.buildFold()
 		return h
 	}
 	// Non-linear: linear stage to intermediateBits bits, then a balanced
@@ -77,7 +91,26 @@ func New(nslices int) *Hash {
 		h.lookup[i] = uint8(i % nslices)
 	}
 	rng.Shuffle(size, func(i, j int) { h.lookup[i], h.lookup[j] = h.lookup[j], h.lookup[i] })
+	h.buildFold()
 	return h
+}
+
+// buildFold fills the per-byte tables by linearity: an address bit's
+// column holds bit i when mask i has that bit, and every table entry is
+// the XOR of the columns of its set bits, built from the entry with its
+// lowest set bit cleared.
+func (h *Hash) buildFold() {
+	for k := range h.fold {
+		var col [8]uint16
+		for j := range col {
+			for i, m := range h.masks {
+				col[j] |= uint16(m>>(8*k+j)&1) << i
+			}
+		}
+		for v := 1; v < 256; v++ {
+			h.fold[k][v] = h.fold[k][v&(v-1)] ^ col[bits.TrailingZeros(uint(v))]
+		}
+	}
 }
 
 // randomMask draws a mask over PA bits [LineBits, maxPABits). Roughly half
@@ -105,20 +138,13 @@ func bitsFor(n int) int {
 // Slices returns the number of slices.
 func (h *Hash) Slices() int { return h.nslices }
 
-// Slice returns the slice index of the physical line containing pa.
+// Slice returns the slice index of the physical line containing pa: the
+// linear stage as six table loads (the line offset bits are masked off
+// by every mask, so pa needs no rounding), then the lookup.
 func (h *Hash) Slice(pa memory.PAddr) int {
-	line := uint64(pa.Line())
-	idx := 0
-	for i, m := range h.masks {
-		idx |= int(parity(line&m)) << i
-	}
-	if h.linear {
-		return idx
-	}
+	a := uint64(pa)
+	f := &h.fold
+	idx := f[0][byte(a)] ^ f[1][byte(a>>8)] ^ f[2][byte(a>>16)] ^
+		f[3][byte(a>>24)] ^ f[4][byte(a>>32)] ^ f[5][byte(a>>40)]
 	return int(h.lookup[idx])
-}
-
-// parity returns the XOR of all bits in x.
-func parity(x uint64) uint64 {
-	return uint64(bits.OnesCount64(x) & 1)
 }

@@ -98,12 +98,13 @@ func (s Spec) WithDefaults() Spec {
 	return s
 }
 
-// Validate rejects malformed specs: an unknown model, a negative rate,
-// any probability/fraction outside its range, or a model parameter set
-// on a model it does not apply to (a raw Spec's zero means "default",
-// so an inapplicable non-zero value can only be a mistake). Range
-// defaults are applied first, so a sparse Spec validates exactly as it
-// will build.
+// Validate rejects malformed specs: an unknown model, a negative or
+// non-finite rate or duration, any probability/fraction outside its
+// range (NaN included: a NaN mean would never end a Poisson draw), or a
+// model parameter set on a model it does not apply to (a raw Spec's
+// zero means "default", so an inapplicable non-zero value can only be a
+// mistake). Range defaults are applied first, so a sparse Spec
+// validates exactly as it will build.
 func (s Spec) Validate() error {
 	if _, ok := registry[s.Model]; !ok {
 		return fmt.Errorf("tenant: unknown model %q (known: %v)", s.Model, Models())
@@ -113,27 +114,38 @@ func (s Spec) Validate() error {
 	}
 	d := s.WithDefaults()
 	switch {
-	case d.Rate < 0:
-		return fmt.Errorf("tenant: %s: negative rate %g", d.Model, d.Rate)
-	case d.LLCProb < 0 || d.LLCProb > 1:
+	case !nonNegative(d.Rate):
+		return fmt.Errorf("tenant: %s: rate %g must be finite and non-negative", d.Model, d.Rate)
+	case !inUnit(d.LLCProb, true):
 		return fmt.Errorf("tenant: %s: llc_prob %g outside [0, 1]", d.Model, d.LLCProb)
-	case d.OnFrac <= 0 || d.OnFrac > 1:
+	case !inUnit(d.OnFrac, false):
 		return fmt.Errorf("tenant: %s: on_frac %g outside (0, 1]", d.Model, d.OnFrac)
-	case d.OnMs <= 0:
-		return fmt.Errorf("tenant: %s: on_ms %g must be positive", d.Model, d.OnMs)
+	case !positive(d.OnMs):
+		return fmt.Errorf("tenant: %s: on_ms %g must be finite and positive", d.Model, d.OnMs)
 	case d.Width < 1:
 		return fmt.Errorf("tenant: %s: width %d below 1", d.Model, d.Width)
-	case d.HotFrac <= 0 || d.HotFrac > 1:
+	case !inUnit(d.HotFrac, false):
 		return fmt.Errorf("tenant: %s: hot_frac %g outside (0, 1]", d.Model, d.HotFrac)
-	case d.ArrivalsPerMs <= 0:
-		return fmt.Errorf("tenant: %s: arrivals_per_ms %g must be positive", d.Model, d.ArrivalsPerMs)
-	case d.LifeMs <= 0:
-		return fmt.Errorf("tenant: %s: life_ms %g must be positive", d.Model, d.LifeMs)
-	case d.FootprintFrac <= 0 || d.FootprintFrac > 1:
+	case !positive(d.ArrivalsPerMs):
+		return fmt.Errorf("tenant: %s: arrivals_per_ms %g must be finite and positive", d.Model, d.ArrivalsPerMs)
+	case !positive(d.LifeMs):
+		return fmt.Errorf("tenant: %s: life_ms %g must be finite and positive", d.Model, d.LifeMs)
+	case !inUnit(d.FootprintFrac, false):
 		return fmt.Errorf("tenant: %s: footprint_frac %g outside (0, 1]", d.Model, d.FootprintFrac)
 	}
 	return nil
 }
+
+// The range predicates of Validate and Parse. Each is false for NaN.
+
+// nonNegative reports x in [0, MaxFloat64].
+func nonNegative(x float64) bool { return x >= 0 && x <= math.MaxFloat64 }
+
+// positive reports x in (0, MaxFloat64].
+func positive(x float64) bool { return x > 0 && x <= math.MaxFloat64 }
+
+// inUnit reports x in [0, 1] when zero is allowed, else in (0, 1].
+func inUnit(x float64, zero bool) bool { return (x > 0 || zero && x == 0) && x <= 1 }
 
 // Build validates the spec and constructs its model. The model still
 // needs a Reset(seed) before use; hosts perform it when they build or
@@ -231,23 +243,23 @@ func Parse(s string) (Spec, error) {
 			}
 			switch key {
 			case "rate":
-				spec.Rate, bad = f, f < 0
+				spec.Rate, bad = f, !nonNegative(f)
 			case "llc_prob":
-				spec.LLCProb, bad = f, f < 0 || f > 1
+				spec.LLCProb, bad = f, !inUnit(f, true)
 			case "on_frac":
-				spec.OnFrac, bad = f, f <= 0 || f > 1
+				spec.OnFrac, bad = f, !inUnit(f, false)
 			case "on_ms":
-				spec.OnMs, bad = f, f <= 0
+				spec.OnMs, bad = f, !positive(f)
 			case "width":
-				spec.Width, bad = int(f), f < 1 || f != math.Trunc(f)
+				spec.Width, bad = int(f), !(f >= 1 && f <= math.MaxInt32 && f == math.Trunc(f))
 			case "hot_frac":
-				spec.HotFrac, bad = f, f <= 0 || f > 1
+				spec.HotFrac, bad = f, !inUnit(f, false)
 			case "arrivals_per_ms":
-				spec.ArrivalsPerMs, bad = f, f <= 0
+				spec.ArrivalsPerMs, bad = f, !positive(f)
 			case "life_ms":
-				spec.LifeMs, bad = f, f <= 0
+				spec.LifeMs, bad = f, !positive(f)
 			case "footprint_frac":
-				spec.FootprintFrac, bad = f, f <= 0 || f > 1
+				spec.FootprintFrac, bad = f, !inUnit(f, false)
 			}
 			return true, bad
 		})

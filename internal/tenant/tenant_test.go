@@ -104,6 +104,22 @@ func TestParseErrors(t *testing.T) {
 		"stream:width=0.5",        // truncates to zero width
 		"burst:on_frac=2",         // fraction out of range
 		"churn:footprint_frac=-1", // fraction out of range
+		// Non-finite values: a NaN rate would hang the simulator's
+		// Poisson draws, an infinite one break the JSON report.
+		"poisson:rate=NaN",
+		"poisson:rate=+Inf",
+		"poisson:rate=-Inf",
+		"poisson:llc_prob=NaN",
+		"burst:on_frac=NaN",
+		"burst:on_ms=NaN",
+		"burst:on_ms=+Inf",
+		"stream:width=NaN",
+		"stream:width=+Inf",
+		"hotset:hot_frac=NaN",
+		"churn:arrivals_per_ms=NaN",
+		"churn:life_ms=+Inf",
+		"churn:life_ms=-Inf",
+		"churn:footprint_frac=NaN",
 	} {
 		if _, err := Parse(in); err == nil {
 			t.Errorf("Parse(%q) accepted a bad spec", in)
@@ -163,6 +179,23 @@ func TestSpecValidate(t *testing.T) {
 	} {
 		if err := bad.Validate(); err == nil {
 			t.Errorf("Validate accepted %+v", bad)
+		}
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, v := range []float64{nan, inf, -inf} {
+		for _, bad := range []Spec{
+			{Model: "poisson", Rate: v, LLCProb: 0.5},
+			{Model: "poisson", Rate: 1, LLCProb: v},
+			{Model: "burst", Rate: 1, OnFrac: v},
+			{Model: "burst", Rate: 1, OnMs: v},
+			{Model: "hotset", Rate: 1, HotFrac: v},
+			{Model: "churn", Rate: 1, ArrivalsPerMs: v},
+			{Model: "churn", Rate: 1, LifeMs: v},
+			{Model: "churn", Rate: 1, FootprintFrac: v},
+		} {
+			if err := bad.Validate(); err == nil {
+				t.Errorf("Validate accepted %+v", bad)
+			}
 		}
 	}
 }

@@ -105,21 +105,19 @@ func (r *Rand) Seed(seed uint64) {
 // is what ShuffleUint32's loop relies on.
 type xoshiro struct{ s0, s1, s2, s3 uint64 }
 
-func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
-
 // next returns the next 64 random bits and the advanced state. It is the
 // only copy of the generator step and inlines into every caller; taking
 // and returning the state by value keeps a caller's local copy out of
 // memory.
 func (x xoshiro) next() (uint64, xoshiro) {
-	result := rotl(x.s1*5, 7) * 9
+	result := bits.RotateLeft64(x.s1*5, 7) * 9
 	t := x.s1 << 17
 	x.s2 ^= x.s0
 	x.s3 ^= x.s1
 	x.s1 ^= x.s2
 	x.s0 ^= x.s3
 	x.s2 ^= t
-	x.s3 = rotl(x.s3, 45)
+	x.s3 = bits.RotateLeft64(x.s3, 45)
 	return result, x
 }
 
@@ -235,9 +233,19 @@ func (r *Rand) Exp(rate float64) float64 {
 // Poisson returns a Poisson-distributed sample with the given mean.
 // It uses Knuth's method for small means and a normal approximation with
 // rejection-free rounding for large means (mean > 64), which is accurate
-// enough for background-noise counts where only the bulk matters.
+// enough for background-noise counts where only the bulk matters. It
+// panics on a NaN mean, which would otherwise never terminate.
+//
+// Knuth's first test, u ≤ exp(-mean), is settled without exp when u ≤
+// 1-mean-1e-12: exp(-m) ≥ 1-m, and 1e-12 covers the rounding of both
+// sides. Background windows have tiny means, so most draws stop there;
+// the others continue from the same uniform, so the draws and the
+// result are Knuth's exactly.
 func (r *Rand) Poisson(mean float64) int {
-	if mean <= 0 {
+	if !(mean > 0) {
+		if mean != mean {
+			panic("xrand: Poisson with NaN mean")
+		}
 		return 0
 	}
 	if mean > 64 {
@@ -248,16 +256,17 @@ func (r *Rand) Poisson(mean float64) int {
 		}
 		return int(v + 0.5)
 	}
+	p := r.Float64()
+	if p <= 1-mean-1e-12 {
+		return 0
+	}
 	l := r.expNeg(mean)
 	k := 0
-	p := 1.0
-	for {
+	for p > l {
 		p *= r.Float64()
-		if p <= l {
-			return k
-		}
 		k++
 	}
+	return k
 }
 
 // Norm returns a Gaussian sample with the given mean and standard
@@ -272,9 +281,11 @@ func (r *Rand) Norm(mean, stddev float64) float64 {
 // A caller that needs only some samples' values (the maximum of a
 // batch) draws every sample in stream order and evaluates later.
 func (r *Rand) NormDraw() (k1, k2 uint64) {
-	k1 = r.Uint64() >> 11
-	k2 = r.Uint64() >> 11
-	return k1, k2
+	x := r.x
+	k1, x = x.next()
+	k2, x = x.next()
+	r.x = x
+	return k1 >> 11, k2 >> 11
 }
 
 // NormAt evaluates the Box–Muller transform on the raw uniforms of a

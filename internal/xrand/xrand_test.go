@@ -109,6 +109,17 @@ func TestPoissonMean(t *testing.T) {
 	}
 }
 
+// TestPoissonNaNPanics: Knuth's loop never ends on a NaN mean (no
+// product is ever <= exp(-NaN)), so Poisson must fail loudly instead.
+func TestPoissonNaNPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Poisson(NaN) returned instead of panicking")
+		}
+	}()
+	New(1).Poisson(math.NaN())
+}
+
 func TestPoissonZeroAndNegative(t *testing.T) {
 	r := New(8)
 	if r.Poisson(0) != 0 || r.Poisson(-1) != 0 {
@@ -283,4 +294,33 @@ func TestPoissonMemoSurvivesSeed(t *testing.T) {
 			t.Fatalf("draw %d after Seed: got %d, want %d", i, got, want)
 		}
 	}
+}
+
+// FuzzPoissonMatchesKnuth licenses Poisson's exp-free zero test against
+// poissonRef, Knuth's loop with math.Exp on every call: for any seed and
+// any mean (raw float64 bits, so negatives, subnormals, infinities and
+// the 64 cut-over all reach it) the count and the next draw must agree.
+// A NaN mean must panic rather than loop. Seed corpus in testdata/fuzz/.
+func FuzzPoissonMatchesKnuth(f *testing.F) {
+	f.Fuzz(func(t *testing.T, seed, meanBits uint64) {
+		mean := math.Float64frombits(meanBits)
+		a, b := New(seed), New(seed)
+		if math.IsNaN(mean) {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("Poisson(NaN) returned instead of panicking")
+				}
+			}()
+			a.Poisson(mean)
+			return
+		}
+		for i := 0; i < 4; i++ {
+			if got, want := a.Poisson(mean), poissonRef(b, mean); got != want {
+				t.Fatalf("seed %d mean %g draw %d: Poisson %d, Knuth %d", seed, mean, i, got, want)
+			}
+		}
+		if a.Uint64() != b.Uint64() {
+			t.Fatalf("seed %d mean %g: Poisson desynchronized the generator stream", seed, mean)
+		}
+	})
 }
