@@ -2,6 +2,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/xrand"
 )
@@ -12,27 +13,35 @@ import (
 type Tag uint64
 
 // Cache is a single-array set-associative cache (one slice of a sliced
-// structure, or a whole private cache). All per-line state is stored in
-// flat structure-of-arrays slices indexed set*ways+way — sized once at
-// construction, reset by bulk clears, no per-set allocations or pointer
-// chasing on the access path. split is the way-partition boundary
-// (0 = unpartitioned); a partitioned cache keeps two independent
-// regionPolicy instances, one per region, exactly as the reference model
-// keeps two policyState objects per set.
+// structure, or a whole private cache). Tags and payloads are stored in
+// flat structure-of-arrays slices indexed set*ways+way; validity is one
+// 64-bit mask per set, bit w for way w, so an empty set answers Remove
+// after one load and a free way is one TrailingZeros64. An invalidated
+// way keeps its stale tag: every scan compares the tag first and tests
+// the mask bit only on a match. Everything is sized once at
+// construction and reset by bulk clears — no per-set allocations or
+// pointer chasing on the access path. split is the way-partition
+// boundary (0 = unpartitioned); a partitioned cache keeps two
+// independent regionPolicy instances, one per region, exactly as the
+// reference model keeps two policyState objects per set.
 type Cache struct {
 	name  string
 	ways  int
 	nsets int
 	split int
 
-	tags    []Tag   // set*ways + way
-	valid   []bool  // set*ways + way
-	payload []uint8 // set*ways + way
+	tags    []Tag    // set*ways + way
+	valid   []uint64 // per set: bit w set iff way w holds a line
+	payload []uint8  // set*ways + way
 
 	r0  regionPolicy // ways [0, split) — or the whole set when split == 0
 	r1  regionPolicy // ways [split, ways); unused when split == 0
 	rng *xrand.Rand  // randomized-policy source, shared across sets
 }
+
+// MaxWays is the widest associativity a Cache supports: one valid-mask
+// word per set.
+const MaxWays = 64
 
 // Config describes a cache array's geometry.
 type Config struct {
@@ -51,7 +60,7 @@ type Config struct {
 // New builds a cache. rng seeds randomized replacement policies; it must
 // not be nil when Policy is RandomRepl or SRRIP.
 func New(cfg Config, rng *xrand.Rand) *Cache {
-	if cfg.Sets <= 0 || cfg.Ways <= 0 {
+	if cfg.Sets <= 0 || cfg.Ways <= 0 || cfg.Ways > MaxWays {
 		panic(fmt.Sprintf("cache %q: invalid geometry %d sets x %d ways", cfg.Name, cfg.Sets, cfg.Ways))
 	}
 	if cfg.PartitionAt < 0 || cfg.PartitionAt >= cfg.Ways {
@@ -60,7 +69,7 @@ func New(cfg Config, rng *xrand.Rand) *Cache {
 	c := &Cache{name: cfg.Name, ways: cfg.Ways, nsets: cfg.Sets, split: cfg.PartitionAt, rng: rng}
 	n := cfg.Sets * cfg.Ways
 	c.tags = make([]Tag, n)
-	c.valid = make([]bool, n)
+	c.valid = make([]uint64, cfg.Sets)
 	c.payload = make([]uint8, n)
 	if c.split > 0 {
 		c.r0 = newRegionPolicy(cfg.Policy, c.split, cfg.Sets)
@@ -146,44 +155,47 @@ func (c *Cache) badSet(i int) {
 }
 
 // Lookup probes set idx for tag. On a hit it updates replacement state and
-// returns the way's payload. The tag is compared first: it rarely
-// matches, so the valid bit is loaded only for a candidate hit.
+// returns the way's payload.
 func (c *Cache) Lookup(idx int, tag Tag) (payload uint8, hit bool) {
 	b := c.base(idx)
-	tags := c.tags[b : b+c.ways]
-	valid := c.valid[b : b+len(tags)]
-	for w, t := range tags {
-		if t == tag && valid[w] {
-			c.touch(idx, w)
-			return c.payload[b+w], true
-		}
+	if w := c.find(b, idx, tag); w >= 0 {
+		c.touch(idx, w)
+		return c.payload[b+w], true
 	}
 	return 0, false
+}
+
+// bit returns way w's valid-mask bit. Masking the shift count (w is
+// always below 64) keeps it bounded, so the compiler emits BT/BTS/BTR
+// with the way in any register instead of a CL shift and a >= 64 fixup,
+// which would tie up the tag scan's registers.
+func bit(w int) uint64 { return 1 << (w & 63) }
+
+// find returns the way holding a valid copy of tag in set idx (whose
+// flat offset is b), or -1. Stale tags of removed ways fail the mask
+// test, which runs only on a tag match.
+func (c *Cache) find(b, idx int, tag Tag) int {
+	for w, t := range c.tags[b : b+c.ways] {
+		if t == tag && c.valid[idx]&bit(w) != 0 {
+			return w
+		}
+	}
+	return -1
 }
 
 // Contains reports whether tag is present without touching replacement
 // state. It is for validation/instrumentation only — attack code must not
 // call it.
 func (c *Cache) Contains(idx int, tag Tag) bool {
-	b := c.base(idx)
-	tags := c.tags[b : b+c.ways]
-	valid := c.valid[b : b+c.ways]
-	for w, v := range valid {
-		if v && tags[w] == tag {
-			return true
-		}
-	}
-	return false
+	return c.find(c.base(idx), idx, tag) >= 0
 }
 
 // Peek returns the payload of a resident line without touching
 // replacement state. Like Contains it is for validation only.
 func (c *Cache) Peek(idx int, tag Tag) (payload uint8, ok bool) {
 	b := c.base(idx)
-	for w := 0; w < c.ways; w++ {
-		if c.valid[b+w] && c.tags[b+w] == tag {
-			return c.payload[b+w], true
-		}
+	if w := c.find(b, idx, tag); w >= 0 {
+		return c.payload[b+w], true
 	}
 	return 0, false
 }
@@ -213,31 +225,38 @@ func (c *Cache) Insert(idx int, tag Tag, payload uint8) Evicted {
 // the historical Insert.
 func (c *Cache) InsertRegion(region, idx int, tag Tag, payload uint8) Evicted {
 	b := c.base(idx)
-	tags := c.tags[b : b+c.ways]
-	valid := c.valid[b : b+c.ways]
 	lo, hi := c.regionBounds(region)
-	// Already present: update in place.
-	for w, v := range valid {
-		if v && tags[w] == tag {
-			c.payload[b+w] = payload
-			c.touch(idx, w)
-			return Evicted{}
-		}
+	if w := c.find(b, idx, tag); w >= 0 {
+		c.payload[b+w] = payload
+		c.touch(idx, w)
+		return Evicted{}
 	}
-	// Free way available within the region.
-	for w := lo; w < hi; w++ {
-		if !valid[w] {
-			tags[w] = tag
-			valid[w] = true
-			c.payload[b+w] = payload
-			c.fill(idx, w)
-			return Evicted{}
-		}
+	return c.place(b, idx, lo, hi, tag, payload)
+}
+
+// Fill is InsertRegion without the presence scan: it allocates tag in
+// the region's lowest free way, or over the region policy's victim. The
+// caller must have just missed on tag in this set, with nothing since
+// that could have inserted it; otherwise the tag would end up valid in
+// two ways.
+func (c *Cache) Fill(region, idx int, tag Tag, payload uint8) Evicted {
+	b := c.base(idx)
+	lo, hi := c.regionBounds(region)
+	return c.place(b, idx, lo, hi, tag, payload)
+}
+
+// place allocates tag, known absent, in ways [lo, hi) of set idx.
+func (c *Cache) place(b, idx, lo, hi int, tag Tag, payload uint8) Evicted {
+	out := Evicted{}
+	// The lowest free way within the region; the region's mask is ones
+	// at [lo, hi) (a shift by 64 is 0 in Go, so hi = 64 is exact).
+	w := bits.TrailingZeros64(^c.valid[idx] & (1<<hi - 1) &^ (1<<lo - 1))
+	if w == 64 {
+		w = c.regionVictim(idx, lo)
+		out = Evicted{Tag: c.tags[b+w], Payload: c.payload[b+w], Valid: true}
 	}
-	// Evict per the region's policy.
-	w := c.regionVictim(idx, lo)
-	out := Evicted{Tag: tags[w], Payload: c.payload[b+w], Valid: true}
-	tags[w] = tag
+	c.tags[b+w] = tag
+	c.valid[idx] |= bit(w)
 	c.payload[b+w] = payload
 	c.fill(idx, w)
 	return out
@@ -247,21 +266,22 @@ func (c *Cache) InsertRegion(region, idx int, tag Tag, payload uint8) Evicted {
 // replacement state. It reports whether the line was found.
 func (c *Cache) UpdatePayload(idx int, tag Tag, payload uint8) bool {
 	b := c.base(idx)
-	for w := 0; w < c.ways; w++ {
-		if c.valid[b+w] && c.tags[b+w] == tag {
-			c.payload[b+w] = payload
-			return true
-		}
+	if w := c.find(b, idx, tag); w >= 0 {
+		c.payload[b+w] = payload
+		return true
 	}
 	return false
 }
 
 // Remove invalidates tag in set idx, reporting whether it was present.
+// Only valid ways are visited, so a set holding no line (an idle core's
+// private cache under back-invalidation) costs one load.
 func (c *Cache) Remove(idx int, tag Tag) (payload uint8, removed bool) {
 	b := c.base(idx)
-	for w := 0; w < c.ways; w++ {
-		if c.valid[b+w] && c.tags[b+w] == tag {
-			c.valid[b+w] = false
+	for m := c.valid[idx]; m != 0; m &= m - 1 {
+		w := bits.TrailingZeros64(m)
+		if c.tags[b+w] == tag {
+			c.valid[idx] &^= bit(w)
 			return c.payload[b+w], true
 		}
 	}
@@ -270,34 +290,25 @@ func (c *Cache) Remove(idx int, tag Tag) (payload uint8, removed bool) {
 
 // OccupiedWays returns how many ways of set idx hold valid lines.
 func (c *Cache) OccupiedWays(idx int) int {
-	b := c.base(idx)
-	n := 0
-	for _, v := range c.valid[b : b+c.ways] {
-		if v {
-			n++
-		}
-	}
-	return n
+	c.base(idx)
+	return bits.OnesCount64(c.valid[idx])
 }
 
-// TagsIn returns the valid tags in set idx (instrumentation only).
+// TagsIn returns the valid tags in set idx in way order (instrumentation
+// only).
 func (c *Cache) TagsIn(idx int) []Tag {
 	b := c.base(idx)
 	var out []Tag
-	for w := 0; w < c.ways; w++ {
-		if c.valid[b+w] {
-			out = append(out, c.tags[b+w])
-		}
+	for m := c.valid[idx]; m != 0; m &= m - 1 {
+		out = append(out, c.tags[b+bits.TrailingZeros64(m)])
 	}
 	return out
 }
 
 // FlushSet invalidates every line in set idx and resets replacement state.
 func (c *Cache) FlushSet(idx int) {
-	b := c.base(idx)
-	for w := range c.valid[b : b+c.ways] {
-		c.valid[b+w] = false
-	}
+	c.base(idx)
+	c.valid[idx] = 0
 	c.r0.resetSet(idx)
 	if c.split > 0 {
 		c.r1.resetSet(idx)
@@ -306,9 +317,7 @@ func (c *Cache) FlushSet(idx int) {
 
 // FlushAll invalidates the whole cache.
 func (c *Cache) FlushAll() {
-	for i := range c.valid {
-		c.valid[i] = false
-	}
+	clear(c.valid)
 	c.r0.resetAll()
 	if c.split > 0 {
 		c.r1.resetAll()
@@ -320,12 +329,6 @@ func (c *Cache) FlushAll() {
 // policies re-pointed at rng so the victim stream replays identically. It
 // reuses the existing arrays, so pooled hosts reset without allocating.
 func (c *Cache) Reset(rng *xrand.Rand) {
-	for i := range c.valid {
-		c.valid[i] = false
-	}
-	c.r0.resetAll()
-	if c.split > 0 {
-		c.r1.resetAll()
-	}
+	c.FlushAll()
 	c.rng = rng
 }

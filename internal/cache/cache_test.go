@@ -179,12 +179,16 @@ func TestPLRUFallbackForOddWays(t *testing.T) {
 }
 
 func TestBadGeometryPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for zero ways")
-		}
-	}()
-	New(Config{Name: "bad", Sets: 4, Ways: 0, Policy: TrueLRU}, xrand.New(1))
+	for _, ways := range []int{0, MaxWays + 1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("expected panic for %d ways", ways)
+				}
+			}()
+			New(Config{Name: "bad", Sets: 4, Ways: ways, Policy: TrueLRU}, xrand.New(1))
+		}()
+	}
 }
 
 func TestResetMatchesFresh(t *testing.T) {

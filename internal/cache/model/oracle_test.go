@@ -29,7 +29,7 @@ func newPair(cfg cache.Config, seed uint64) pair {
 func (p pair) step(t *testing.T, cfg cache.Config, op, a, b byte) {
 	t.Helper()
 	set := int(a) % cfg.Sets
-	tag := cache.Tag(b%31) + 1 // small tag space forces collisions
+	tag := cache.Tag(int(b)%tagSpace(cfg.Ways)) + 1
 	region := -1
 	if cfg.PartitionAt > 0 {
 		region = int(op>>4) & 1
@@ -85,10 +85,24 @@ func (p pair) step(t *testing.T, cfg cache.Config, op, a, b byte) {
 	}
 }
 
+// tagSpace is how many distinct tags a script draws from: 31, small
+// enough to force collisions, or twice the associativity on wide sets,
+// so every way can fill and the set still overflows.
+func tagSpace(ways int) int { return max(31, 2*ways) }
+
+// wideWays are the associativities the top b1 values select: a valid
+// bit past bit 31, the widest odd set, and a whole mask word, whose
+// region edge is the 1<<64 shift.
+var wideWays = [...]int{33, 63, 64}
+
 // cfgFromBytes derives a small but policy- and partition-diverse
-// geometry from three fuzz bytes.
+// geometry from three fuzz bytes. b1 values 0xFD-0xFF select the wide
+// sets; every lower value keeps its 1-12-way decoding.
 func cfgFromBytes(b0, b1, b2 byte) cache.Config {
 	ways := 1 + int(b1)%12
+	if wide := int(b1) - (256 - len(wideWays)); wide >= 0 {
+		ways = wideWays[wide]
+	}
 	return cache.Config{
 		Name:        "oracle",
 		Sets:        1 + int(b0>>4)%4,
@@ -108,6 +122,7 @@ func FuzzCacheMatchesModel(f *testing.F) {
 	for pol := byte(0); pol < 5; pol++ {
 		f.Add(append([]byte{pol, 7, 0}, script...))
 		f.Add(append([]byte{pol, 10, 4}, script...))
+		f.Add(append([]byte{pol, 0xFF, 32}, script...))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 {
@@ -149,6 +164,33 @@ func TestHotPathMatchesModel(t *testing.T) {
 		ops := xrand.New(uint64(2000 + int(pol)))
 		for i := 0; i < 4000; i++ {
 			p.step(t, cfg, byte(ops.Uint64()), byte(ops.Uint64()), byte(ops.Uint64()))
+		}
+		// Sets as wide as the valid mask allows, unpartitioned and split
+		// at 1, 32 and 63. FlushSet is thinned to one in 64 of its draws
+		// so sets fill, overflow and free ways again; a geometry where
+		// no set ever filled would leave the high mask bits and the
+		// region edges untested, so it fails.
+		for _, ways := range wideWays {
+			for _, partition := range []int{0, 1, 32, 63} {
+				if partition >= ways {
+					continue
+				}
+				cfg := cache.Config{Name: "oracle", Sets: 2, Ways: ways, Policy: pol, PartitionAt: partition}
+				p := newPair(cfg, uint64(ways+partition))
+				ops := xrand.New(uint64(3000 + 100*int(pol) + ways + partition))
+				full := false
+				for i := 0; i < 6000; i++ {
+					op := byte(ops.Uint64())
+					if op%7 == 6 && ops.Uint64()%64 != 0 {
+						op -= 4 // FlushSet -> InsertRegion
+					}
+					p.step(t, cfg, op, byte(ops.Uint64()), byte(ops.Uint64()))
+					full = full || p.fast.OccupiedWays(0) == ways || p.fast.OccupiedWays(1) == ways
+				}
+				if !full {
+					t.Errorf("%v %d-way split %d: no set ever filled", pol, ways, partition)
+				}
+			}
 		}
 	}
 }

@@ -7,11 +7,14 @@
 // (eviction-set success rates, Prime+Probe detection rates) emerge from
 // the way state modelled here.
 //
-// The implementation is layout- and dispatch-optimized: all per-set state
-// lives in flat arrays indexed by set*ways+way, and the replacement
-// policy is resolved to a small enum at construction so the per-access
-// path is a switch instead of an interface call. The reference
-// implementation it must match op-for-op lives in internal/cache/model.
+// The implementation is layout- and dispatch-optimized: tags and
+// payloads live in flat arrays indexed by set*ways+way, validity is one
+// 64-bit mask per set (so a set has at most MaxWays ways), and the
+// replacement policy is resolved to a small enum at construction so the
+// per-access path is a switch instead of an interface call. Fill skips
+// InsertRegion's presence scan for a caller that has just missed on the
+// tag. The reference implementation it must match op-for-op lives in
+// internal/cache/model.
 package cache
 
 import (

@@ -326,18 +326,30 @@ func (c Config) WithDefense(sp defense.Spec) Config {
 	return c
 }
 
-// Validate rejects configurations whose memory, noise, latency, tenant
-// or defense parameters are out of range — a memory size below one page
-// or above memory.MaxFrames frames, a negative rate, a probability
-// outside [0, 1], a negative or non-finite latency (the batch-max
-// jitter bounds rely on it), a malformed tenant spec, or a way
-// partition that leaves a shared structure without ways on one side —
-// before they can silently produce a nonsense host. Geometry errors
-// (non-power-of-two set counts) still panic in the index helpers, as
-// before. NewHost calls Validate and panics on error; callers that
-// assemble configs from external input (sweep specs, CLI flags) call it
-// directly for a graceful error.
+// Validate rejects configurations whose geometry, memory, noise,
+// latency, tenant or defense parameters are out of range — a set count
+// that is not a power of two (the index helpers mask with Sets-1, so
+// such a count would silently leave sets unused), an associativity
+// outside [1, cache.MaxWays], a memory size below one page or above
+// memory.MaxFrames frames, a negative rate, a probability outside
+// [0, 1], a negative or non-finite latency (the batch-max jitter bounds
+// rely on it), a malformed tenant spec, or a way partition that leaves
+// a shared structure without ways on one side — before they can
+// silently produce a nonsense host. NewHost calls Validate and panics
+// on error; callers that assemble configs from external input (sweep
+// specs, CLI flags) call it directly for a graceful error.
 func (c Config) Validate() error {
+	for _, g := range []struct {
+		name       string
+		sets, ways int
+	}{{"L1", c.L1Sets, c.L1Ways}, {"L2", c.L2Sets, c.L2Ways}, {"LLC", c.LLCSets, c.LLCWays}, {"SF", c.LLCSets, c.SFWays}} {
+		if g.sets <= 0 || g.sets&(g.sets-1) != 0 {
+			return fmt.Errorf("hierarchy: %s set count %d is not a power of two", g.name, g.sets)
+		}
+		if g.ways < 1 || g.ways > cache.MaxWays {
+			return fmt.Errorf("hierarchy: %s ways %d outside [1, %d]", g.name, g.ways, cache.MaxWays)
+		}
+	}
 	switch {
 	case c.MemoryBytes < memory.PageSize:
 		return fmt.Errorf("hierarchy: MemoryBytes %d is below one %d B page", c.MemoryBytes, memory.PageSize)

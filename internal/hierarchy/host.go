@@ -429,19 +429,22 @@ func (h *Host) handleLLCEviction(ev cache.Evicted) {
 	}
 }
 
-// fillPrivate installs the line in the core's L2 and L1. The L1 and L2
-// are mutually non-inclusive (as on Skylake-SP): a line evicted from one
-// may survive in the other, and clean private victims are dropped
-// silently. Crucially, silent private evictions do NOT release the SF
-// entry: the Snoop Filter keeps stale entries until its own replacement
-// displaces them — the property Prime+Scope's construction exploits
-// (repeated passes over a candidate prefix cascade reinsertions through
-// the stale entries until the target becomes the LRU victim).
-func (h *Host) fillPrivate(coreID int, pa memory.PAddr) {
-	tag := cache.Tag(pa.Line())
-	c := &h.cores[coreID]
-	c.l2.Insert(h.l2Index(pa), tag, 0)
-	c.l1.Insert(h.l1Index(pa), tag, 0)
+// fillPrivate installs the line in the core's L2 and L1 sets l2i and
+// l1i. The L1 and L2 are mutually non-inclusive (as on Skylake-SP): a
+// line evicted from one may survive in the other, and clean private
+// victims are dropped silently. Crucially, silent private evictions do
+// NOT release the SF entry: the Snoop Filter keeps stale entries until
+// its own replacement displaces them — the property Prime+Scope's
+// construction exploits (repeated passes over a candidate prefix
+// cascade reinsertions through the stale entries until the target
+// becomes the LRU victim).
+//
+// The fills skip the presence scan (cache.Fill): every caller has just
+// missed on the line in both caches, and only SF/LLC operations and
+// back-invalidation removals run between those lookups and this call.
+func (c *core) fillPrivate(l1i, l2i int, tag cache.Tag) {
+	c.l2.Fill(-1, l2i, tag, 0)
+	c.l1.Fill(-1, l1i, tag, 0)
 }
 
 // --- The access path ------------------------------------------------------
@@ -482,11 +485,13 @@ func (h *Host) accessState(coreID int, pa memory.PAddr) accessResult {
 	h.syncNoise(set)
 	h.drainScheduled()
 
-	if _, hit := c.l1.Lookup(h.l1Index(pa), tag); hit {
+	l1i := h.l1Index(pa)
+	if _, hit := c.l1.Lookup(l1i, tag); hit {
 		return accessResult{level: L1Hit}
 	}
-	if _, hit := c.l2.Lookup(h.l2Index(pa), tag); hit {
-		c.l1.Insert(h.l1Index(pa), tag, 0)
+	l2i := h.l2Index(pa)
+	if _, hit := c.l2.Lookup(l2i, tag); hit {
+		c.l1.Fill(-1, l1i, tag, 0)
 		return accessResult{level: L2Hit}
 	}
 
@@ -498,14 +503,14 @@ func (h *Host) accessState(coreID int, pa memory.PAddr) accessResult {
 			h.sf[set.Slice].Remove(set.Index, tag)
 			lev := h.llc[set.Slice].InsertRegion(h.region(dom), set.Index, tag, 0)
 			h.handleLLCEviction(lev)
-			h.fillPrivate(coreID, pa)
+			c.fillPrivate(l1i, l2i, tag)
 			return accessResult{level: SFForward}
 		}
 		// Stale, own, or noise entry: the snoop misses every private
 		// cache, so the line is refetched from DRAM; the SF entry is
 		// retained and re-owned by the requester.
 		h.sf[set.Slice].UpdatePayload(set.Index, tag, uint8(coreID))
-		h.fillPrivate(coreID, pa)
+		c.fillPrivate(l1i, l2i, tag)
 		return accessResult{level: DRAM}
 	}
 
@@ -514,24 +519,25 @@ func (h *Host) accessState(coreID int, pa memory.PAddr) accessResult {
 		// invalidate every other core's (Shared) private copy — a line
 		// cannot be Exclusive in one core while cached elsewhere.
 		h.llc[set.Slice].Remove(set.Index, tag)
-		l1i, l2i := h.l1Index(pa), h.l2Index(pa)
-		for c := range h.cores {
-			if c == coreID {
+		for o := range h.cores {
+			if o == coreID {
 				continue
 			}
-			h.cores[c].l1.Remove(l1i, tag)
-			h.cores[c].l2.Remove(l2i, tag)
+			h.cores[o].l1.Remove(l1i, tag)
+			h.cores[o].l2.Remove(l2i, tag)
 		}
-		ev := h.sf[set.Slice].InsertRegion(h.region(dom), set.Index, tag, uint8(coreID))
+		// The SF lookup above missed and nothing since inserts into the
+		// SF, so the allocation skips the presence scan.
+		ev := h.sf[set.Slice].Fill(h.region(dom), set.Index, tag, uint8(coreID))
 		h.handleSFEviction(set, ev)
-		h.fillPrivate(coreID, pa)
+		c.fillPrivate(l1i, l2i, tag)
 		return accessResult{level: LLCHit}
 	}
 
 	// Full miss: DRAM fetch, allocate SF entry (Exclusive).
-	ev := h.sf[set.Slice].InsertRegion(h.region(dom), set.Index, tag, uint8(coreID))
+	ev := h.sf[set.Slice].Fill(h.region(dom), set.Index, tag, uint8(coreID))
 	h.handleSFEviction(set, ev)
-	h.fillPrivate(coreID, pa)
+	c.fillPrivate(l1i, l2i, tag)
 	return accessResult{level: DRAM}
 }
 

@@ -181,6 +181,7 @@ func (p *oraclePair) step(t *testing.T, op, x, y, z byte) {
 		}
 	}
 	p.compare(t, name)
+	checkInvariants(t, p.h, p.pas, name)
 }
 
 // compare fails on any difference in the hosts' observable state: the

@@ -131,6 +131,17 @@ func TestConfigValidate(t *testing.T) {
 		func(c Config) Config {
 			return c.WithTenants(tenant.Spec{Model: "hotset", Rate: 1, HotFrac: 3})
 		},
+		// Geometry: set counts the index masks cannot address, and
+		// associativities outside one valid-mask word.
+		func(c Config) Config { c.L1Sets = 48; return c },
+		func(c Config) Config { c.L2Sets = 1000; return c },
+		func(c Config) Config { c.LLCSets = 384; return c },
+		func(c Config) Config { c.LLCSets = 0; return c },
+		func(c Config) Config { c.L1Ways = 0; return c },
+		func(c Config) Config { c.L2Ways = 65; return c },
+		func(c Config) Config { c.LLCWays = 65; return c },
+		func(c Config) Config { c.SFWays = 65; return c },
+		func(c Config) Config { c.SFWays = -1; return c },
 	}
 	for i, mutate := range bad {
 		cfg := mutate(Scaled(2))

@@ -26,6 +26,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"runtime/pprof"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -422,7 +423,9 @@ func RunObs(ctx context.Context, spec Spec, workers int, sink *obs.Sink) (*Resul
 // Trial i of a cell runs on xrand.Stream(cell.Seed, i) and, on a traced
 // run, on the track (PID = cell index, TID = i), so a cell's samples
 // and spans do not depend on which other cells share the call. A
-// panicking trial fails the run with an error naming its cell.
+// panicking trial fails the run with an error naming its cell. Each
+// trial runs under the pprof labels experiment=<id> and policy=<name>,
+// so a CPU profile splits by cell type (go tool pprof -tagfocus).
 //
 // done, when non-nil, is called once per completed cell with the cell's
 // index in cls, its samples in trial order and the wall time its first
@@ -464,7 +467,10 @@ func RunCells(ctx context.Context, cls []Cell, which []int, n, workers int, sink
 			// default track is the flat index, meaningless in a grid).
 			t2.Trace = &obs.TrialTrace{Tracer: tracer, PID: ci, TID: i}
 		}
-		s := c.Exp.Run(t2, c.Config)
+		var s experiments.Sample
+		pprof.Do(ctx, pprof.Labels("experiment", c.Exp.ID, "policy", c.PolicyName), func(context.Context) {
+			s = c.Exp.Run(t2, c.Config)
+		})
 		samples[t.Index] = s
 		if done != nil && left[k].Add(-1) == 0 {
 			if err := done(ci, samples[k*n:(k+1)*n], starts[k]); err != nil {
