@@ -75,7 +75,8 @@ func (s *Session) RunEndToEnd(scanner *psd.Scanner, ex *Extractor, opt E2EOption
 	res := E2EResult{}
 
 	// Step 1: eviction sets for all SF sets at the target page offset.
-	bulk := s.BuildEvictionSets(opt.Bulk)
+	var bulk evset.BulkResult
+	s.Phase("build", func() { bulk = s.BuildEvictionSets(opt.Bulk) })
 	res.SetsBuilt = len(bulk.Sets)
 	res.BuildTime = bulk.Duration
 	if len(bulk.Sets) == 0 {
@@ -84,7 +85,7 @@ func (s *Session) RunEndToEnd(scanner *psd.Scanner, ex *Extractor, opt E2EOption
 	}
 
 	// Step 2: find the target set.
-	res.Scan = s.ScanForTarget(bulk.Sets, scanner, ScanOptions{Timeout: opt.ScanTimeout})
+	s.Phase("scan", func() { res.Scan = s.ScanForTarget(bulk.Sets, scanner, ScanOptions{Timeout: opt.ScanTimeout}) })
 	if !res.Scan.Found {
 		res.TotalTime = s.H.Clock().Now() - t0
 		return res
@@ -94,9 +95,17 @@ func (s *Session) RunEndToEnd(scanner *psd.Scanner, ex *Extractor, opt E2EOption
 	// Step 3: monitor `Traces` signings and extract the nonce bits.
 	// On traced runs each signing emits a cat="probe" span nested (on
 	// the same simulated timeline) inside the scenario's extract phase.
+	s.Phase("extract", func() { s.extract(&res, ex, opt.Traces) })
+	res.TotalTime = s.H.Clock().Now() - t0
+	return res
+}
+
+// extract is RunEndToEnd's Step 3: it monitors the scanned set across
+// traces signings and scores each one's extracted nonce bits into res.
+func (s *Session) extract(res *E2EResult, ex *Extractor, traces int) {
 	m := probe.NewMonitor(s.Env, probe.Parallel, res.Scan.Set.Lines)
 	traced := s.Trace.Enabled()
-	for i := 0; i < opt.Traces; i++ {
+	for i := 0; i < traces; i++ {
 		sigStart := s.H.Clock().Now()
 		var w0 time.Time
 		if traced {
@@ -118,6 +127,4 @@ func (s *Session) RunEndToEnd(scanner *psd.Scanner, ex *Extractor, opt E2EOption
 		res.BitsRecovered += sc.Recovered
 		res.BitsWrong += sc.Wrong
 	}
-	res.TotalTime = s.H.Clock().Now() - t0
-	return res
 }

@@ -9,7 +9,9 @@
 package attack
 
 import (
+	"context"
 	"math/big"
+	"runtime/pprof"
 
 	"repro/internal/clock"
 	"repro/internal/ec2m"
@@ -47,6 +49,21 @@ type Session struct {
 	// it; like all instrumentation it reads clocks already being read
 	// and never touches a rng stream (determinism clause 10).
 	Trace *obs.TrialTrace
+	// Labels is the owning trial's pprof label set (nil for none), which
+	// Phase extends.
+	Labels context.Context
+}
+
+// Phase runs f under the pprof label phase=name on top of the
+// session's Labels, so a CPU profile splits by attack phase (go tool
+// pprof -tagfocus phase=scan). Callers label each phase once, never an
+// access. Labels reach neither the simulation nor any report.
+func (s *Session) Phase(name string, f func()) {
+	ctx := s.Labels
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	pprof.Do(ctx, pprof.Labels("phase", name), func(context.Context) { f() })
 }
 
 // NewSession builds a host from the config and co-locates an attacker

@@ -3,6 +3,7 @@ package cache
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"repro/internal/xrand"
 )
@@ -33,6 +34,7 @@ type Cache struct {
 	tags    []Tag    // set*ways + way
 	valid   []uint64 // per set: bit w set iff way w holds a line
 	payload []uint8  // set*ways + way
+	ver     uint64   // see Version; beside valid, which every change reads
 
 	r0  regionPolicy // ways [0, split) — or the whole set when split == 0
 	r1  regionPolicy // ways [split, ways); unused when split == 0
@@ -64,7 +66,7 @@ func New(cfg Config, rng *xrand.Rand) *Cache {
 		panic(fmt.Sprintf("cache %q: invalid geometry %d sets x %d ways", cfg.Name, cfg.Sets, cfg.Ways))
 	}
 	if cfg.PartitionAt < 0 || cfg.PartitionAt >= cfg.Ways {
-		panic(fmt.Sprintf("cache %q: partition at %d outside (0, %d)", cfg.Name, cfg.PartitionAt, cfg.Ways))
+		panic(fmt.Sprintf("cache %q: partition at %d outside [0, %d)", cfg.Name, cfg.PartitionAt, cfg.Ways))
 	}
 	c := &Cache{name: cfg.Name, ways: cfg.Ways, nsets: cfg.Sets, split: cfg.PartitionAt, rng: rng}
 	n := cfg.Sets * cfg.Ways
@@ -83,9 +85,17 @@ func New(cfg Config, rng *xrand.Rand) *Cache {
 // Split returns the way-partition boundary (0 = unpartitioned).
 func (c *Cache) Split() int { return c.split }
 
+// Version counts the changes made to the cache: every placement, every
+// Remove or UpdatePayload that finds its tag, every replacement-state
+// touch (so every Lookup or InsertRegion hit), FlushSet, FlushAll and
+// Reset. Two equal readings prove that no line, valid bit, payload or
+// replacement state changed in between.
+func (c *Cache) Version() uint64 { return c.ver }
+
 // touch records a hit on way w of set idx against the owning region's
 // policy.
 func (c *Cache) touch(idx, w int) {
+	c.ver++
 	if c.split > 0 && w >= c.split {
 		c.r1.touch(idx, w-c.split)
 		return
@@ -255,6 +265,7 @@ func (c *Cache) place(b, idx, lo, hi int, tag Tag, payload uint8) Evicted {
 		w = c.regionVictim(idx, lo)
 		out = Evicted{Tag: c.tags[b+w], Payload: c.payload[b+w], Valid: true}
 	}
+	c.ver++
 	c.tags[b+w] = tag
 	c.valid[idx] |= bit(w)
 	c.payload[b+w] = payload
@@ -267,6 +278,7 @@ func (c *Cache) place(b, idx, lo, hi int, tag Tag, payload uint8) Evicted {
 func (c *Cache) UpdatePayload(idx int, tag Tag, payload uint8) bool {
 	b := c.base(idx)
 	if w := c.find(b, idx, tag); w >= 0 {
+		c.ver++
 		c.payload[b+w] = payload
 		return true
 	}
@@ -281,11 +293,23 @@ func (c *Cache) Remove(idx int, tag Tag) (payload uint8, removed bool) {
 	for m := c.valid[idx]; m != 0; m &= m - 1 {
 		w := bits.TrailingZeros64(m)
 		if c.tags[b+w] == tag {
+			c.ver++
 			c.valid[idx] &^= bit(w)
 			return c.payload[b+w], true
 		}
 	}
 	return 0, false
+}
+
+// Recency returns set idx's true-LRU recency order, most recently used
+// way first, or nil when the cache is partitioned or its policy does
+// not keep one. Like TagsIn it is for validation only.
+func (c *Cache) Recency(idx int) []uint8 {
+	c.base(idx)
+	if c.split != 0 || c.r0.kind != rLRU {
+		return nil
+	}
+	return slices.Clone(c.r0.meta[idx*c.r0.stride : idx*c.r0.stride+c.ways])
 }
 
 // OccupiedWays returns how many ways of set idx hold valid lines.
@@ -308,6 +332,7 @@ func (c *Cache) TagsIn(idx int) []Tag {
 // FlushSet invalidates every line in set idx and resets replacement state.
 func (c *Cache) FlushSet(idx int) {
 	c.base(idx)
+	c.ver++
 	c.valid[idx] = 0
 	c.r0.resetSet(idx)
 	if c.split > 0 {
@@ -317,6 +342,7 @@ func (c *Cache) FlushSet(idx int) {
 
 // FlushAll invalidates the whole cache.
 func (c *Cache) FlushAll() {
+	c.ver++
 	clear(c.valid)
 	c.r0.resetAll()
 	if c.split > 0 {

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -179,15 +180,60 @@ func TestPLRUFallbackForOddWays(t *testing.T) {
 }
 
 func TestBadGeometryPanics(t *testing.T) {
-	for _, ways := range []int{0, MaxWays + 1} {
+	for _, tc := range []struct {
+		ways, partitionAt int
+		want              string
+	}{
+		{0, 0, "invalid geometry"},
+		{MaxWays + 1, 0, "invalid geometry"},
+		{4, -1, "partition at -1 outside [0, 4)"},
+		{4, 4, "partition at 4 outside [0, 4)"},
+	} {
 		func() {
 			defer func() {
-				if recover() == nil {
-					t.Fatalf("expected panic for %d ways", ways)
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, tc.want) {
+					t.Fatalf("%d ways partitioned at %d: panic %q, want one containing %q", tc.ways, tc.partitionAt, msg, tc.want)
 				}
 			}()
-			New(Config{Name: "bad", Sets: 4, Ways: ways, Policy: TrueLRU}, xrand.New(1))
+			New(Config{Name: "bad", Sets: 4, Ways: tc.ways, Policy: TrueLRU, PartitionAt: tc.partitionAt}, xrand.New(1))
 		}()
+	}
+}
+
+// TestVersionCountsChanges pins which operations advance Version: every
+// change to a line, a valid bit, a payload or replacement state, and
+// nothing else.
+func TestVersionCountsChanges(t *testing.T) {
+	c := newCache(t, TrueLRU, 2, 2)
+	steps := []struct {
+		name    string
+		op      func()
+		changes bool
+	}{
+		{"fill", func() { c.Insert(0, 1, 0) }, true},
+		{"fill second way", func() { c.Fill(-1, 0, 2, 0) }, true},
+		{"lookup hit", func() { c.Lookup(0, 1) }, true},
+		{"lookup miss", func() { c.Lookup(0, 9) }, false},
+		{"insert hit", func() { c.Insert(0, 2, 5) }, true},
+		{"insert with eviction", func() { c.Insert(0, 3, 0) }, true},
+		{"update payload", func() { c.UpdatePayload(0, 3, 7) }, true},
+		{"update payload miss", func() { c.UpdatePayload(0, 9, 7) }, false},
+		{"remove", func() { c.Remove(0, 3) }, true},
+		{"remove miss", func() { c.Remove(0, 3) }, false},
+		{"contains", func() { c.Contains(0, 2) }, false},
+		{"peek", func() { c.Peek(0, 2) }, false},
+		{"recency", func() { c.Recency(0) }, false},
+		{"flush set", func() { c.FlushSet(1) }, true},
+		{"flush all", func() { c.FlushAll() }, true},
+		{"reset", func() { c.Reset(xrand.New(1)) }, true},
+	}
+	for _, s := range steps {
+		before := c.Version()
+		s.op()
+		if changed := c.Version() != before; changed != s.changes {
+			t.Fatalf("%s: version changed = %v, want %v", s.name, changed, s.changes)
+		}
 	}
 }
 

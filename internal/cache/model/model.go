@@ -14,6 +14,7 @@ package model
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/cache"
 	"repro/internal/xrand"
@@ -49,7 +50,7 @@ func New(cfg cache.Config, rng *xrand.Rand) *Cache {
 		panic(fmt.Sprintf("cache %q: invalid geometry %d sets x %d ways", cfg.Name, cfg.Sets, cfg.Ways))
 	}
 	if cfg.PartitionAt < 0 || cfg.PartitionAt >= cfg.Ways {
-		panic(fmt.Sprintf("cache %q: partition at %d outside (0, %d)", cfg.Name, cfg.PartitionAt, cfg.Ways))
+		panic(fmt.Sprintf("cache %q: partition at %d outside [0, %d)", cfg.Name, cfg.PartitionAt, cfg.Ways))
 	}
 	c := &Cache{name: cfg.Name, ways: cfg.Ways, nsets: cfg.Sets, split: cfg.PartitionAt}
 	c.sets = make([]Set, cfg.Sets)
@@ -255,6 +256,17 @@ func (c *Cache) TagsIn(idx int) []cache.Tag {
 		}
 	}
 	return out
+}
+
+// Recency returns set idx's true-LRU recency order, most recently used
+// way first, or nil when the cache is partitioned or its policy does
+// not keep one.
+func (c *Cache) Recency(idx int) []uint8 {
+	s := c.set(idx)
+	if l, ok := s.pol.(*lruState); ok && c.split == 0 {
+		return slices.Clone(l.order)
+	}
+	return nil
 }
 
 // FlushSet invalidates every line in set idx and resets replacement state.

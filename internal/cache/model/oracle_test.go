@@ -1,6 +1,8 @@
 package model
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/cache"
@@ -82,6 +84,9 @@ func (p pair) step(t *testing.T, cfg cache.Config, op, a, b byte) {
 		if ft[i] != rt[i] {
 			t.Fatalf("TagsIn(%d)[%d] = %d fast vs %d model", set, i, ft[i], rt[i])
 		}
+	}
+	if fr, rr := p.fast.Recency(set), p.ref.Recency(set); !slices.Equal(fr, rr) {
+		t.Fatalf("Recency(%d) = %v fast vs %v model", set, fr, rr)
 	}
 }
 
@@ -269,6 +274,26 @@ func TestPartitionIsolationBothImpls(t *testing.T) {
 			if !p.fast.Contains(0, tag) || !p.ref.Contains(0, tag) {
 				t.Fatalf("%v: region-1 resident %d lost isolation", pol, tag)
 			}
+		}
+	}
+}
+
+// TestBadPartitionPanicsBothImpls pins the out-of-range partition
+// message of both implementations, which must agree: the valid range is
+// [0, ways).
+func TestBadPartitionPanicsBothImpls(t *testing.T) {
+	panicOf := func(build func()) (msg string) {
+		defer func() { msg = fmt.Sprint(recover()) }()
+		build()
+		return ""
+	}
+	for _, at := range []int{-1, 4} {
+		cfg := cache.Config{Name: "bad", Sets: 2, Ways: 4, Policy: cache.TrueLRU, PartitionAt: at}
+		fast := panicOf(func() { cache.New(cfg, xrand.New(1)) })
+		ref := panicOf(func() { New(cfg, xrand.New(1)) })
+		want := fmt.Sprintf(`cache "bad": partition at %d outside [0, 4)`, at)
+		if fast != want || ref != want {
+			t.Fatalf("PartitionAt %d: panics %q fast, %q model, want %q", at, fast, ref, want)
 		}
 	}
 }

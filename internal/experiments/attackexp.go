@@ -39,7 +39,9 @@ func newAttackSession(o Options, seed uint64) *attack.Session {
 
 // pooledAttackSession builds a cloud session on the trial's pooled host.
 func pooledAttackSession(o Options, t *Trial, seed uint64) *attack.Session {
-	return attack.NewSessionOn(t.Host(cloudConfig(o), seed), victimCurve(o), seed)
+	s := attack.NewSessionOn(t.Host(cloudConfig(o), seed), victimCurve(o), seed)
+	s.Labels = t.Labels
+	return s
 }
 
 // Figure7 captures one trace from the target SF set and one from a

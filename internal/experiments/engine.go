@@ -58,7 +58,12 @@ type Trial struct {
 	// spans at zero cost — and must never let tracing touch a rng
 	// stream or the simulated clock (determinism clause 10).
 	Trace *obs.TrialTrace
-	pool  *hostPool
+	// Labels carries the pprof labels the trial runs under (a sweep
+	// cell's experiment and policy), nil for none. A runner that labels
+	// its own phases adds to these (attack.Session.Phase) rather than
+	// replacing them. Labels reach neither a rng stream nor a report.
+	Labels context.Context
+	pool   *hostPool
 }
 
 // WithSeed returns a copy of the trial carrying the given seed and the

@@ -14,7 +14,8 @@ import (
 // arrays, not through the event queue, not through the lazy
 // background-tenant sync, not through any defense hook, and not through
 // the batch-max jitter scratch buffer, which keeps its capacity across
-// Reset. A drift here is what the benchmark gate in CI catches only
+// Reset, and not through the quiet-batch memo of a repeated 8-line
+// probe, whose address buffer is reused. A drift here is what the benchmark gate in CI catches only
 // indirectly; this test names the culprit directly.
 func TestRecycledAccessAllocs(t *testing.T) {
 	cases := []struct {
@@ -44,6 +45,11 @@ func TestRecycledAccessAllocs(t *testing.T) {
 			a.AccessParallel(addrs)
 			grown := cap(h.jit)
 			h.Reset(99)
+			probe := congruentLines(t, a, 8)
+			for i := 0; i < 3; i++ {
+				a.AccessParallel(probe) // fill, then memoize
+			}
+			quiet := h.quietN
 			if cap(h.jit) != grown || len(h.jit) != 0 {
 				t.Fatalf("Reset left the jitter buffer at len %d cap %d, want 0 and %d", len(h.jit), cap(h.jit), grown)
 			}
@@ -63,6 +69,7 @@ func TestRecycledAccessAllocs(t *testing.T) {
 					i++
 				}},
 				{"AccessParallel/767", 100, func() { a.AccessParallel(addrs) }},
+				{"AccessParallel/8-repeated", 2000, func() { a.AccessParallel(probe) }},
 			}
 			for _, o := range ops {
 				if avg := testing.AllocsPerRun(o.runs, o.op); avg != 0 {
@@ -71,6 +78,9 @@ func TestRecycledAccessAllocs(t *testing.T) {
 			}
 			if cap(h.jit) != grown {
 				t.Fatalf("jitter buffer regrown from cap %d to %d", grown, cap(h.jit))
+			}
+			if h.quietHost && h.quietN.commits == quiet.commits {
+				t.Fatalf("%s: the repeated probe never took the quiet-batch kernel", tc.name)
 			}
 		})
 	}

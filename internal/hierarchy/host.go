@@ -64,6 +64,13 @@ type Host struct {
 	// capacity across Reset.
 	jit []jitterDraw
 
+	// quietHost says whether the host may replay quiet batches, quiet
+	// is the memo of the batch it may replay and quietN counts the
+	// outcomes (quiet.go).
+	quietHost bool
+	quiet     quietMemo
+	quietN    quietCounts
+
 	// Statistics for instrumentation and tests.
 	NoiseEvents uint64
 	Accesses    uint64
@@ -192,6 +199,7 @@ func NewHost(cfg Config, seed uint64) *Host {
 	for i := range h.tenants {
 		h.tenants[i].model.Reset(tenantSeed(seed, i))
 	}
+	h.quietHost = quietHost(cfg, h.defHooks, h.tenants)
 	return h
 }
 
@@ -229,6 +237,8 @@ func (h *Host) Reset(seed uint64) {
 	h.noiseSeq = 0
 	h.sched.events = h.sched.events[:0]
 	h.sched.draining = false
+	h.quiet.as = nil
+	h.quietN = quietCounts{}
 	h.NoiseEvents = 0
 	h.Accesses = 0
 }
@@ -449,15 +459,18 @@ func (c *core) fillPrivate(l1i, l2i int, tag cache.Tag) {
 
 // --- The access path ------------------------------------------------------
 
-// accessResult carries the outcome of one state-machine step.
+// accessResult carries the outcome of one state-machine step: the
+// level that served the access and the LLC/SF set it resolved to.
 type accessResult struct {
 	level Level
+	set   SetID
 }
 
 // accessState performs the cache-state transition of one demand access by
 // coreID to physical address pa, without advancing the clock. It returns
-// the level the access was served from. This is the heart of the
-// non-inclusive LLC+SF protocol (paper §2.3):
+// the level the access was served from and the LLC/SF set it resolved
+// to. This is the heart of the non-inclusive LLC+SF protocol (paper
+// §2.3):
 //
 //   - L1/L2 hits stay private.
 //   - An SF hit (another core owns the line E/M) triggers a cache-to-cache
@@ -487,12 +500,12 @@ func (h *Host) accessState(coreID int, pa memory.PAddr) accessResult {
 
 	l1i := h.l1Index(pa)
 	if _, hit := c.l1.Lookup(l1i, tag); hit {
-		return accessResult{level: L1Hit}
+		return accessResult{level: L1Hit, set: set}
 	}
 	l2i := h.l2Index(pa)
 	if _, hit := c.l2.Lookup(l2i, tag); hit {
 		c.l1.Fill(-1, l1i, tag, 0)
-		return accessResult{level: L2Hit}
+		return accessResult{level: L2Hit, set: set}
 	}
 
 	if owner, hit := h.sf[set.Slice].Lookup(set.Index, tag); hit {
@@ -504,14 +517,14 @@ func (h *Host) accessState(coreID int, pa memory.PAddr) accessResult {
 			lev := h.llc[set.Slice].InsertRegion(h.region(dom), set.Index, tag, 0)
 			h.handleLLCEviction(lev)
 			c.fillPrivate(l1i, l2i, tag)
-			return accessResult{level: SFForward}
+			return accessResult{level: SFForward, set: set}
 		}
 		// Stale, own, or noise entry: the snoop misses every private
 		// cache, so the line is refetched from DRAM; the SF entry is
 		// retained and re-owned by the requester.
 		h.sf[set.Slice].UpdatePayload(set.Index, tag, uint8(coreID))
 		c.fillPrivate(l1i, l2i, tag)
-		return accessResult{level: DRAM}
+		return accessResult{level: DRAM, set: set}
 	}
 
 	if _, hit := h.llc[set.Slice].Lookup(set.Index, tag); hit {
@@ -531,14 +544,14 @@ func (h *Host) accessState(coreID int, pa memory.PAddr) accessResult {
 		ev := h.sf[set.Slice].Fill(h.region(dom), set.Index, tag, uint8(coreID))
 		h.handleSFEviction(set, ev)
 		c.fillPrivate(l1i, l2i, tag)
-		return accessResult{level: LLCHit}
+		return accessResult{level: LLCHit, set: set}
 	}
 
 	// Full miss: DRAM fetch, allocate SF entry (Exclusive).
 	ev := h.sf[set.Slice].Fill(h.region(dom), set.Index, tag, uint8(coreID))
 	h.handleSFEviction(set, ev)
 	c.fillPrivate(l1i, l2i, tag)
-	return accessResult{level: DRAM}
+	return accessResult{level: DRAM, set: set}
 }
 
 // dropPrivate silently discards the core's private copies of a line

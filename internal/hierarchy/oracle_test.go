@@ -32,6 +32,7 @@ var (
 		{{Model: "poisson", Rate: 400, LLCProb: 0.5}},
 		{{Model: "poisson", Rate: 4000, LLCProb: 0.2}}, // means above 64 on long idles
 		{{Model: "burst", Rate: 300, LLCProb: 0.5, OnFrac: 0.5, OnMs: 0.001}, {Model: "poisson", Rate: 50, LLCProb: 1}},
+		{{Model: "poisson", Rate: 30, LLCProb: 0.5}, {Model: "poisson", Rate: 300, LLCProb: 1}}, // two memoryless draws per sync
 	}
 	oracleJitter = []float64{0.06, 0, 0.5}
 )
@@ -76,6 +77,9 @@ type oraclePair struct {
 	agents []*Agent
 	vas    []memory.VAddr
 	pas    []memory.PAddr
+	// congruent is the largest group of universe lines (at most 8) in
+	// one LLC/SF set under the base mapping: the probe loop's lines.
+	congruent []int
 	// Completion logs of scheduled events, one per host.
 	hDone, rDone []clock.Cycles
 }
@@ -92,6 +96,14 @@ func newOraclePair(cfg Config, seed uint64) *oraclePair {
 			va := buf.LineAt(page, line*memory.LineSize)
 			p.vas = append(p.vas, va)
 			p.pas = append(p.pas, p.agents[0].Translate(va))
+		}
+	}
+	groups := map[SetID][]int{}
+	for i, pa := range p.pas {
+		set := p.h.SetOf(pa)
+		groups[set] = append(groups[set], i)
+		if g := groups[set]; len(g) > len(p.congruent) && len(g) <= 8 {
+			p.congruent = g
 		}
 	}
 	return p
@@ -117,7 +129,7 @@ func (p *oraclePair) step(t *testing.T, op, x, y, z byte) {
 	n := 1 + int(z)%12
 	stride := 1 + int(x>>2)%5
 	var name string
-	switch op % 10 {
+	switch op % 11 {
 	case 0, 1:
 		name = "Access"
 		hc, hl := ag.Access(p.vas[a])
@@ -127,7 +139,7 @@ func (p *oraclePair) step(t *testing.T, op, x, y, z byte) {
 		}
 	case 2, 9:
 		name = "AccessParallel"
-		if op%10 == 9 {
+		if op%11 == 9 {
 			n, stride = 8, 1 // the monitor's probe shape
 		}
 		vas, pas := p.batch(a, n, stride)
@@ -179,6 +191,26 @@ func (p *oraclePair) step(t *testing.T, op, x, y, z byte) {
 		if hc, rc := ag.AccessSeq(vas), p.r.AccessSeq(core, pas); hc != rc {
 			t.Fatalf("AccessSeq = %d host vs %d model", hc, rc)
 		}
+	case 10:
+		// The monitor's loop, which the quiet-batch kernel replays: one
+		// batch over the first m congruent lines, repeated k times on
+		// one core, the whole state compared after every repeat.
+		name = "ProbeLoop"
+		m := 1 + int(y)%len(p.congruent)
+		vas := make([]memory.VAddr, n%8+1)
+		pas := make([]memory.PAddr, len(vas))
+		for i := range vas {
+			j := p.congruent[i%m]
+			vas[i], pas[i] = p.vas[j], p.pas[j]
+		}
+		for k := 3 + int(x>>2)%6; k > 0; k-- {
+			hc, hm := ag.AccessParallel(vas)
+			rc, rm := p.r.AccessParallel(core, pas)
+			if hc != rc || hm != rm {
+				t.Fatalf("ProbeLoop(core %d, %d lines over %d) = (%d, %d) host vs (%d, %d) model", core, len(vas), m, hc, hm, rc, rm)
+			}
+			p.compare(t, name)
+		}
 	}
 	p.compare(t, name)
 	checkInvariants(t, p.h, p.pas, name)
@@ -186,8 +218,8 @@ func (p *oraclePair) step(t *testing.T, op, x, y, z byte) {
 
 // compare fails on any difference in the hosts' observable state: the
 // clock, the counters, the event queue, the next host rng draw, and
-// every cache set the address universe maps to, tags in way order with
-// the SF's owners.
+// every cache set the address universe maps to: tags in way order with
+// the SF's owners and, under true LRU (every L1), the recency order.
 func (p *oraclePair) compare(t *testing.T, after string) {
 	h, r := p.h, p.r
 	if h.clk.Now() != r.now || h.Accesses != r.Accesses || h.NoiseEvents != r.NoiseEvents || h.noiseSeq != r.noiseSeq {
@@ -225,9 +257,13 @@ func (p *oraclePair) compare(t *testing.T, after string) {
 type peekSet interface {
 	TagsIn(idx int) []cache.Tag
 	Peek(idx int, tag cache.Tag) (uint8, bool)
+	Recency(idx int) []uint8
 }
 
 func sameSet(t *testing.T, after string, what func() string, h, r peekSet, hi, ri int) {
+	if ho, ro := h.Recency(hi), r.Recency(ri); !slices.Equal(ho, ro) {
+		t.Fatalf("after %s: %s has recency order %v host vs %v model", after, what(), ho, ro)
+	}
 	ht, rt := h.TagsIn(hi), r.TagsIn(ri)
 	same := len(ht) == len(rt)
 	for i := 0; same && i < len(ht); i++ {
@@ -248,8 +284,8 @@ func peekUint64(r *xrand.Rand) uint64 {
 
 // FuzzHostMatchesModel drives a Host and the reference refHost through
 // the same fuzzer-chosen configuration and operation script — accesses,
-// timed and dependent accesses, overlapped batches, shared loads,
-// flushes, idle spans and scheduled victim events — and requires
+// timed and dependent accesses, overlapped batches, probe loops, shared
+// loads, flushes, idle spans and scheduled victim events — and requires
 // op-for-op agreement on every result and on the whole observable state
 // (see compare). Bytes 0-2 select policy, defense, slice count,
 // background tenants, jitter and seed; each further four bytes are one
@@ -260,22 +296,28 @@ func FuzzHostMatchesModel(f *testing.F) {
 		0, 0, 1, 0, 2, 1, 2, 7, 9, 0, 0, 0, 6, 2, 3, 4, 5, 9, 0, 200,
 		3, 0, 4, 5, 0, 3, 1, 0, 9, 1, 8, 0, 4, 0, 1, 0, 7, 2, 3, 0,
 		6, 0x86, 5, 3, 5, 40, 0, 255, 2, 3, 6, 11, 8, 1, 2, 3, 0, 2, 12, 0,
+		10, 0x14, 1, 7, 6, 0, 0, 30, 10, 0x10, 3, 7, 10, 0x1c, 0, 3,
 	}
 	for sel := byte(0); sel < 25; sel++ {
 		f.Add(append([]byte{sel, sel * 3, sel % 3}, script...))
 	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) < 3 {
-			return
-		}
-		cfg, seed := oracleConfig(data[0], data[1], data[2])
-		p := newOraclePair(cfg, seed)
-		p.compare(t, "NewHost")
-		ops := data[3:]
-		for i := 0; i+3 < len(ops) && i < 4*512; i += 4 {
-			p.step(t, ops[i], ops[i+1], ops[i+2], ops[i+3])
-		}
-	})
+	f.Fuzz(func(t *testing.T, data []byte) { runOracleScript(t, data) })
+}
+
+// runOracleScript runs one FuzzHostMatchesModel input and returns the
+// pair in its final state (nil for an input too short to configure).
+func runOracleScript(t *testing.T, data []byte) *oraclePair {
+	if len(data) < 3 {
+		return nil
+	}
+	cfg, seed := oracleConfig(data[0], data[1], data[2])
+	p := newOraclePair(cfg, seed)
+	p.compare(t, "NewHost")
+	ops := data[3:]
+	for i := 0; i+3 < len(ops) && i < 4*512; i += 4 {
+		p.step(t, ops[i], ops[i+1], ops[i+2], ops[i+3])
+	}
+	return p
 }
 
 // TestHostMatchesModel is the deterministic face of the hierarchy

@@ -53,6 +53,9 @@ type Monitor struct {
 
 	// detectThresh classifies a probe latency as "external access seen".
 	detectThresh float64
+	// measure is the host's rdtsc-pair overhead (Latencies.Measure),
+	// read once: Host.Config returns the whole config by value.
+	measure float64
 
 	// Latency samples (measured cycles), for Table 5. Outliers above
 	// outlierCap are excluded, as in the paper's methodology.
@@ -67,7 +70,7 @@ const outlierCap = 20000
 // NewMonitor builds a monitor from a minimal SF eviction set. PS-Alt
 // requires a second eviction set for the same SF set via WithAlt.
 func NewMonitor(e *evset.Env, strat Strategy, lines []memory.VAddr) *Monitor {
-	m := &Monitor{env: e, strat: strat, lines: append([]memory.VAddr(nil), lines...)}
+	m := &Monitor{env: e, strat: strat, lines: append([]memory.VAddr(nil), lines...), measure: e.Host().Config().Lat.Measure}
 	m.Prime()
 	m.calibrate()
 	return m
@@ -165,8 +168,8 @@ func (m *Monitor) probeLatency() clock.Cycles {
 	switch m.strat {
 	case Parallel:
 		t, _ := a.AccessParallel(m.lines)
-		lat := float64(t) + m.env.Host().Config().Lat.Measure
-		a.Host().Clock().Advance(clock.Cycles(m.env.Host().Config().Lat.Measure))
+		lat := float64(t) + m.measure
+		a.Host().Clock().Advance(clock.Cycles(m.measure))
 		return clock.Cycles(lat)
 	default:
 		// Prime+Scope probes only the EVC (the first line), which stays

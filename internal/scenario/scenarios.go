@@ -8,6 +8,7 @@ import (
 	"repro/internal/clock"
 	"repro/internal/defense"
 	"repro/internal/ec2m"
+	"repro/internal/evset"
 	"repro/internal/experiments"
 	"repro/internal/hierarchy"
 	"repro/internal/lattice"
@@ -260,16 +261,29 @@ func (st *stepTimer) outcome(success bool) Outcome {
 // pooled host.
 func newSession(t *experiments.Trial, cfg hierarchy.Config) *attack.Session {
 	s := attack.NewSessionOn(t.Host(cfg, t.Seed), ec2m.Sect163(), t.Seed)
-	s.Trace = t.Trace
+	s.Trace, s.Labels = t.Trace, t.Labels
 	return s
 }
 
 // train runs the §7.2 controlled training phase on the session's own
 // host and returns both classifiers.
-func train(s *attack.Session, seed uint64) (*psd.Scanner, *attack.Extractor) {
+func train(s *attack.Session, seed uint64) (scanner *psd.Scanner, ex *attack.Extractor) {
 	p := psd.DefaultParams(s.V.ExpectedAccessPeriod())
-	scanner, ex, _ := s.TrainAll(p, xrand.New(seed^0x7a1))
+	s.Phase("train", func() { scanner, ex, _ = s.TrainAll(p, xrand.New(seed^0x7a1)) })
 	return scanner, ex
+}
+
+// build runs step 1, eviction-set construction at the victim's page
+// offset, as the "build" phase.
+func build(s *attack.Session) (bulk evset.BulkResult) {
+	s.Phase("build", func() { bulk = s.BuildEvictionSets(attack.DefaultE2EOptions().Bulk) })
+	return bulk
+}
+
+// scan runs step 2, target-set identification, as the "scan" phase.
+func scan(s *attack.Session, bulk evset.BulkResult, scanner *psd.Scanner, cfg hierarchy.Config) (res attack.ScanResult) {
+	s.Phase("scan", func() { res = s.ScanForTarget(bulk.Sets, scanner, attack.ScanOptions{Timeout: scanTimeout(cfg)}) })
+	return res
 }
 
 // runScan is steps 1-2 of the protocol: success means the PSD scanner
@@ -282,12 +296,12 @@ func runScan(t *experiments.Trial, cfg hierarchy.Config) Outcome {
 	if scanner == nil {
 		return st.outcome(false)
 	}
-	bulk := s.BuildEvictionSets(attack.DefaultE2EOptions().Bulk)
+	bulk := build(s)
 	st.markSpan("build", len(bulk.Sets) > 0, bulk.Duration)
 	if len(bulk.Sets) == 0 {
 		return st.outcome(false)
 	}
-	res := s.ScanForTarget(bulk.Sets, scanner, attack.ScanOptions{Timeout: scanTimeout(cfg)})
+	res := scan(s, bulk, scanner, cfg)
 	ok := res.Found && res.Correct
 	st.markSpan("scan", ok, res.Duration)
 	return st.outcome(ok)
@@ -344,31 +358,34 @@ func runKeyRecovery(t *experiments.Trial, cfg hierarchy.Config) Outcome {
 	if scanner == nil {
 		return st.outcome(false)
 	}
-	bulk := s.BuildEvictionSets(attack.DefaultE2EOptions().Bulk)
+	bulk := build(s)
 	st.markSpan("build", len(bulk.Sets) > 0, bulk.Duration)
 	if len(bulk.Sets) == 0 {
 		return st.outcome(false)
 	}
-	scan := s.ScanForTarget(bulk.Sets, scanner, attack.ScanOptions{Timeout: scanTimeout(cfg)})
-	st.markSpan("scan", scan.Found, scan.Duration)
-	if !scan.Found {
+	target := scan(s, bulk, scanner, cfg)
+	st.markSpan("scan", target.Found, target.Duration)
+	if !target.Found {
 		return st.outcome(false)
 	}
 
 	// Collect candidate leaks: one signing per trace; the comb reader in
 	// leaks.go anchors iteration 0, reads the leading nonce bits, and
 	// measures the per-nonce ladder length — all attacker-visible.
-	m := probe.NewMonitor(s.Env, probe.Parallel, scan.Set.Lines)
 	nbits := s.V.Curve.N.BitLen()
 	var cands []scoredLeak
-	extractStart := s.H.Clock().Now()
-	for i := 0; len(cands) < wantLeaks && i < maxSignings; i++ {
-		rec := s.TriggerOneSigning()
-		tr := m.Capture(rec.End - s.H.Clock().Now() + 30_000)
-		if sl, ok := leakFromTrace(tr, rec.Sig.R, rec.Sig.S, rec.Digest, ex.IterCycles, rec.Start, nbits); ok {
-			cands = append(cands, sl)
+	var extractStart clock.Cycles
+	s.Phase("extract", func() {
+		m := probe.NewMonitor(s.Env, probe.Parallel, target.Set.Lines)
+		extractStart = s.H.Clock().Now()
+		for i := 0; len(cands) < wantLeaks && i < maxSignings; i++ {
+			rec := s.TriggerOneSigning()
+			tr := m.Capture(rec.End - s.H.Clock().Now() + 30_000)
+			if sl, ok := leakFromTrace(tr, rec.Sig.R, rec.Sig.S, rec.Digest, ex.IterCycles, rec.Start, nbits); ok {
+				cands = append(cands, sl)
+			}
 		}
-	}
+	})
 	st.markSpan("extract", len(cands) >= latticeSubset, s.H.Clock().Now()-extractStart)
 	if len(cands) < latticeSubset {
 		o := st.outcome(false)
@@ -390,17 +407,19 @@ func runKeyRecovery(t *experiments.Trial, cfg hierarchy.Config) Outcome {
 	rng := xrand.New(t.Seed ^ 0x1a771ce)
 	var recovered *big.Int
 	attempts := 0
-	for _, idxs := range attemptSubsets(len(leaks), latticeSubset, maxLatticeTrys, rng) {
-		attempts++
-		subset := make([]lattice.Leak, 0, latticeSubset)
-		for _, j := range idxs {
-			subset = append(subset, leaks[j])
+	s.Phase("lattice", func() {
+		for _, idxs := range attemptSubsets(len(leaks), latticeSubset, maxLatticeTrys, rng) {
+			attempts++
+			subset := make([]lattice.Leak, 0, latticeSubset)
+			for _, j := range idxs {
+				subset = append(subset, leaks[j])
+			}
+			if d, ok := lattice.HNP(curve.N, subset, verify); ok {
+				recovered = d
+				break
+			}
 		}
-		if d, ok := lattice.HNP(curve.N, subset, verify); ok {
-			recovered = d
-			break
-		}
-	}
+	})
 	// The lattice is off-host computation: it consumes no victim time and
 	// advances no virtual clock, so its step carries a zero cycle budget
 	// by construction (LatticeAttempts records the work done instead).

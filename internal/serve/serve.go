@@ -42,6 +42,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -128,6 +129,7 @@ type Server struct {
 	jobSlots    int // concurrent job runners
 	retainAge   time.Duration
 	retainCount int
+	bodyTimeout time.Duration // readBodyTimeout; tests shorten it
 
 	mu    sync.Mutex
 	cond  *sync.Cond
@@ -173,6 +175,7 @@ func New(dataDir string, opts Options) (*Server, error) {
 		jobSlots:    slots,
 		retainAge:   opts.RetainAge,
 		retainCount: opts.RetainCount,
+		bodyTimeout: readBodyTimeout,
 		jobs:        make(map[string]*job),
 		stopped:     make(chan struct{}),
 		metrics:     obs.NewRegistry(),
@@ -523,6 +526,15 @@ func writeResult(path string, res *sweep.Result) error {
 // instead of holding a server goroutine forever.
 const readHeaderTimeout = 10 * time.Second
 
+// readBodyTimeout bounds how long a client may take to send a job
+// spec's body. Once the headers are in, net/http clears the read
+// deadline, so without it a client that trickles the body would hold a
+// server goroutine for as long as it likes (MaxBytesReader caps only
+// the size). submit sets it on its own request, around the one decode
+// it bounds, rather than as http.Server.ReadTimeout, which would time
+// every request of both daemons that share NewHTTPServer.
+const readBodyTimeout = 10 * time.Second
+
 // NewHTTPServer returns the http.Server that llcserve and llcfleet
 // listen with: h behind readHeaderTimeout. It sets no WriteTimeout,
 // because /events streams for as long as its job runs.
@@ -620,12 +632,27 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 // — the checkpoint log makes the rerun skip verified cells.
 func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
 	var spec sweep.Spec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
+	// A writer without deadline support leaves the read unbounded, as
+	// before; the daemon's own server always has it.
+	rc := http.NewResponseController(w)
+	rc.SetReadDeadline(time.Now().Add(s.bodyTimeout))
+	body := http.MaxBytesReader(w, r.Body, 1<<20)
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
+		// The deadline stays: net/http's discard of the unread body
+		// before the reply then fails at once and closes the connection.
 		httpError(w, http.StatusBadRequest, "decoding spec: %v", err)
 		return
 	}
+	// Decode returns after the spec's closing brace, so read the rest of
+	// the declared body under the deadline too; net/http would otherwise
+	// discard it before the reply, with no deadline at all.
+	if _, err := io.Copy(io.Discard, body); err != nil {
+		httpError(w, http.StatusBadRequest, "reading spec body: %v", err)
+		return
+	}
+	rc.SetReadDeadline(time.Time{})
 	spec.Normalize()
 	if err := spec.Validate(); err != nil {
 		httpError(w, http.StatusBadRequest, "invalid spec: %v", err)

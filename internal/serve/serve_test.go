@@ -55,7 +55,9 @@ func startServer(t *testing.T, dir string) (*Server, *httptest.Server, context.C
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s.Start(ctx)
-	ts := httptest.NewServer(s.Handler())
+	ts := httptest.NewUnstartedServer(nil)
+	ts.Config = NewHTTPServer(s.Handler()) // the daemon's own timeouts
+	ts.Start()
 	t.Cleanup(func() {
 		ts.Close()
 		cancel()
@@ -759,7 +761,9 @@ func TestConcurrentJobsRunTogether(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s.Start(ctx)
-	ts := httptest.NewServer(s.Handler())
+	ts := httptest.NewUnstartedServer(nil)
+	ts.Config = NewHTTPServer(s.Handler()) // the daemon's own timeouts
+	ts.Start()
 	t.Cleanup(func() {
 		ts.Close()
 		cancel()
@@ -946,5 +950,102 @@ func TestSlowHeaderClientDisconnected(t *testing.T) {
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
 	if _, err := io.ReadAll(conn); err != nil {
 		t.Fatalf("server kept the half-sent request open: %v", err)
+	}
+}
+
+// TestSlowBodyClientCutOff: a client that sends a job's headers and
+// then trickles its body is answered 400 once the body deadline passes,
+// instead of holding the submit handler open.
+func TestSlowBodyClientCutOff(t *testing.T) {
+	s, ts, _ := startServer(t, t.TempDir())
+	s.bodyTimeout = 100 * time.Millisecond
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "POST /api/v1/jobs HTTP/1.1\r\nHost: x\r\nContent-Type: application/json\r\nContent-Length: 200\r\n\r\n{\"trials\""); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatalf("no answer to the trickled body: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("trickled body answered %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestSlowBodyTailCutOff: a client that sends a whole valid spec but
+// then trickles the rest of its declared body is answered 400 once the
+// body deadline passes. The spec alone must not clear the deadline:
+// net/http reads the unread tail before the reply, and would wait for
+// it forever.
+func TestSlowBodyTailCutOff(t *testing.T) {
+	s, ts, _ := startServer(t, t.TempDir())
+	s.bodyTimeout = 100 * time.Millisecond
+	spec, err := json.Marshal(slowSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	head := fmt.Sprintf("POST /api/v1/jobs HTTP/1.1\r\nHost: x\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n", len(spec)+100)
+	if _, err := io.WriteString(conn, head+string(spec)+" "); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatalf("no answer to the spec with a trickled tail: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("spec with a trickled tail answered %d, want 400", resp.StatusCode)
+	}
+	s.mu.Lock()
+	n := len(s.jobs)
+	s.mu.Unlock()
+	if n != 0 {
+		t.Fatalf("%d jobs created from an unfinished body, want none", n)
+	}
+}
+
+// TestEventsOutliveBodyDeadline: the body deadline is the submit
+// request's alone. A job's /events stream, read on the connection that
+// submitted it, runs well past the deadline and still ends with the
+// job's last cell.
+func TestEventsOutliveBodyDeadline(t *testing.T) {
+	s, ts, _ := startServer(t, t.TempDir())
+	s.bodyTimeout = 20 * time.Millisecond
+	spec := slowSpec()
+	spec.Policies, spec.Trials = spec.Policies[:2], 100
+	start := time.Now()
+	_, j := postSpec(t, ts, spec)
+	resp, err := http.Get(ts.URL + "/api/v1/jobs/" + j.ID + "/events")
+	if err != nil {
+		t.Fatalf("GET events: %v", err)
+	}
+	defer resp.Body.Close()
+	var last campaign.Event
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		if err := json.Unmarshal(sc.Bytes(), &last); err != nil {
+			t.Fatalf("bad ndjson line %q: %v", sc.Text(), err)
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatalf("events stream cut: %v", err)
+	}
+	if last.Done != last.Total || last.Total != 2 {
+		t.Fatalf("stream ended at %+v, want the job's last cell", last)
+	}
+	if took := time.Since(start); took < 4*s.bodyTimeout {
+		t.Fatalf("the job took %v, too short to outlive the %v body deadline", took, s.bodyTimeout)
 	}
 }

@@ -468,7 +468,8 @@ func RunCells(ctx context.Context, cls []Cell, which []int, n, workers int, sink
 			t2.Trace = &obs.TrialTrace{Tracer: tracer, PID: ci, TID: i}
 		}
 		var s experiments.Sample
-		pprof.Do(ctx, pprof.Labels("experiment", c.Exp.ID, "policy", c.PolicyName), func(context.Context) {
+		pprof.Do(ctx, pprof.Labels("experiment", c.Exp.ID, "policy", c.PolicyName), func(labels context.Context) {
+			t2.Labels = labels
 			s = c.Exp.Run(t2, c.Config)
 		})
 		samples[t.Index] = s

@@ -164,9 +164,10 @@ func (r *Rand) Uint64n(n uint64) uint64 {
 }
 
 // Float64 returns a uniform float64 in [0, 1).
-func (r *Rand) Float64() float64 {
-	return float64(r.Uint64()>>11) / (1 << 53)
-}
+func (r *Rand) Float64() float64 { return unit(r.Uint64()) }
+
+// unit maps 64 random bits onto a uniform float64 in [0, 1).
+func unit(v uint64) float64 { return float64(v>>11) / (1 << 53) }
 
 // Bool returns a fair coin flip.
 func (r *Rand) Bool() bool { return r.Uint64()&1 == 1 }
@@ -237,28 +238,21 @@ func (r *Rand) Exp(rate float64) float64 {
 // panics on a NaN mean, which would otherwise never terminate.
 //
 // Knuth's first test, u ≤ exp(-mean), is settled without exp when u ≤
-// 1-mean-1e-12: exp(-m) ≥ 1-m, and 1e-12 covers the rounding of both
-// sides. Background windows have tiny means, so most draws stop there;
-// the others continue from the same uniform, so the draws and the
-// result are Knuth's exactly.
+// 1-mean-1e-12 (poissonHead); the others continue from the same
+// uniform, so the draws and the result are Knuth's exactly.
 func (r *Rand) Poisson(mean float64) int {
-	if !(mean > 0) {
-		if mean != mean {
-			panic("xrand: Poisson with NaN mean")
-		}
+	p, h, g := r.Gen().poissonHead(mean)
+	r.x = g.x
+	switch h {
+	case headZero:
 		return 0
-	}
-	if mean > 64 {
+	case headLarge:
 		// Normal approximation N(mean, mean), clamped at zero.
 		v := r.Norm(mean, math.Sqrt(mean))
 		if v < 0 {
 			return 0
 		}
 		return int(v + 0.5)
-	}
-	p := r.Float64()
-	if p <= 1-mean-1e-12 {
-		return 0
 	}
 	l := r.expNeg(mean)
 	k := 0
@@ -267,6 +261,39 @@ func (r *Rand) Poisson(mean float64) int {
 		k++
 	}
 	return k
+}
+
+// headVerdict is how far Poisson's first step decides a count.
+type headVerdict uint8
+
+const (
+	headZero  headVerdict = iota // the count is 0
+	headOpen                     // Knuth's loop continues from the uniform
+	headLarge                    // mean above 64: the normal approximation
+)
+
+// poissonHead is Poisson's first step, the only copy of it: a mean
+// that is not positive draws nothing and gives 0, a mean above 64 draws
+// nothing and takes the normal approximation, and any other mean draws
+// Knuth's first uniform p. That p settles the count at 0 without exp
+// when p ≤ 1-mean-1e-12: exp(-m) ≥ 1-m, and 1e-12 covers the rounding
+// of both sides. Background windows have tiny means, so most draws stop
+// there.
+func (g Gen) poissonHead(mean float64) (p float64, h headVerdict, _ Gen) {
+	if !(mean > 0) {
+		if mean != mean {
+			panic("xrand: Poisson with NaN mean")
+		}
+		return 0, headZero, g
+	}
+	if mean > 64 {
+		return 0, headLarge, g
+	}
+	p, g = g.Float64()
+	if p <= 1-mean-1e-12 {
+		return p, headZero, g
+	}
+	return p, headOpen, g
 }
 
 // Norm returns a Gaussian sample with the given mean and standard
@@ -281,11 +308,9 @@ func (r *Rand) Norm(mean, stddev float64) float64 {
 // A caller that needs only some samples' values (the maximum of a
 // batch) draws every sample in stream order and evaluates later.
 func (r *Rand) NormDraw() (k1, k2 uint64) {
-	x := r.x
-	k1, x = x.next()
-	k2, x = x.next()
-	r.x = x
-	return k1 >> 11, k2 >> 11
+	k1, k2, g := r.Gen().NormDraw()
+	r.x = g.x
+	return k1, k2
 }
 
 // NormAt evaluates the Box–Muller transform on the raw uniforms of a
@@ -298,6 +323,45 @@ func NormAt(k1, k2 uint64, mean, stddev float64) float64 {
 	}
 	z := math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
 	return mean + stddev*z
+}
+
+// Gen is a by-value copy of a Rand's generator state, for a kernel
+// that draws in a loop: the state stays in registers, as in
+// ShuffleUint32, because every method returns the advanced copy instead
+// of writing through a pointer. A kernel takes a copy with Rand.Gen and
+// either commits it with Rand.SetGen, which leaves the Rand exactly as
+// the same Rand calls would have, or drops it, which leaves the Rand as
+// if nothing had been drawn.
+type Gen struct{ x xoshiro }
+
+// Gen returns a copy of the generator state.
+func (r *Rand) Gen() Gen { return Gen{r.x} }
+
+// SetGen replaces the generator state with g.
+func (r *Rand) SetGen(g Gen) { r.x = g.x }
+
+// Float64 is Rand.Float64 on the copy.
+func (g Gen) Float64() (float64, Gen) {
+	v, x := g.x.next()
+	return unit(v), Gen{x}
+}
+
+// NormDraw is Rand.NormDraw on the copy.
+func (g Gen) NormDraw() (k1, k2 uint64, _ Gen) {
+	x := g.x
+	k1, x = x.next()
+	k2, x = x.next()
+	return k1 >> 11, k2 >> 11, Gen{x}
+}
+
+// PoissonZero reports whether Rand.Poisson(mean) on this state returns
+// 0 by its first test, drawing what that test draws: nothing for a mean
+// that is not positive (zero) or above 64 (not settled), one uniform
+// otherwise. When it reports false, Poisson may draw more: the caller
+// drops the returned state and calls Rand.Poisson on the original.
+func (g Gen) PoissonZero(mean float64) (bool, Gen) {
+	_, h, g := g.poissonHead(mean)
+	return h == headZero, g
 }
 
 // Bytes fills b with random bytes.

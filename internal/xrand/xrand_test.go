@@ -324,3 +324,58 @@ func FuzzPoissonMatchesKnuth(f *testing.F) {
 		}
 	})
 }
+
+// TestGenMatchesRand pins the by-value generator to the Rand methods it
+// mirrors: a Gen stepped through Float64, NormDraw and PoissonZero and
+// committed with SetGen leaves the stream where the Rand calls leave
+// it, a dropped Gen leaves it untouched, and PoissonZero claims a zero
+// exactly when Poisson's first test settles one.
+func TestGenMatchesRand(t *testing.T) {
+	means := []float64{0, -1, 1e-9, 1e-3, 0.5, 1, 63.9, 64, 64.5, 200}
+	r, ref := New(3), New(3)
+	g := r.Gen()
+	for i := 0; i < 30000; i++ {
+		switch i % 3 {
+		case 0:
+			v, g2 := g.Float64()
+			if w := ref.Float64(); v != w {
+				t.Fatalf("draw %d: Float64 %v on the Gen vs %v", i, v, w)
+			}
+			g = g2
+		case 1:
+			k1, k2, g2 := g.NormDraw()
+			if w1, w2 := ref.NormDraw(); k1 != w1 || k2 != w2 {
+				t.Fatalf("draw %d: NormDraw (%d, %d) on the Gen vs (%d, %d)", i, k1, k2, w1, w2)
+			}
+			g = g2
+		case 2:
+			mean := means[i/3%len(means)]
+			zero, g2 := g.PoissonZero(mean)
+			first := ref.Gen()
+			p, _ := first.Float64()
+			settles := !(mean > 0) || mean <= 64 && p <= 1-mean-1e-12
+			if zero != settles {
+				t.Fatalf("draw %d: PoissonZero(%v) = %v, want %v", i, mean, zero, settles)
+			}
+			n := ref.Poisson(mean)
+			if !zero {
+				g = ref.Gen() // the caller takes Poisson from the original
+				continue
+			}
+			if n != 0 {
+				t.Fatalf("draw %d: PoissonZero(%v) claimed 0, Poisson drew %d", i, mean, n)
+			}
+			g = g2
+		}
+		if g != ref.Gen() {
+			t.Fatalf("draw %d: the Gen's state left the Rand's", i)
+		}
+	}
+	if r.Gen() != New(3).Gen() {
+		t.Fatal("stepping a Gen moved the Rand it was copied from")
+	}
+	r.SetGen(g)
+	if a, b := r.Uint64(), ref.Uint64(); a != b {
+		t.Fatalf("after SetGen the next draw is %#x, want %#x", a, b)
+	}
+}
