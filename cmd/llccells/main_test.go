@@ -39,18 +39,16 @@ func writeSpec(t *testing.T, dir string, spec sweep.Spec) string {
 	return p
 }
 
-// runCampaign fills path with a checkpoint log for the spec; shardCount
-// of 0 runs the full grid, otherwise only shard shardIdx.
-func runCampaign(t *testing.T, spec sweep.Spec, path string, shardIdx, shardCount int) {
+// runCampaign fills path with a checkpoint log for the spec's cells
+// that owns accepts (nil: the full grid).
+func runCampaign(t *testing.T, spec sweep.Spec, path string, owns func(int) bool) {
 	t.Helper()
 	log, err := artifact.Create(path, campaign.Fingerprint(spec))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer log.Close()
-	_, _, err = campaign.Run(context.Background(), spec, campaign.Options{
-		Workers: 2, Log: log, ShardIndex: shardIdx, ShardCount: shardCount,
-	})
+	_, _, err = campaign.Run(context.Background(), spec, campaign.Options{Workers: 2, Log: log, Owns: owns})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +62,7 @@ func TestExportMatchesSweep(t *testing.T) {
 	spec := tinySpec()
 	specPath := writeSpec(t, dir, spec)
 	cells := filepath.Join(dir, "grid.cells")
-	runCampaign(t, spec, cells, 0, 0)
+	runCampaign(t, spec, cells, nil)
 
 	res, err := sweep.Run(context.Background(), spec, 2)
 	if err != nil {
@@ -111,7 +109,7 @@ func TestPartialLogStatusAndExport(t *testing.T) {
 	spec := tinySpec()
 	specPath := writeSpec(t, dir, spec)
 	cells := filepath.Join(dir, "s0.cells")
-	runCampaign(t, spec, cells, 0, 2) // 2 of 4 cells
+	runCampaign(t, spec, cells, func(ci int) bool { return ci%2 == 0 }) // shard 0/2: 2 of 4 cells
 
 	var stdout, stderr bytes.Buffer
 	if code := run([]string{"-spec", specPath, "-cells", cells, "-status"}, &stdout, &stderr); code != 0 {
@@ -149,7 +147,7 @@ func TestFilterAndTrials(t *testing.T) {
 	spec := tinySpec()
 	specPath := writeSpec(t, dir, spec)
 	cells := filepath.Join(dir, "grid.cells")
-	runCampaign(t, spec, cells, 0, 0)
+	runCampaign(t, spec, cells, nil)
 
 	var stdout, stderr bytes.Buffer
 	if code := run([]string{"-spec", specPath, "-cells", cells, "-filter", "QLRU", "-status"}, &stdout, &stderr); code != 0 {
@@ -187,7 +185,7 @@ func TestUsageAndForeignLogErrors(t *testing.T) {
 	spec := tinySpec()
 	specPath := writeSpec(t, dir, spec)
 	cells := filepath.Join(dir, "grid.cells")
-	runCampaign(t, spec, cells, 0, 0)
+	runCampaign(t, spec, cells, nil)
 
 	for _, args := range [][]string{
 		{},

@@ -12,9 +12,11 @@ import (
 var update = flag.Bool("update", false, "rewrite the golden files from the current output")
 
 // TestJSONGolden is the byte-level regression gate on `llcrepro -json`:
-// the committed golden report must reproduce exactly at any worker
-// count on the architecture that generated it (cross-architecture runs
-// may shift a float summary by a last ulp via fused multiply-add). Any
+// fig3 and table5 (whose latency columns read the covert channel's
+// prime and probe series) at two trials, seed 7. Each committed golden
+// report must reproduce exactly at any worker count on the architecture
+// that generated it (cross-architecture runs may shift a float summary
+// by a last ulp via fused multiply-add). Any
 // drift — a float formatting change, a row reordering, an accidental
 // seed perturbation — fails this test; if the change is intentional,
 // regenerate with `go test ./cmd/llcrepro -run TestJSONGolden -update`.
@@ -22,27 +24,29 @@ func TestJSONGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment runs are slow")
 	}
-	args := []string{"-exp", "fig3", "-trials", "2", "-seed", "7", "-json"}
-	golden := filepath.Join("testdata", "fig3_trials2_seed7.golden.json")
+	for _, exp := range []string{"fig3", "table5"} {
+		args := []string{"-exp", exp, "-trials", "2", "-seed", "7", "-json"}
+		golden := filepath.Join("testdata", exp+"_trials2_seed7.golden.json")
 
-	for _, workers := range []int{1, 8} {
-		var stdout, stderr bytes.Buffer
-		if code := run(append(args, "-parallel", strconv.Itoa(workers)), &stdout, &stderr); code != 0 {
-			t.Fatalf("run exited %d: %s", code, stderr.String())
-		}
-		if *update && workers == 1 {
-			if err := os.WriteFile(golden, stdout.Bytes(), 0o644); err != nil {
-				t.Fatal(err)
+		for _, workers := range []int{1, 8} {
+			var stdout, stderr bytes.Buffer
+			if code := run(append(args, "-parallel", strconv.Itoa(workers)), &stdout, &stderr); code != 0 {
+				t.Fatalf("%s: run exited %d: %s", exp, code, stderr.String())
 			}
-			t.Logf("rewrote %s (%d bytes)", golden, stdout.Len())
-		}
-		want, err := os.ReadFile(golden)
-		if err != nil {
-			t.Fatalf("missing golden file (run with -update to create it): %v", err)
-		}
-		if !bytes.Equal(stdout.Bytes(), want) {
-			t.Errorf("-parallel=%d output drifted from %s:\ngot:\n%s\nwant:\n%s",
-				workers, golden, stdout.Bytes(), want)
+			if *update && workers == 1 {
+				if err := os.WriteFile(golden, stdout.Bytes(), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				t.Logf("rewrote %s (%d bytes)", golden, stdout.Len())
+			}
+			want, err := os.ReadFile(golden)
+			if err != nil {
+				t.Fatalf("missing golden file (run with -update to create it): %v", err)
+			}
+			if !bytes.Equal(stdout.Bytes(), want) {
+				t.Errorf("-parallel=%d output drifted from %s:\ngot:\n%s\nwant:\n%s",
+					workers, golden, stdout.Bytes(), want)
+			}
 		}
 	}
 }

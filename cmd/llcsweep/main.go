@@ -214,6 +214,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	var shardIdx, shardCnt int
+	var owns func(int) bool // nil: the whole grid
 	if *shard != "" {
 		shardIdx, shardCnt, err = parseShard(*shard)
 		if err != nil {
@@ -232,6 +233,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "llcsweep: a shard run produces no aggregate artifact; drop -o/-csv and merge the shard logs instead")
 			return 2
 		}
+		// Round-robin keeps every shard a cross-section of the grid:
+		// Expand puts the experiment axis outermost, so contiguous
+		// shards would each get one experiment's cells.
+		owns = func(ci int) bool { return ci%shardCnt == shardIdx }
 	}
 	if *merge != "" {
 		// Merge mode: no cells run. The grid flags/spec name the campaign
@@ -400,11 +405,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		// to stderr (the artifact stays byte-identical to sweep.Run's).
 		var stats *campaign.Stats
 		res, stats, err = campaign.Run(ctx, spec, campaign.Options{
-			Workers:    *parallel,
-			Log:        ckpt,
-			ShardIndex: shardIdx,
-			ShardCount: shardCnt,
-			Obs:        sink,
+			Workers: *parallel,
+			Log:     ckpt,
+			Owns:    owns,
+			Obs:     sink,
 			OnCell: func(ev campaign.Event) {
 				if ev.Skipped {
 					return // summarised once below; grids can have many cells

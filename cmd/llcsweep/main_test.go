@@ -279,6 +279,18 @@ func TestShardMergeFlagValidation(t *testing.T) {
 	}
 }
 
+// FuzzParseShard: parseShard is the only check on a -shard value (the
+// campaign runs whatever cells it is told it owns), so every value it
+// accepts must name a real shard, 0 <= i < N.
+func FuzzParseShard(f *testing.F) {
+	f.Fuzz(func(t *testing.T, s string) {
+		i, n, err := parseShard(s)
+		if err == nil && !(0 <= i && i < n) {
+			t.Fatalf("parseShard(%q) = %d/%d, want 0 <= i < N", s, i, n)
+		}
+	})
+}
+
 // TestResumeRecreatesTornHeader: a checkpoint torn before the header
 // sync holds zero verified records; -resume must recreate it and run
 // the full grid instead of failing forever.

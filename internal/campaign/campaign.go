@@ -17,17 +17,17 @@
 // granularity). A campaign and sweep.Run therefore run a grid the same
 // way; the campaign adds the restore phase and the log.
 //
-// One campaign can also span PROCESSES or machines: Options.ShardCount
-// slices the grid round-robin into disjoint shards, each shard run
-// checkpoints into its own log, and Merge reassembles the per-shard
-// logs into one log byte-identical to what an uninterrupted sequential
-// single-process run would have written (determinism clause 8). The
-// artifact log is the only rendezvous — shards share no state and need
-// no coordinator while running. Options.CellStart/CellEnd generalise
-// the static residue partition to explicit contiguous cell ranges, the
-// unit a coordinator (internal/fleet) leases to workers and reassigns
-// on failure; range logs merge under the same identity guarantee
-// (determinism clause 9).
+// One campaign can also span PROCESSES or machines. A run given
+// Options.Owns computes only the cells that function accepts, into its
+// own log, and Merge reassembles the part logs into one log
+// byte-identical to what an uninterrupted sequential single-process
+// run would have written (determinism clause 8). The campaign does not
+// know how the grid was cut: llcsweep -shard i/N owns the round-robin
+// residue class ci%N == i, and an llcserve range job (the unit the
+// fleet coordinator leases and reassigns, clause 9) owns a contiguous
+// range. Callers validate their own partition parameters. The artifact
+// log is the only rendezvous — parts share no state and need no
+// coordinator while running.
 package campaign
 
 import (
@@ -103,32 +103,20 @@ type Options struct {
 	Workers int
 	// Log, when non-nil, is the open checkpoint log: verified records
 	// skip their cells, completed cells append records. Nil runs the
-	// campaign uncheckpointed (still sharded and cancellable).
+	// campaign uncheckpointed (still partitionable and cancellable).
 	Log *artifact.Log
 	// OnCell, when non-nil, observes per-cell completions (checkpoint
 	// skips included), serialized, in completion order.
 	OnCell func(Event)
-	// ShardCount > 0 restricts the run to one deterministic slice of the
-	// grid: the cells whose Expand index ci satisfies ci % ShardCount ==
-	// ShardIndex. Round-robin assignment keeps every shard a cross-
-	// section of the grid (no shard gets all the slow cells of one
-	// experiment), and N shard runs with N disjoint checkpoint logs can
-	// execute as separate processes or machines — artifact.Merge (via
-	// Merge here) is the rendezvous that reassembles them. A sharded run
-	// cannot aggregate (it has only its slice), so Run returns a nil
-	// Result; Stats counts the shard's cells only.
-	ShardIndex, ShardCount int
-	// CellEnd > 0 restricts the run to the explicit half-open cell range
-	// [CellStart, CellEnd) in Expand order — the dynamic-lease
-	// generalisation of residue sharding: a coordinator can hand out
-	// contiguous ranges of any size and reassign them when a worker
-	// lags, instead of fixing a static i/N partition up front. Like a
-	// shard, a range run returns a nil Result (it has only its slice of
-	// the samples); the lease identity clause (determinism clause 9)
-	// guarantees merging range logs reproduces the uninterrupted run's
-	// bytes no matter how the ranges were cut or who computed them.
-	// Mutually exclusive with ShardCount.
-	CellStart, CellEnd int
+	// Owns, when non-nil, makes this a partial run over the cells whose
+	// Expand index it accepts: only they are restored, computed and
+	// checkpointed, Stats and Event totals count only them, and Run
+	// returns a nil Result (a part cannot aggregate; merging the part
+	// logs and resuming, or exporting, assembles the aggregate). Nil
+	// owns the whole grid. Runs whose Owns sets are a disjoint cover of
+	// the Expand order merge byte-identically to the sequential log,
+	// however the cover was cut (determinism clause 8).
+	Owns func(cell int) bool
 	// Obs, when non-nil, receives campaign telemetry: cell-terminal
 	// counters (campaign_cells_total by state computed/resumed),
 	// per-cell wall-duration histogram (campaign_cell_seconds),
@@ -144,43 +132,18 @@ type Options struct {
 // Result sweep.Run would produce (byte-identical once encoded), plus
 // run statistics. Cancelling ctx stops the campaign between trials;
 // cells checkpointed before the cancellation are never lost, and the
-// error reports how far the run got via Stats. A sharded run
-// (Options.ShardCount > 0) computes only its slice of the grid and
-// returns a nil Result — merging the shard logs and resuming (or
-// exporting) is how the aggregate is assembled.
+// error reports how far the run got via Stats. A partial run
+// (Options.Owns set) computes only its cells and returns a nil Result.
 func Run(ctx context.Context, spec sweep.Spec, opts Options) (*sweep.Result, *Stats, error) {
 	spec.Normalize()
 	if err := spec.Validate(); err != nil {
 		return nil, nil, err
 	}
-	if opts.ShardCount < 0 {
-		return nil, nil, fmt.Errorf("campaign: shard count %d is negative", opts.ShardCount)
-	}
-	if opts.ShardCount > 0 && (opts.ShardIndex < 0 || opts.ShardIndex >= opts.ShardCount) {
-		return nil, nil, fmt.Errorf("campaign: shard index %d out of range [0, %d)", opts.ShardIndex, opts.ShardCount)
-	}
 	cls := sweep.Expand(spec)
-	ranged := opts.CellStart != 0 || opts.CellEnd != 0
-	if ranged {
-		if opts.ShardCount > 0 {
-			return nil, nil, fmt.Errorf("campaign: cell range and residue sharding are mutually exclusive")
-		}
-		if opts.CellStart < 0 || opts.CellEnd <= opts.CellStart || opts.CellEnd > len(cls) {
-			return nil, nil, fmt.Errorf("campaign: cell range [%d, %d) out of range for a %d-cell grid", opts.CellStart, opts.CellEnd, len(cls))
-		}
-	}
 	n := spec.Trials
-	// mine is the slice of Expand indices this run owns: everything, the
-	// round-robin residue class of the shard, or the explicit leased
-	// range.
 	mine := make([]int, 0, len(cls))
 	for ci := range cls {
-		switch {
-		case ranged:
-			if ci >= opts.CellStart && ci < opts.CellEnd {
-				mine = append(mine, ci)
-			}
-		case opts.ShardCount <= 0 || ci%opts.ShardCount == opts.ShardIndex:
+		if opts.Owns == nil || opts.Owns(ci) {
 			mine = append(mine, ci)
 		}
 	}
@@ -285,9 +248,9 @@ func Run(ctx context.Context, spec sweep.Spec, opts Options) (*sweep.Result, *St
 	if err != nil {
 		return nil, st, fmt.Errorf("campaign: %w", err)
 	}
-	if opts.ShardCount > 0 || ranged {
-		// A shard or leased range holds only its slice of the samples;
-		// the aggregate is assembled later from the merged logs.
+	if opts.Owns != nil {
+		// A part holds only its cells' samples; the aggregate is
+		// assembled later from the merged logs.
 		return nil, st, nil
 	}
 
@@ -298,7 +261,7 @@ func Run(ctx context.Context, spec sweep.Spec, opts Options) (*sweep.Result, *St
 	return sweep.Aggregate(spec, cls, flat), st, nil
 }
 
-// Merge combines per-shard checkpoint logs into one log at dstPath
+// Merge combines the part checkpoint logs into one log at dstPath
 // that is byte-identical to the log an uninterrupted sequential
 // single-process run of the same spec would have written (determinism
 // clause 8: records land in the grid's Expand order, which is the

@@ -379,74 +379,35 @@ func TestReflectEqualResults(t *testing.T) {
 	}
 }
 
-// TestShardPartitionsCells: the round-robin shards of one spec are a
-// disjoint cover of the grid — every Expand key lands in exactly one
-// shard's checkpoint log, sharded runs return no Result (the slice
-// alone cannot aggregate), and shard stats sum to the full grid.
-func TestShardPartitionsCells(t *testing.T) {
-	spec := tinySpec()
+// roundRobin owns shard i of n, as llcsweep -shard i/n does.
+func roundRobin(i, n int) func(int) bool {
+	return func(ci int) bool { return ci%n == i }
+}
+
+// cellRange owns the half-open range [start, end), as an llcserve range
+// job does.
+func cellRange(start, end int) func(int) bool {
+	return func(ci int) bool { return start <= ci && ci < end }
+}
+
+// checkPartitionMerge pins determinism clause 8 for one way the grid is
+// cut: the parts are a disjoint cover of the grid, a part returns no
+// Result (its cells alone cannot aggregate), the parts' stats sum to
+// the grid, the part logs merge byte-identical to the log a sequential
+// uninterrupted single-process run writes, and resuming from the merged
+// log re-runs nothing and yields the single-process artifact. Each part
+// runs two workers, so its append order is nondeterministic and the
+// merge must normalise it.
+func checkPartitionMerge(t *testing.T, parts []func(int) bool) {
+	t.Helper()
+	spec := tinySpec() // 4 cells
 	fp := Fingerprint(spec)
 	dir := t.TempDir()
-	const shards = 3
-
 	cls := func() []sweep.Cell {
 		s := spec
 		s.Normalize()
 		return sweep.Expand(s)
 	}()
-	seen := map[string]int{}
-	totalCells := 0
-	for i := range shards {
-		path := filepath.Join(dir, "s.cells")
-		log, err := artifact.Create(path, fp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, st, err := Run(context.Background(), spec, Options{
-			Workers: 1, Log: log, ShardIndex: i, ShardCount: shards,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res != nil {
-			t.Fatalf("shard %d returned a Result; a grid slice must not aggregate", i)
-		}
-		if st.Ran != st.Cells || st.Skipped != 0 {
-			t.Fatalf("shard %d stats = %+v", i, st)
-		}
-		totalCells += st.Cells
-		for _, k := range log.Keys() {
-			seen[k]++
-		}
-		log.Close()
-		os.Remove(path)
-	}
-	if totalCells != len(cls) {
-		t.Fatalf("shards cover %d cells, grid has %d", totalCells, len(cls))
-	}
-	for _, c := range cls {
-		if seen[c.Key] != 1 {
-			t.Fatalf("cell %q owned by %d shards, want exactly 1", c.Key, seen[c.Key])
-		}
-	}
-
-	// Shard parameters outside [0, count) are refused.
-	for _, bad := range [][2]int{{-1, 3}, {3, 3}, {0, -1}} {
-		_, _, err := Run(context.Background(), spec, Options{ShardIndex: bad[0], ShardCount: bad[1]})
-		if err == nil {
-			t.Fatalf("shard %d/%d accepted", bad[0], bad[1])
-		}
-	}
-}
-
-// TestShardedMergeByteIdentical pins determinism clause 8: per-shard
-// logs merged in Expand order are byte-identical to the log a
-// sequential uninterrupted single-process run writes, and resuming
-// from the merged log yields the byte-identical artifact.
-func TestShardedMergeByteIdentical(t *testing.T) {
-	spec := tinySpec()
-	fp := Fingerprint(spec)
-	dir := t.TempDir()
 
 	refPath := filepath.Join(dir, "ref.cells")
 	ref, err := artifact.Create(refPath, fp)
@@ -458,34 +419,53 @@ func TestShardedMergeByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	ref.Close()
-
-	const shards = 3
-	var srcs []string
-	for i := range shards {
-		p := filepath.Join(dir, fmt.Sprintf("s%d.cells", i))
-		log, err := artifact.Create(p, fp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Workers > 1 inside a shard: append order within the shard log is
-		// nondeterministic, and the merge must still normalise it away.
-		if _, _, err := Run(context.Background(), spec, Options{
-			Workers: 2, Log: log, ShardIndex: i, ShardCount: shards,
-		}); err != nil {
-			t.Fatal(err)
-		}
-		log.Close()
-		srcs = append(srcs, p)
-	}
-
-	mergedPath := filepath.Join(dir, "merged.cells")
-	st, err := Merge(spec, mergedPath, srcs)
-	if err != nil {
-		t.Fatal(err)
-	}
 	refBytes, err := os.ReadFile(refPath)
 	if err != nil {
 		t.Fatal(err)
+	}
+
+	seen := map[string]int{}
+	cells := 0
+	var srcs []string
+	for i, owns := range parts {
+		path := filepath.Join(dir, fmt.Sprintf("part%d.cells", i))
+		log, err := artifact.Create(path, fp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, st, err := Run(context.Background(), spec, Options{Workers: 2, Log: log, Owns: owns})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res != nil {
+			t.Fatalf("part %d returned a Result; a part must not aggregate", i)
+		}
+		if st.Ran != st.Cells || st.Skipped != 0 {
+			t.Fatalf("part %d stats = %+v", i, st)
+		}
+		cells += st.Cells
+		for _, k := range log.Keys() {
+			seen[k]++
+		}
+		log.Close()
+		srcs = append(srcs, path)
+	}
+	if cells != len(cls) {
+		t.Fatalf("parts cover %d cells, grid has %d", cells, len(cls))
+	}
+	for _, c := range cls {
+		if seen[c.Key] != 1 {
+			t.Fatalf("cell %q owned by %d parts, want exactly 1", c.Key, seen[c.Key])
+		}
+	}
+
+	mergedPath := filepath.Join(dir, "merged.cells")
+	mst, err := Merge(spec, mergedPath, srcs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mst.Deduped != 0 {
+		t.Fatalf("disjoint parts deduped %d records", mst.Deduped)
 	}
 	gotBytes, err := os.ReadFile(mergedPath)
 	if err != nil {
@@ -493,9 +473,6 @@ func TestShardedMergeByteIdentical(t *testing.T) {
 	}
 	if !bytes.Equal(refBytes, gotBytes) {
 		t.Fatalf("merged log differs from the sequential single-process log (%d vs %d bytes)", len(gotBytes), len(refBytes))
-	}
-	if st.Deduped != 0 {
-		t.Fatalf("disjoint shards deduped %d records", st.Deduped)
 	}
 
 	merged, err := artifact.Open(mergedPath, fp)
@@ -513,6 +490,28 @@ func TestShardedMergeByteIdentical(t *testing.T) {
 	if !bytes.Equal(encodeResult(t, got), encodeResult(t, want)) {
 		t.Fatal("artifact from merged log differs from the single-process artifact")
 	}
+}
+
+// TestShardPartitionsCells: round-robin shards stay a disjoint cover
+// that merges byte-identical when there are more shards than cells —
+// shard 4 of 5 owns nothing on the 4-cell grid.
+func TestShardPartitionsCells(t *testing.T) {
+	checkPartitionMerge(t, []func(int) bool{roundRobin(0, 5), roundRobin(1, 5), roundRobin(2, 5), roundRobin(3, 5), roundRobin(4, 5)})
+}
+
+// TestShardedMergeByteIdentical: three round-robin shards, as
+// llcsweep -shard i/3 runs them, merge byte-identical to a sequential
+// single-process run.
+func TestShardedMergeByteIdentical(t *testing.T) {
+	checkPartitionMerge(t, []func(int) bool{roundRobin(0, 3), roundRobin(1, 3), roundRobin(2, 3)})
+}
+
+// TestRangeClaimPartitionsCells is the dynamic-lease analogue: uneven
+// explicit cell ranges [0,1) [1,3) [3,4), as llcserve range jobs claim
+// them, cover the grid once and merge byte-identical — the property the
+// fleet coordinator leans on (determinism clause 9).
+func TestRangeClaimPartitionsCells(t *testing.T) {
+	checkPartitionMerge(t, []func(int) bool{cellRange(0, 1), cellRange(1, 3), cellRange(3, 4)})
 }
 
 // TestMergeDetectsConflictsAndDedupes: byte-equal duplicate records
@@ -588,9 +587,7 @@ func TestMergePartialThenResume(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, st, err := Run(context.Background(), spec, Options{
-			Workers: 1, Log: log, ShardIndex: i, ShardCount: shards,
-		})
+		_, st, err := Run(context.Background(), spec, Options{Workers: 1, Log: log, Owns: roundRobin(i, shards)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -655,100 +652,5 @@ func TestMergeRejectsBadRecords(t *testing.T) {
 	log.Close()
 	if _, err := Merge(spec, filepath.Join(dir, "d2.cells"), []string{foreignPath}); err == nil {
 		t.Fatal("record for a key outside the grid merged")
-	}
-}
-
-// TestRangeClaimPartitionsCells is the dynamic-lease analogue of the
-// residue-shard partition test: explicit cell ranges must cover the
-// grid exactly once, return no aggregate, and merge byte-identical to
-// a sequential uninterrupted run — the property the fleet coordinator
-// leans on (determinism clause 9).
-func TestRangeClaimPartitionsCells(t *testing.T) {
-	spec := tinySpec()
-	fp := Fingerprint(spec)
-	dir := t.TempDir()
-	cls := func() []sweep.Cell {
-		s := spec
-		s.Normalize()
-		return sweep.Expand(s)
-	}()
-
-	refPath := filepath.Join(dir, "ref.cells")
-	ref, err := artifact.Create(refPath, fp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := Run(context.Background(), spec, Options{Workers: 1, Log: ref}); err != nil {
-		t.Fatal(err)
-	}
-	ref.Close()
-	want, err := os.ReadFile(refPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Uneven ranges on purpose: [0,1), [1,3), [3,4).
-	ranges := [][2]int{{0, 1}, {1, 3}, {3, 4}}
-	var srcs []string
-	seen := map[string]int{}
-	for i, r := range ranges {
-		path := filepath.Join(dir, fmt.Sprintf("r%d.cells", i))
-		log, err := artifact.Create(path, fp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, st, err := Run(context.Background(), spec, Options{
-			Workers: 1, Log: log, CellStart: r[0], CellEnd: r[1],
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res != nil {
-			t.Fatalf("range %v returned a Result; a grid slice must not aggregate", r)
-		}
-		if st.Cells != r[1]-r[0] || st.Ran != st.Cells {
-			t.Fatalf("range %v stats = %+v", r, st)
-		}
-		for _, k := range log.Keys() {
-			seen[k]++
-		}
-		log.Close()
-		srcs = append(srcs, path)
-	}
-	for _, c := range cls {
-		if seen[c.Key] != 1 {
-			t.Fatalf("cell %q owned by %d ranges, want exactly 1", c.Key, seen[c.Key])
-		}
-	}
-
-	mergedPath := filepath.Join(dir, "merged.cells")
-	if _, err := Merge(spec, mergedPath, srcs); err != nil {
-		t.Fatal(err)
-	}
-	got, err := os.ReadFile(mergedPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("range-merged log differs from sequential run")
-	}
-}
-
-// Range bounds are validated against the grid, and ranges are mutually
-// exclusive with residue shards — a worker claiming both ways could
-// silently double- or under-cover cells.
-func TestRangeClaimValidation(t *testing.T) {
-	spec := tinySpec() // 4 cells
-	for _, bad := range [][2]int{{-1, 2}, {2, 2}, {3, 2}, {0, 5}, {4, 4}} {
-		_, _, err := Run(context.Background(), spec, Options{CellStart: bad[0], CellEnd: bad[1]})
-		if err == nil {
-			t.Fatalf("range [%d, %d) accepted on a 4-cell grid", bad[0], bad[1])
-		}
-	}
-	_, _, err := Run(context.Background(), spec, Options{
-		CellStart: 0, CellEnd: 2, ShardIndex: 0, ShardCount: 2,
-	})
-	if err == nil {
-		t.Fatal("cell range combined with residue sharding was accepted")
 	}
 }

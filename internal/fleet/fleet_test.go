@@ -342,7 +342,7 @@ func rangeLogBytes(t *testing.T, spec sweep.Spec, start, end int) []byte {
 	if err != nil {
 		t.Fatalf("creating range log: %v", err)
 	}
-	if _, _, err := campaign.Run(context.Background(), spec, campaign.Options{Workers: 1, Log: log, CellStart: start, CellEnd: end}); err != nil {
+	if _, _, err := campaign.Run(context.Background(), spec, campaign.Options{Workers: 1, Log: log, Owns: func(ci int) bool { return start <= ci && ci < end }}); err != nil {
 		t.Fatalf("range campaign [%d, %d): %v", start, end, err)
 	}
 	if err := log.Close(); err != nil {

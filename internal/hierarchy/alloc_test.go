@@ -49,11 +49,11 @@ func TestRecycledAccessAllocs(t *testing.T) {
 			for i := 0; i < 3; i++ {
 				a.AccessParallel(probe) // fill, then memoize
 			}
-			quiet := h.quietN
 			if cap(h.jit) != grown || len(h.jit) != 0 {
 				t.Fatalf("Reset left the jitter buffer at len %d cap %d, want 0 and %d", len(h.jit), cap(h.jit), grown)
 			}
 			i := 0
+			var quiet quietTally
 			ops := []struct {
 				name string
 				runs int
@@ -69,7 +69,7 @@ func TestRecycledAccessAllocs(t *testing.T) {
 					i++
 				}},
 				{"AccessParallel/767", 100, func() { a.AccessParallel(addrs) }},
-				{"AccessParallel/8-repeated", 2000, func() { a.AccessParallel(probe) }},
+				{"AccessParallel/8-repeated", 2000, func() { quiet.batch(a, probe) }},
 			}
 			for _, o := range ops {
 				if avg := testing.AllocsPerRun(o.runs, o.op); avg != 0 {
@@ -79,7 +79,7 @@ func TestRecycledAccessAllocs(t *testing.T) {
 			if cap(h.jit) != grown {
 				t.Fatalf("jitter buffer regrown from cap %d to %d", grown, cap(h.jit))
 			}
-			if h.quietHost && h.quietN.commits == quiet.commits {
+			if h.quietHost && quiet.commits == 0 {
 				t.Fatalf("%s: the repeated probe never took the quiet-batch kernel", tc.name)
 			}
 		})

@@ -64,12 +64,10 @@ type Host struct {
 	// capacity across Reset.
 	jit []jitterDraw
 
-	// quietHost says whether the host may replay quiet batches, quiet
-	// is the memo of the batch it may replay and quietN counts the
-	// outcomes (quiet.go).
+	// quietHost says whether the host may replay quiet batches and
+	// quiet is the memo of the batch it may replay (quiet.go).
 	quietHost bool
 	quiet     quietMemo
-	quietN    quietCounts
 
 	// Statistics for instrumentation and tests.
 	NoiseEvents uint64
@@ -238,7 +236,6 @@ func (h *Host) Reset(seed uint64) {
 	h.sched.events = h.sched.events[:0]
 	h.sched.draining = false
 	h.quiet.as = nil
-	h.quietN = quietCounts{}
 	h.NoiseEvents = 0
 	h.Accesses = 0
 }

@@ -82,6 +82,9 @@ type oraclePair struct {
 	congruent []int
 	// Completion logs of scheduled events, one per host.
 	hDone, rDone []clock.Cycles
+	// quiet tallies the quiet-batch kernel's outcomes over the host's
+	// AccessParallel batches.
+	quiet quietTally
 }
 
 func newOraclePair(cfg Config, seed uint64) *oraclePair {
@@ -143,7 +146,7 @@ func (p *oraclePair) step(t *testing.T, op, x, y, z byte) {
 			n, stride = 8, 1 // the monitor's probe shape
 		}
 		vas, pas := p.batch(a, n, stride)
-		hc, hm := ag.AccessParallel(vas)
+		hc, hm := p.quiet.batch(ag, vas)
 		rc, rm := p.r.AccessParallel(core, pas)
 		if hc != rc || hm != rm {
 			t.Fatalf("AccessParallel(core %d, %d lines from %d) = (%d, %d) host vs (%d, %d) model", core, n, a, hc, hm, rc, rm)
@@ -204,7 +207,7 @@ func (p *oraclePair) step(t *testing.T, op, x, y, z byte) {
 			vas[i], pas[i] = p.vas[j], p.pas[j]
 		}
 		for k := 3 + int(x>>2)%6; k > 0; k-- {
-			hc, hm := ag.AccessParallel(vas)
+			hc, hm := p.quiet.batch(ag, vas)
 			rc, rm := p.r.AccessParallel(core, pas)
 			if hc != rc || hm != rm {
 				t.Fatalf("ProbeLoop(core %d, %d lines over %d) = (%d, %d) host vs (%d, %d) model", core, len(vas), m, hc, hm, rc, rm)

@@ -58,12 +58,6 @@ type quietMemo struct {
 	l1Ver uint64         // the core's L1 Version after the batch
 }
 
-// quietCounts counts the replayed batches that committed and those
-// that aborted, for tests.
-type quietCounts struct {
-	commits, aborts uint64
-}
-
 // quietHost reports whether a host built from cfg may replay quiet
 // batches: a batch's only per-access work must be the tenants' Poisson
 // draws (memoryless tenants), the jitter draw (JitterFrac > 0, so the
@@ -129,13 +123,11 @@ func (h *Host) replay(n int) (clock.Cycles, bool) {
 			for j := range h.tenants {
 				var zero bool
 				if zero, g = g.PoissonZero(window * h.tenants[j].perCycle); !zero {
-					h.quietN.aborts++
 					return 0, false
 				}
 			}
 		}
 		if pending && due <= now {
-			h.quietN.aborts++
 			return 0, false
 		}
 		k1, k2, g2 := g.NormDraw()
@@ -143,7 +135,6 @@ func (h *Host) replay(n int) (clock.Cycles, bool) {
 		jit[i] = jitterDraw{level: L1Hit, k1: k1, k2: k2}
 		now += step
 	}
-	h.quietN.commits++
 	h.rng.SetGen(g)
 	h.lastSync[m.slot] = last
 	h.Accesses += uint64(n)

@@ -31,6 +31,30 @@ func congruentLines(t *testing.T, a *Agent, n int) []memory.VAddr {
 	return nil
 }
 
+// quietTally counts the quiet-batch kernel's outcomes over the batches
+// run through it, read from observable state. A batch the kernel
+// replays is one that matches the memo (same core, address space and
+// lines; L1 Version unchanged). It committed if it left the core's L1
+// Version unchanged, since the kernel makes no touches, and aborted if
+// the Version advanced, since the general path that then runs the
+// batch touches the L1 on every access.
+type quietTally struct{ commits, aborts int }
+
+// batch runs a.AccessParallel(vas) and tallies the kernel's outcome.
+func (q *quietTally) batch(a *Agent, vas []memory.VAddr) (clock.Cycles, int) {
+	l1 := a.h.cores[a.core].l1
+	replayed, ver := a.h.quiet.matches(a, vas, l1), l1.Version()
+	t, misses := a.AccessParallel(vas)
+	switch {
+	case !replayed:
+	case l1.Version() == ver:
+		q.commits++
+	default:
+		q.aborts++
+	}
+	return t, misses
+}
+
 // TestQuietBatchEngages runs keyrecovery's monitor loop on the scaled
 // cloud host: an 8-line Parallel-Probing batch repeated back to back,
 // the rdtsc overhead between probes, a two-round refetching prime after
@@ -56,19 +80,19 @@ func TestQuietBatchEngages(t *testing.T) {
 	const probes = 100000
 	next := h.clk.Now()
 	measure := clock.Cycles(h.cfg.Lat.Measure)
-	before := h.quietN
+	var q quietTally
 	for i := 0; i < probes; i++ {
 		if now := h.clk.Now(); now >= next {
 			next = now + 20000
 			h.Schedule(Event{Time: next, Core: 2, PA: target, Refetch: true})
 		}
-		_, misses := a.AccessParallel(probe)
+		_, misses := q.batch(a, probe)
 		h.clk.Advance(measure)
 		if misses > 0 {
 			prime()
 		}
 	}
-	commits, aborts := h.quietN.commits-before.commits, h.quietN.aborts-before.aborts
+	commits, aborts := q.commits, q.aborts
 	if frac := float64(commits) / probes; frac < 0.9 || aborts == 0 {
 		t.Fatalf("kernel committed %d of %d probes (%.3f), aborted %d; want at least 90%% and an abort", commits, probes, frac, aborts)
 	}
@@ -93,10 +117,11 @@ func TestQuietBatchBypasses(t *testing.T) {
 		h := NewHost(cfg, 5)
 		a := h.NewAgent(0)
 		lines := congruentLines(t, a, 4)
+		var q quietTally
 		for i := 0; i < 50; i++ {
-			a.AccessParallel(lines)
+			q.batch(a, lines)
 		}
-		if q := h.quietN; h.quietHost || h.quiet.as != nil || q.commits+q.aborts != 0 {
+		if h.quietHost || h.quiet.as != nil || q.commits+q.aborts != 0 {
 			t.Errorf("%s: quiet host %v, memo %v, counts %+v; want a host that bypasses every batch", name, h.quietHost, h.quiet.as != nil, q)
 		}
 	}
@@ -141,8 +166,8 @@ func TestOracleCorpusTakesQuietPaths(t *testing.T) {
 		if !ok || err != nil {
 			t.Fatalf("%s: not a one-[]byte corpus entry: %v", name, err)
 		}
-		h := runOracleScript(t, []byte(data)).h
-		q := h.quietN
+		p := runOracleScript(t, []byte(data))
+		h, q := p.h, p.quiet
 		var took bool
 		switch path {
 		case "commit":

@@ -9,13 +9,20 @@ import (
 
 // CovertResult reports one covert-channel run (§6.1).
 type CovertResult struct {
-	Sent          int
-	Detected      int
-	Detections    int // total receiver detections (incl. noise)
+	Sent       int
+	Detected   int
+	Detections int // total receiver detections (incl. noise)
+	// PrimeLatency and ProbeLatency are the run's measured latencies
+	// (cycles), for Table 5. Outliers at or above outlierCap are
+	// excluded, as in the paper's methodology.
 	PrimeLatency  []float64
 	ProbeLatency  []float64
 	DetectionRate float64
 }
+
+// outlierCap mirrors the paper's exclusion of samples above 20,000 cycles
+// (interrupts / context switches).
+const outlierCap = 20000
 
 // epsilon is the detection error bound: a sender access at time t counts
 // as detected if the receiver reports an access in (t, t+epsilon). The
@@ -36,11 +43,6 @@ const epsilon = 800
 // the sender runs on its own core, as scheduled accesses on the virtual
 // clock.
 func RunCovertChannel(e *evset.Env, m *Monitor, senderCore int, senderLine memory.PAddr, interval clock.Cycles, count int) CovertResult {
-	res, _, _ := runCovertDebug(e, m, senderCore, senderLine, interval, count)
-	return res
-}
-
-func runCovertDebug(e *evset.Env, m *Monitor, senderCore int, senderLine memory.PAddr, interval clock.Cycles, count int) (CovertResult, []clock.Cycles, []clock.Cycles) {
 	h := e.Host()
 	clk := h.Clock()
 
@@ -57,22 +59,28 @@ func runCovertDebug(e *evset.Env, m *Monitor, senderCore int, senderLine memory.
 		})
 	}
 
+	var res CovertResult
+	prime := func() {
+		if d := float64(m.Prime()); d < outlierCap {
+			res.PrimeLatency = append(res.PrimeLatency, d)
+		}
+	}
 	var detections []clock.Cycles
-	m.Prime()
+	prime()
 	end := base + clock.Cycles(count+2)*interval
 	for clk.Now() < end {
-		if m.Probe() {
+		lat := float64(m.probeLatency())
+		if lat < outlierCap {
+			res.ProbeLatency = append(res.ProbeLatency, lat)
+		}
+		if lat > m.detectThresh {
 			detections = append(detections, clk.Now())
-			m.Prime()
+			prime()
 		}
 	}
 
-	res := CovertResult{
-		Sent:         len(sendTimes),
-		Detections:   len(detections),
-		PrimeLatency: append([]float64(nil), m.PrimeLat...),
-		ProbeLatency: append([]float64(nil), m.ProbeLat...),
-	}
+	res.Sent = len(sendTimes)
+	res.Detections = len(detections)
 	di := 0
 	for _, st := range sendTimes {
 		// Advance to the first detection at or after st.
@@ -87,5 +95,5 @@ func runCovertDebug(e *evset.Env, m *Monitor, senderCore int, senderLine memory.
 	if res.Sent > 0 {
 		res.DetectionRate = float64(res.Detected) / float64(res.Sent)
 	}
-	return res, sendTimes, detections
+	return res
 }

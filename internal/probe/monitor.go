@@ -56,16 +56,7 @@ type Monitor struct {
 	// measure is the host's rdtsc-pair overhead (Latencies.Measure),
 	// read once: Host.Config returns the whole config by value.
 	measure float64
-
-	// Latency samples (measured cycles), for Table 5. Outliers above
-	// outlierCap are excluded, as in the paper's methodology.
-	PrimeLat []float64
-	ProbeLat []float64
 }
-
-// outlierCap mirrors the paper's exclusion of samples above 20,000 cycles
-// (interrupts / context switches).
-const outlierCap = 20000
 
 // NewMonitor builds a monitor from a minimal SF eviction set. PS-Alt
 // requires a second eviction set for the same SF set via WithAlt.
@@ -93,26 +84,20 @@ func (m *Monitor) calibrate() {
 	}
 	med := stats.Median(samples)
 	m.detectThresh = med + 22
-	m.PrimeLat = m.PrimeLat[:0]
-	m.ProbeLat = m.ProbeLat[:0]
 }
 
-// Prime prepares the monitored set for the next detection and records the
-// prime latency.
+// Prime prepares the monitored set for the next detection and returns
+// the prime latency.
 func (m *Monitor) Prime() clock.Cycles {
-	var d clock.Cycles
 	switch m.strat {
 	case Parallel:
-		d = m.primeParallel()
+		return m.primeParallel()
 	case PSFlush:
-		d = m.primePSFlush()
+		return m.primePSFlush()
 	case PSAlt:
-		d = m.primePSAlt()
+		return m.primePSAlt()
 	}
-	if f := float64(d); f < outlierCap {
-		m.PrimeLat = append(m.PrimeLat, f)
-	}
-	return d
+	return 0
 }
 
 // primeParallel traverses the eviction set with overlapped accesses,
@@ -188,14 +173,10 @@ func (m *Monitor) scopeLine() memory.VAddr {
 	return m.lines[0]
 }
 
-// Probe checks the monitored set once, recording the probe latency, and
-// reports whether an external access was detected since the last prime.
+// Probe checks the monitored set once and reports whether an external
+// access was detected since the last prime.
 func (m *Monitor) Probe() bool {
-	lat := float64(m.probeLatency())
-	if lat < outlierCap {
-		m.ProbeLat = append(m.ProbeLat, lat)
-	}
-	return lat > m.detectThresh
+	return float64(m.probeLatency()) > m.detectThresh
 }
 
 // DetectThreshold returns the calibrated detection threshold.

@@ -1,6 +1,9 @@
 package probe
 
 import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
 	"testing"
 
 	"repro/internal/clock"
@@ -119,6 +122,39 @@ func TestCaptureRecordsDetections(t *testing.T) {
 	for i := 1; i < len(tr.Times); i++ {
 		if tr.Times[i] < tr.Times[i-1] {
 			t.Fatal("detection timestamps not monotonic")
+		}
+	}
+}
+
+// TestCovertSeriesPinned pins the covert channel's latency series at
+// their own layer: a digest of the PrimeLatency and ProbeLatency float
+// bits (lengths included) and of the counts, for each strategy on one
+// noisy cloud host. Table 5 reads these series; a change to how they
+// are recorded shows up here before it shows up in the table5 golden.
+func TestCovertSeriesPinned(t *testing.T) {
+	want := map[Strategy]uint64{
+		Parallel: 0xc33417c1fed7b9a6,
+		PSFlush:  0x68d5e5624b6f1f69,
+		PSAlt:    0x3ea861ad1f17bbb3,
+	}
+	for _, s := range []Strategy{Parallel, PSFlush, PSAlt} {
+		e, lines, alt, sender := setup(t, 23, true)
+		m := NewMonitor(e, s, lines).WithAlt(alt)
+		res := RunCovertChannel(e, m, 2, sender, 5000, 40)
+		h := fnv.New64a()
+		word := func(v uint64) { h.Write(binary.LittleEndian.AppendUint64(nil, v)) }
+		word(uint64(res.Sent))
+		word(uint64(res.Detected))
+		word(uint64(res.Detections))
+		for _, series := range [][]float64{res.PrimeLatency, res.ProbeLatency} {
+			word(uint64(len(series)))
+			for _, x := range series {
+				word(math.Float64bits(x))
+			}
+		}
+		if got := h.Sum64(); got != want[s] {
+			t.Errorf("%s: digest %#x, want %#x (%d primes, %d probes, %d/%d detected)",
+				s, got, want[s], len(res.PrimeLatency), len(res.ProbeLatency), res.Detected, res.Sent)
 		}
 	}
 }

@@ -454,12 +454,15 @@ func (s *Server) runJob(ctx context.Context, id string) {
 	var res *sweep.Result
 	if err == nil {
 		defer ckpt.Close()
+		var owns func(int) bool // nil: the whole grid
+		if j.ranged() {
+			owns = func(ci int) bool { return j.CellStart <= ci && ci < j.CellEnd }
+		}
 		res, _, err = campaign.Run(jctx, j.Spec, campaign.Options{
-			Workers:   s.workers,
-			Log:       ckpt,
-			Obs:       &obs.Sink{Metrics: s.metrics},
-			CellStart: j.CellStart,
-			CellEnd:   j.CellEnd,
+			Workers: s.workers,
+			Log:     ckpt,
+			Obs:     &obs.Sink{Metrics: s.metrics},
+			Owns:    owns,
 			OnCell: func(ev campaign.Event) {
 				s.mu.Lock()
 				defer s.mu.Unlock()

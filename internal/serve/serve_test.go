@@ -10,6 +10,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -253,6 +254,50 @@ func TestSubmitRejectsBadRanges(t *testing.T) {
 			t.Fatalf("range %q: status %d, want 400", q, code)
 		}
 	}
+}
+
+// FuzzParseRangeParams: with the campaign no longer checking the cells
+// a range job owns, parseRangeParams is the submit path's only check,
+// so every range it accepts lies inside the grid: 0 <= start < end <=
+// total. Only a submit naming neither bound is the full grid (0, 0).
+func FuzzParseRangeParams(f *testing.F) {
+	f.Fuzz(func(t *testing.T, start, end string, total int) {
+		r := &http.Request{URL: &url.URL{RawQuery: url.Values{"start": {start}, "end": {end}}.Encode()}}
+		s, e, err := parseRangeParams(r, total)
+		switch {
+		case err != nil:
+		case start == "" && end == "":
+			if s != 0 || e != 0 {
+				t.Fatalf("no range parsed as [%d, %d), want the full grid (0, 0)", s, e)
+			}
+		case !(0 <= s && s < e && e <= total):
+			t.Fatalf("start=%q end=%q accepted as [%d, %d) for a %d-cell grid", start, end, s, e, total)
+		}
+	})
+}
+
+// FuzzRangeSuffixRoundTrip: a daemon restart re-derives each job's
+// range from its on-disk ID, so parseRangeSuffix must invert jobID on
+// every valid range (and on the full grid, which has no suffix) and
+// refuse every ID jobID writes for an invalid one.
+func FuzzRangeSuffixRoundTrip(f *testing.F) {
+	spec := specNormalized(tinySpec())
+	f.Fuzz(func(t *testing.T, start, end int) {
+		id := jobID(spec, start, end)
+		s, e, err := parseRangeSuffix(id)
+		switch {
+		case end <= 0:
+			if err != nil || s != 0 || e != 0 {
+				t.Fatalf("full-grid ID %q parsed as (%d, %d, %v), want (0, 0, nil)", id, s, e, err)
+			}
+		case 0 <= start && start < end:
+			if err != nil || s != start || e != end {
+				t.Fatalf("ID %q parsed as (%d, %d, %v), want (%d, %d, nil)", id, s, e, err, start, end)
+			}
+		case err == nil:
+			t.Fatalf("ID %q of invalid range [%d, %d) parsed as [%d, %d)", id, start, end, s, e)
+		}
+	})
 }
 
 func TestUnknownJobIs404AndEarlyResultIs409(t *testing.T) {
