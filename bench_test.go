@@ -11,11 +11,13 @@
 package repro_test
 
 import (
+	"fmt"
 	"math"
 	"math/big"
 	"testing"
 
 	"repro/internal/attack"
+	"repro/internal/cache"
 	"repro/internal/classify"
 	"repro/internal/defense"
 	"repro/internal/dsp"
@@ -366,6 +368,57 @@ func benchParallelProbe(b *testing.B, cfg hierarchy.Config) {
 }
 
 // --- Substrate micro-benchmarks ----------------------------------------------
+
+// scanSets is the set count of BenchmarkMicro_CacheScan's caches (an
+// LLC slice's), and scanTag the tag of line k of set s: tags share
+// their index bits, as in every simulated cache.
+const scanSets = 2048
+
+func scanTag(s, k int) cache.Tag { return cache.Tag(k*scanSets + s + 1<<30) }
+
+// BenchmarkMicro_CacheScan times internal/cache's set scans alone, on
+// full 12-way (an SF slice) and 16-way (an L2) sets: a Lookup that hits
+// (and touches true-LRU state), a Lookup that misses, and a Remove that
+// misses — the back-invalidation of a core that holds no copy. The last
+// case is a Remove on an empty set, which answers from the valid mask.
+// Each op scans every set once, in a fixed shuffled order as the
+// hierarchy's hashed set indices do, so the op stays measurable at
+// benchguard's -benchtime=3x and the prefetcher cannot stream the tags.
+func BenchmarkMicro_CacheScan(b *testing.B) {
+	order := make([]int, scanSets)
+	for i := range order {
+		order[i] = i
+	}
+	xrand.New(3).ShuffleInts(order)
+	scan := func(b *testing.B, op func(s, i int)) {
+		for i := 0; i < b.N; i++ {
+			for _, s := range order {
+				op(s, i)
+			}
+		}
+	}
+	for _, ways := range []int{12, 16} {
+		c := cache.New(cache.Config{Name: "scan", Sets: scanSets, Ways: ways, Policy: cache.TrueLRU}, xrand.New(1))
+		for s := 0; s < scanSets; s++ {
+			for k := 0; k < ways; k++ {
+				c.Insert(s, scanTag(s, k), 0)
+			}
+		}
+		b.Run(fmt.Sprintf("lookup-hit/%dway", ways), func(b *testing.B) {
+			scan(b, func(s, i int) { c.Lookup(s, scanTag(s, i%ways)) })
+		})
+		b.Run(fmt.Sprintf("lookup-miss/%dway", ways), func(b *testing.B) {
+			scan(b, func(s, i int) { c.Lookup(s, scanTag(s, ways+i%ways)) })
+		})
+		b.Run(fmt.Sprintf("remove-miss/%dway", ways), func(b *testing.B) {
+			scan(b, func(s, i int) { c.Remove(s, scanTag(s, ways+i%ways)) })
+		})
+	}
+	empty := cache.New(cache.Config{Name: "scan", Sets: scanSets, Ways: 16, Policy: cache.TrueLRU}, xrand.New(1))
+	b.Run("remove-empty", func(b *testing.B) {
+		scan(b, func(s, i int) { empty.Remove(s, scanTag(s, i%16)) })
+	})
+}
 
 func BenchmarkMicro_HierarchyAccess(b *testing.B) {
 	cfg := cloudCfg()

@@ -15,26 +15,30 @@ type Tag uint64
 
 // Cache is a single-array set-associative cache (one slice of a sliced
 // structure, or a whole private cache). Tags and payloads are stored in
-// flat structure-of-arrays slices indexed set*ways+way; validity is one
-// 64-bit mask per set, bit w for way w, so an empty set answers Remove
-// after one load and a free way is one TrailingZeros64. An invalidated
-// way keeps its stale tag: every scan compares the tag first and tests
-// the mask bit only on a match. Everything is sized once at
+// flat structure-of-arrays slices indexed set*ways+way. Each set also
+// owns stride consecutive meta words: its valid mask (bit w for way w),
+// so an empty set answers Remove after one load and a free way is one
+// TrailingZeros64, then its ways' one-byte tag fingerprints, eight per
+// word. A scan matches the fingerprint eight ways at a time and
+// confirms each candidate, lowest way first, by its valid bit and a
+// full tag compare; an invalidated way keeps its stale tag and
+// fingerprint, which the valid bit rejects. Everything is sized once at
 // construction and reset by bulk clears — no per-set allocations or
 // pointer chasing on the access path. split is the way-partition
 // boundary (0 = unpartitioned); a partitioned cache keeps two
 // independent regionPolicy instances, one per region, exactly as the
 // reference model keeps two policyState objects per set.
 type Cache struct {
-	name  string
-	ways  int
-	nsets int
-	split int
+	name   string
+	ways   int
+	nsets  int
+	split  int
+	stride int // meta words per set: 1 + ceil(ways/8)
 
 	tags    []Tag    // set*ways + way
-	valid   []uint64 // per set: bit w set iff way w holds a line
-	payload []uint8  // set*ways + way
-	ver     uint64   // see Version; beside valid, which every change reads
+	meta    []uint64 // set*stride: valid mask, then fingerprint words
+	payload []uint16 // set*ways + way
+	ver     uint64   // see Version; beside meta, which every change reads
 
 	r0  regionPolicy // ways [0, split) — or the whole set when split == 0
 	r1  regionPolicy // ways [split, ways); unused when split == 0
@@ -69,10 +73,11 @@ func New(cfg Config, rng *xrand.Rand) *Cache {
 		panic(fmt.Sprintf("cache %q: partition at %d outside [0, %d)", cfg.Name, cfg.PartitionAt, cfg.Ways))
 	}
 	c := &Cache{name: cfg.Name, ways: cfg.Ways, nsets: cfg.Sets, split: cfg.PartitionAt, rng: rng}
+	c.stride = 1 + (cfg.Ways+7)/8
 	n := cfg.Sets * cfg.Ways
 	c.tags = make([]Tag, n)
-	c.valid = make([]uint64, cfg.Sets)
-	c.payload = make([]uint8, n)
+	c.meta = make([]uint64, cfg.Sets*c.stride)
+	c.payload = make([]uint16, n)
 	if c.split > 0 {
 		c.r0 = newRegionPolicy(cfg.Policy, c.split, cfg.Sets)
 		c.r1 = newRegionPolicy(cfg.Policy, cfg.Ways-c.split, cfg.Sets)
@@ -149,14 +154,14 @@ func (c *Cache) Sets() int { return c.nsets }
 // Ways returns the associativity.
 func (c *Cache) Ways() int { return c.ways }
 
-// base returns the flat-array offset of set i, panicking on
-// out-of-range indices. The panic lives in a separate function so base
-// itself inlines into every access.
-func (c *Cache) base(i int) int {
+// base returns set i's offsets into the way arrays (b) and into meta
+// (m), panicking on out-of-range indices. The panic lives in a separate
+// function so base itself inlines into every access.
+func (c *Cache) base(i int) (b, m int) {
 	if uint(i) >= uint(c.nsets) {
 		c.badSet(i)
 	}
-	return i * c.ways
+	return i * c.ways, i * c.stride
 }
 
 //go:noinline
@@ -166,9 +171,9 @@ func (c *Cache) badSet(i int) {
 
 // Lookup probes set idx for tag. On a hit it updates replacement state and
 // returns the way's payload.
-func (c *Cache) Lookup(idx int, tag Tag) (payload uint8, hit bool) {
-	b := c.base(idx)
-	if w := c.find(b, idx, tag); w >= 0 {
+func (c *Cache) Lookup(idx int, tag Tag) (payload uint16, hit bool) {
+	b, m := c.base(idx)
+	if w := c.find(b, m, tag); w >= 0 {
 		c.touch(idx, w)
 		return c.payload[b+w], true
 	}
@@ -181,13 +186,44 @@ func (c *Cache) Lookup(idx int, tag Tag) (payload uint8, hit bool) {
 // which would tie up the tag scan's registers.
 func bit(w int) uint64 { return 1 << (w & 63) }
 
-// find returns the way holding a valid copy of tag in set idx (whose
-// flat offset is b), or -1. Stale tags of removed ways fail the mask
-// test, which runs only on a tag match.
-func (c *Cache) find(b, idx int, tag Tag) int {
-	for w, t := range c.tags[b : b+c.ways] {
-		if t == tag && c.valid[idx]&bit(w) != 0 {
-			return w
+// Fingerprint is a tag's one-byte filter key: the top byte of a
+// multiplicative hash of the whole tag, since the tags of one set share
+// their index bits. Equal tags have equal fingerprints; unequal tags
+// collide in about one way in 256, and the full tag compare settles it.
+func Fingerprint(tag Tag) uint8 { return uint8(uint64(tag) * 0x9e3779b97f4a7c15 >> 56) }
+
+// ones has the low bit of every byte set, and low7 the low seven.
+const (
+	ones = 0x0101010101010101
+	low7 = 0x7f7f7f7f7f7f7f7f
+)
+
+// zeroBytes returns 0x80 in every zero byte of x and 0 elsewhere: a
+// byte's high bit survives the OR chain only when the byte is zero. It
+// is exact, with no borrow between bytes.
+func zeroBytes(x uint64) uint64 { return ^((x&low7 + low7) | x | low7) }
+
+// find returns the lowest way holding a valid copy of tag in the set
+// whose offsets are b and m, or -1 — the way a linear scan of the tags
+// returns. A set holding no line (an idle core's private cache under
+// back-invalidation, or any set of a fresh host) answers after one load
+// of its valid mask. Otherwise the fingerprint words only nominate
+// candidates: each is confirmed by its valid bit (before the tag is
+// read, so a byte past the last way is never followed) and a full tag
+// compare, in increasing way order.
+func (c *Cache) find(b, m int, tag Tag) int {
+	set := c.meta[m : m+c.stride]
+	valid := set[0]
+	if valid == 0 {
+		return -1
+	}
+	pat := uint64(Fingerprint(tag)) * ones
+	for k, fp := range set[1:] {
+		for z := zeroBytes(fp ^ pat); z != 0; z &= z - 1 {
+			w := k<<3 | bits.TrailingZeros64(z)>>3
+			if valid&bit(w) != 0 && c.tags[b+w] == tag {
+				return w
+			}
 		}
 	}
 	return -1
@@ -197,14 +233,15 @@ func (c *Cache) find(b, idx int, tag Tag) int {
 // state. It is for validation/instrumentation only — attack code must not
 // call it.
 func (c *Cache) Contains(idx int, tag Tag) bool {
-	return c.find(c.base(idx), idx, tag) >= 0
+	b, m := c.base(idx)
+	return c.find(b, m, tag) >= 0
 }
 
 // Peek returns the payload of a resident line without touching
 // replacement state. Like Contains it is for validation only.
-func (c *Cache) Peek(idx int, tag Tag) (payload uint8, ok bool) {
-	b := c.base(idx)
-	if w := c.find(b, idx, tag); w >= 0 {
+func (c *Cache) Peek(idx int, tag Tag) (payload uint16, ok bool) {
+	b, m := c.base(idx)
+	if w := c.find(b, m, tag); w >= 0 {
 		return c.payload[b+w], true
 	}
 	return 0, false
@@ -213,7 +250,7 @@ func (c *Cache) Peek(idx int, tag Tag) (payload uint8, ok bool) {
 // Evicted describes a line displaced by an insertion.
 type Evicted struct {
 	Tag     Tag
-	Payload uint8
+	Payload uint16
 	Valid   bool
 }
 
@@ -222,7 +259,7 @@ type Evicted struct {
 // and replacement state touched; no eviction occurs. On a way-partitioned
 // cache Insert panics — use InsertRegion, which names the allocating
 // domain's region.
-func (c *Cache) Insert(idx int, tag Tag, payload uint8) Evicted {
+func (c *Cache) Insert(idx int, tag Tag, payload uint16) Evicted {
 	return c.InsertRegion(-1, idx, tag, payload)
 }
 
@@ -233,15 +270,15 @@ func (c *Cache) Insert(idx int, tag Tag, payload uint8) Evicted {
 // allocation is regioned. On an unpartitioned cache the region
 // (including -1, "unregioned") is ignored and behaviour is identical to
 // the historical Insert.
-func (c *Cache) InsertRegion(region, idx int, tag Tag, payload uint8) Evicted {
-	b := c.base(idx)
+func (c *Cache) InsertRegion(region, idx int, tag Tag, payload uint16) Evicted {
+	b, m := c.base(idx)
 	lo, hi := c.regionBounds(region)
-	if w := c.find(b, idx, tag); w >= 0 {
+	if w := c.find(b, m, tag); w >= 0 {
 		c.payload[b+w] = payload
 		c.touch(idx, w)
 		return Evicted{}
 	}
-	return c.place(b, idx, lo, hi, tag, payload)
+	return c.place(b, m, idx, lo, hi, tag, payload)
 }
 
 // Fill is InsertRegion without the presence scan: it allocates tag in
@@ -249,25 +286,28 @@ func (c *Cache) InsertRegion(region, idx int, tag Tag, payload uint8) Evicted {
 // caller must have just missed on tag in this set, with nothing since
 // that could have inserted it; otherwise the tag would end up valid in
 // two ways.
-func (c *Cache) Fill(region, idx int, tag Tag, payload uint8) Evicted {
-	b := c.base(idx)
+func (c *Cache) Fill(region, idx int, tag Tag, payload uint16) Evicted {
+	b, m := c.base(idx)
 	lo, hi := c.regionBounds(region)
-	return c.place(b, idx, lo, hi, tag, payload)
+	return c.place(b, m, idx, lo, hi, tag, payload)
 }
 
-// place allocates tag, known absent, in ways [lo, hi) of set idx.
-func (c *Cache) place(b, idx, lo, hi int, tag Tag, payload uint8) Evicted {
+// place allocates tag, known absent, in ways [lo, hi) of set idx, and
+// writes the way's fingerprint byte.
+func (c *Cache) place(b, m, idx, lo, hi int, tag Tag, payload uint16) Evicted {
 	out := Evicted{}
 	// The lowest free way within the region; the region's mask is ones
 	// at [lo, hi) (a shift by 64 is 0 in Go, so hi = 64 is exact).
-	w := bits.TrailingZeros64(^c.valid[idx] & (1<<hi - 1) &^ (1<<lo - 1))
+	w := bits.TrailingZeros64(^c.meta[m] & (1<<hi - 1) &^ (1<<lo - 1))
 	if w == 64 {
 		w = c.regionVictim(idx, lo)
 		out = Evicted{Tag: c.tags[b+w], Payload: c.payload[b+w], Valid: true}
 	}
 	c.ver++
 	c.tags[b+w] = tag
-	c.valid[idx] |= bit(w)
+	c.meta[m] |= bit(w)
+	fp, sh := &c.meta[m+1+w>>3], uint(w&7)*8
+	*fp = *fp&^(0xff<<sh) | uint64(Fingerprint(tag))<<sh
 	c.payload[b+w] = payload
 	c.fill(idx, w)
 	return out
@@ -275,9 +315,9 @@ func (c *Cache) place(b, idx, lo, hi int, tag Tag, payload uint8) Evicted {
 
 // UpdatePayload changes the payload of a resident line without touching
 // replacement state. It reports whether the line was found.
-func (c *Cache) UpdatePayload(idx int, tag Tag, payload uint8) bool {
-	b := c.base(idx)
-	if w := c.find(b, idx, tag); w >= 0 {
+func (c *Cache) UpdatePayload(idx int, tag Tag, payload uint16) bool {
+	b, m := c.base(idx)
+	if w := c.find(b, m, tag); w >= 0 {
 		c.ver++
 		c.payload[b+w] = payload
 		return true
@@ -286,17 +326,12 @@ func (c *Cache) UpdatePayload(idx int, tag Tag, payload uint8) bool {
 }
 
 // Remove invalidates tag in set idx, reporting whether it was present.
-// Only valid ways are visited, so a set holding no line (an idle core's
-// private cache under back-invalidation) costs one load.
-func (c *Cache) Remove(idx int, tag Tag) (payload uint8, removed bool) {
-	b := c.base(idx)
-	for m := c.valid[idx]; m != 0; m &= m - 1 {
-		w := bits.TrailingZeros64(m)
-		if c.tags[b+w] == tag {
-			c.ver++
-			c.valid[idx] &^= bit(w)
-			return c.payload[b+w], true
-		}
+func (c *Cache) Remove(idx int, tag Tag) (payload uint16, removed bool) {
+	b, m := c.base(idx)
+	if w := c.find(b, m, tag); w >= 0 {
+		c.ver++
+		c.meta[m] &^= bit(w)
+		return c.payload[b+w], true
 	}
 	return 0, false
 }
@@ -314,36 +349,39 @@ func (c *Cache) Recency(idx int) []uint8 {
 
 // OccupiedWays returns how many ways of set idx hold valid lines.
 func (c *Cache) OccupiedWays(idx int) int {
-	c.base(idx)
-	return bits.OnesCount64(c.valid[idx])
+	_, m := c.base(idx)
+	return bits.OnesCount64(c.meta[m])
 }
 
 // TagsIn returns the valid tags in set idx in way order (instrumentation
 // only).
 func (c *Cache) TagsIn(idx int) []Tag {
-	b := c.base(idx)
+	b, m := c.base(idx)
 	var out []Tag
-	for m := c.valid[idx]; m != 0; m &= m - 1 {
-		out = append(out, c.tags[b+bits.TrailingZeros64(m)])
+	for v := c.meta[m]; v != 0; v &= v - 1 {
+		out = append(out, c.tags[b+bits.TrailingZeros64(v)])
 	}
 	return out
 }
 
 // FlushSet invalidates every line in set idx and resets replacement state.
 func (c *Cache) FlushSet(idx int) {
-	c.base(idx)
+	_, m := c.base(idx)
 	c.ver++
-	c.valid[idx] = 0
+	c.meta[m] = 0
 	c.r0.resetSet(idx)
 	if c.split > 0 {
 		c.r1.resetSet(idx)
 	}
 }
 
-// FlushAll invalidates the whole cache.
+// FlushAll invalidates the whole cache. It clears only the valid masks:
+// stale tags and fingerprints are harmless behind a zero mask.
 func (c *Cache) FlushAll() {
 	c.ver++
-	clear(c.valid)
+	for m := 0; m < len(c.meta); m += c.stride {
+		c.meta[m] = 0
+	}
 	c.r0.resetAll()
 	if c.split > 0 {
 		c.r1.resetAll()

@@ -263,3 +263,165 @@ func TestResetMatchesFresh(t *testing.T) {
 		}
 	}
 }
+
+// --- Fingerprint filter -----------------------------------------------------
+
+// partner returns the smallest tag above t, in steps of 1<<20 so both
+// share their low (index) bits, with t's fingerprint.
+func partner(t Tag) Tag {
+	u := t + 1<<20
+	for Fingerprint(u) != Fingerprint(t) {
+		u += 1 << 20
+	}
+	return u
+}
+
+// linearFind is find by its definition: the lowest valid way whose tag
+// matches.
+func linearFind(c *Cache, idx int, tag Tag) int {
+	b, m := c.base(idx)
+	for w := 0; w < c.ways; w++ {
+		if c.meta[m]&bit(w) != 0 && c.tags[b+w] == tag {
+			return w
+		}
+	}
+	return -1
+}
+
+// wayOf is find on set idx, checked against the linear scan.
+func wayOf(t *testing.T, c *Cache, idx int, tag Tag) int {
+	t.Helper()
+	b, m := c.base(idx)
+	w := c.find(b, m, tag)
+	if lw := linearFind(c, idx, tag); w != lw {
+		t.Fatalf("find(%d, %#x) = way %d, linear scan way %d", idx, tag, w, lw)
+	}
+	return w
+}
+
+func TestFingerprintCollisionsInOneSet(t *testing.T) {
+	c := newCache(t, TrueLRU, 2, 8)
+	a := Tag(0x40)
+	b := partner(a)
+	c.Insert(1, a, 1)
+	c.Insert(1, b, 2)
+	if wa, wb := wayOf(t, c, 1, a), wayOf(t, c, 1, b); wa != 0 || wb != 1 {
+		t.Fatalf("colliding tags in ways %d and %d, want 0 and 1", wa, wb)
+	}
+	if p, ok := c.Peek(1, b); !ok || p != 2 {
+		t.Fatalf("Peek(partner) = %d,%v, want 2,true", p, ok)
+	}
+	// The partner's candidate way 0 fails the tag compare; removing it
+	// must leave a, in way 0, untouched.
+	if p, ok := c.Remove(1, b); !ok || p != 2 {
+		t.Fatalf("Remove(partner) = %d,%v", p, ok)
+	}
+	if p, ok := c.Peek(1, a); !ok || p != 1 {
+		t.Fatalf("Peek(a) after removing its partner = %d,%v, want 1,true", p, ok)
+	}
+	if wayOf(t, c, 1, b) != -1 {
+		t.Fatal("removed partner still found")
+	}
+}
+
+func TestFingerprintStaleWayIsRejected(t *testing.T) {
+	c := newCache(t, TrueLRU, 1, 4)
+	c.Insert(0, 7, 3)
+	c.Insert(0, 8, 4)
+	c.Remove(0, 7)
+	// Way 0 keeps tag 7 and its fingerprint; only the valid bit says no.
+	if b, m := c.base(0); c.tags[b] != 7 || c.meta[m]&1 != 0 {
+		t.Fatalf("way 0 holds tag %d, valid mask %#x: want the stale tag 7 behind a clear bit", c.tags[b], c.meta[m])
+	}
+	if wayOf(t, c, 0, 7) != -1 || c.Contains(0, 7) {
+		t.Fatal("a removed way's stale tag was found")
+	}
+	if _, ok := c.Remove(0, 7); ok {
+		t.Fatal("a removed way's stale tag was removed twice")
+	}
+	if _, hit := c.Lookup(0, 7); hit {
+		t.Fatal("a removed way's stale tag hit")
+	}
+	if c.UpdatePayload(0, 7, 1) {
+		t.Fatal("a removed way's stale tag took a payload")
+	}
+	// Re-filling it takes the lowest free way, the stale one.
+	c.Insert(0, 7, 5)
+	if w := wayOf(t, c, 0, 7); w != 0 {
+		t.Fatalf("re-filled tag in way %d, want 0", w)
+	}
+}
+
+func TestFingerprintSecondWord(t *testing.T) {
+	c := newCache(t, TrueLRU, 1, 12)
+	for w := Tag(0); w < 9; w++ {
+		c.Insert(0, 0x100+w, 0)
+	}
+	// Way 8 is byte 0 of the second fingerprint word; its partner goes
+	// to way 9 beside it.
+	a := Tag(0x108)
+	b := partner(a)
+	c.Insert(0, b, 9)
+	if wa, wb := wayOf(t, c, 0, a), wayOf(t, c, 0, b); wa != 8 || wb != 9 {
+		t.Fatalf("colliding tags in ways %d and %d, want 8 and 9", wa, wb)
+	}
+	c.Remove(0, a)
+	if wayOf(t, c, 0, a) != -1 || wayOf(t, c, 0, b) != 9 {
+		t.Fatal("removing way 8 disturbed the second word's lookups")
+	}
+}
+
+func TestFingerprintWay63(t *testing.T) {
+	c := newCache(t, TrueLRU, 2, 64)
+	for w := Tag(0); w < 64; w++ {
+		c.Insert(1, 0x1000+w, uint16(w))
+	}
+	last := Tag(0x1000 + 63)
+	if w := wayOf(t, c, 1, last); w != 63 {
+		t.Fatalf("way 63's tag found in way %d", w)
+	}
+	other := partner(last)
+	if wayOf(t, c, 1, other) != -1 {
+		t.Fatal("the partner of way 63's tag hit a full set")
+	}
+	if p, ok := c.Remove(1, last); !ok || p != 63 {
+		t.Fatalf("Remove(way 63) = %d,%v", p, ok)
+	}
+	if ev := c.Insert(1, other, 1); ev.Valid {
+		t.Fatalf("insert into the freed way 63 evicted %+v", ev)
+	}
+	if w := wayOf(t, c, 1, other); w != 63 {
+		t.Fatalf("partner filled way %d, want 63", w)
+	}
+	if wayOf(t, c, 1, last) != -1 {
+		t.Fatal("way 63's old tag still found")
+	}
+}
+
+// TestFindMatchesLinearScan checks find against the linear scan on
+// random states of every width class: a small tag space of colliding
+// pairs, inserts, removes and flushes, and a probe of every tag.
+func TestFindMatchesLinearScan(t *testing.T) {
+	for _, ways := range []int{1, 7, 8, 9, 16, 33, 56, 57, 64} {
+		c := newCache(t, RandomRepl, 2, ways)
+		var universe []Tag
+		for i := Tag(1); len(universe) < 2*ways+2; i++ {
+			universe = append(universe, i<<6, partner(i<<6))
+		}
+		ops := xrand.New(uint64(ways))
+		for i := 0; i < 4000; i++ {
+			set, tag := int(ops.Uint64n(2)), universe[ops.Uint64n(uint64(len(universe)))]
+			switch ops.Uint64n(16) {
+			case 0:
+				c.FlushSet(set)
+			case 1, 2, 3, 4, 5:
+				c.Remove(set, tag)
+			default:
+				c.Insert(set, tag, 0)
+			}
+			for _, probe := range universe {
+				wayOf(t, c, set, probe)
+			}
+		}
+	}
+}

@@ -4,7 +4,8 @@
 // deliberately naive (one heap object per set, interface-dispatched
 // policy state) so its behaviour is easy to audit by eye.
 //
-// It is the pre-optimization cache implementation, preserved verbatim.
+// It is the pre-optimization cache implementation, preserved verbatim
+// except that payloads widened to uint16 with the fast cache's.
 // The optimized flat-array cache in the parent package must match it
 // op-for-op on arbitrary operation sequences; oracle_test.go enforces
 // that with fuzzed scripts and metamorphic invariants. Simulation code
@@ -28,7 +29,7 @@ import (
 type Set struct {
 	tags    []cache.Tag
 	valid   []bool
-	payload []uint8
+	payload []uint16
 	pol     policyState
 	pol2    policyState
 }
@@ -58,7 +59,7 @@ func New(cfg cache.Config, rng *xrand.Rand) *Cache {
 		s := Set{
 			tags:    make([]cache.Tag, cfg.Ways),
 			valid:   make([]bool, cfg.Ways),
-			payload: make([]uint8, cfg.Ways),
+			payload: make([]uint16, cfg.Ways),
 		}
 		if c.split > 0 {
 			s.pol = newPolicyState(cfg.Policy, c.split, rng)
@@ -136,7 +137,7 @@ func (c *Cache) set(i int) *Set {
 
 // Lookup probes set idx for tag. On a hit it updates replacement state and
 // returns the way's payload.
-func (c *Cache) Lookup(idx int, tag cache.Tag) (payload uint8, hit bool) {
+func (c *Cache) Lookup(idx int, tag cache.Tag) (payload uint16, hit bool) {
 	s := c.set(idx)
 	for w, v := range s.valid {
 		if v && s.tags[w] == tag {
@@ -161,7 +162,7 @@ func (c *Cache) Contains(idx int, tag cache.Tag) bool {
 
 // Peek returns the payload of a resident line without touching
 // replacement state.
-func (c *Cache) Peek(idx int, tag cache.Tag) (payload uint8, ok bool) {
+func (c *Cache) Peek(idx int, tag cache.Tag) (payload uint16, ok bool) {
 	s := c.set(idx)
 	for w, v := range s.valid {
 		if v && s.tags[w] == tag {
@@ -172,14 +173,14 @@ func (c *Cache) Peek(idx int, tag cache.Tag) (payload uint8, ok bool) {
 }
 
 // Insert fills tag into set idx, evicting a line if the set is full.
-func (c *Cache) Insert(idx int, tag cache.Tag, payload uint8) cache.Evicted {
+func (c *Cache) Insert(idx int, tag cache.Tag, payload uint16) cache.Evicted {
 	return c.InsertRegion(-1, idx, tag, payload)
 }
 
 // InsertRegion is Insert with allocation confined to one region of a
 // way-partitioned cache. Hits anywhere in the set still update in place —
 // residency is set-wide, only allocation is regioned.
-func (c *Cache) InsertRegion(region, idx int, tag cache.Tag, payload uint8) cache.Evicted {
+func (c *Cache) InsertRegion(region, idx int, tag cache.Tag, payload uint16) cache.Evicted {
 	s := c.set(idx)
 	lo, hi := c.regionBounds(region)
 	// Already present: update in place.
@@ -211,7 +212,7 @@ func (c *Cache) InsertRegion(region, idx int, tag cache.Tag, payload uint8) cach
 
 // UpdatePayload changes the payload of a resident line without touching
 // replacement state.
-func (c *Cache) UpdatePayload(idx int, tag cache.Tag, payload uint8) bool {
+func (c *Cache) UpdatePayload(idx int, tag cache.Tag, payload uint16) bool {
 	s := c.set(idx)
 	for w, v := range s.valid {
 		if v && s.tags[w] == tag {
@@ -223,7 +224,7 @@ func (c *Cache) UpdatePayload(idx int, tag cache.Tag, payload uint8) bool {
 }
 
 // Remove invalidates tag in set idx, reporting whether it was present.
-func (c *Cache) Remove(idx int, tag cache.Tag) (payload uint8, removed bool) {
+func (c *Cache) Remove(idx int, tag cache.Tag) (payload uint16, removed bool) {
 	s := c.set(idx)
 	for w, v := range s.valid {
 		if v && s.tags[w] == tag {

@@ -31,7 +31,8 @@ func newPair(cfg cache.Config, seed uint64) pair {
 func (p pair) step(t *testing.T, cfg cache.Config, op, a, b byte) {
 	t.Helper()
 	set := int(a) % cfg.Sets
-	tag := cache.Tag(int(b)%tagSpace(cfg.Ways)) + 1
+	tag := scriptTags[int(b)%tagSpace(cfg.Ways)]
+	payload := uint16(a)<<8 | uint16(b)
 	region := -1
 	if cfg.PartitionAt > 0 {
 		region = int(op>>4) & 1
@@ -44,8 +45,8 @@ func (p pair) step(t *testing.T, cfg cache.Config, op, a, b byte) {
 			t.Fatalf("Lookup(%d, %d) = (%d,%v) fast vs (%d,%v) model", set, tag, fp, fh, rp, rh)
 		}
 	case 2, 3:
-		fe := p.fast.InsertRegion(region, set, tag, b)
-		re := p.ref.InsertRegion(region, set, tag, b)
+		fe := p.fast.InsertRegion(region, set, tag, payload)
+		re := p.ref.InsertRegion(region, set, tag, payload)
 		if fe != re {
 			t.Fatalf("InsertRegion(%d, %d, %d) evicted %+v fast vs %+v model", region, set, tag, fe, re)
 		}
@@ -56,8 +57,8 @@ func (p pair) step(t *testing.T, cfg cache.Config, op, a, b byte) {
 			t.Fatalf("Remove(%d, %d) = (%d,%v) fast vs (%d,%v) model", set, tag, fp, fr, rp, rr)
 		}
 	case 5:
-		fu := p.fast.UpdatePayload(set, tag, b)
-		ru := p.ref.UpdatePayload(set, tag, b)
+		fu := p.fast.UpdatePayload(set, tag, payload)
+		ru := p.ref.UpdatePayload(set, tag, payload)
 		if fu != ru {
 			t.Fatalf("UpdatePayload(%d, %d) = %v fast vs %v model", set, tag, fu, ru)
 		}
@@ -95,6 +96,44 @@ func (p pair) step(t *testing.T, cfg cache.Config, op, a, b byte) {
 // so every way can fill and the set still overflows.
 func tagSpace(ways int) int { return max(31, 2*ways) }
 
+// scriptTags maps a script's tag number to its tag. Numbers 2j and 2j+1
+// name different tags with one fingerprint (cache.Fingerprint), found by
+// search, so every script makes the fast cache's fingerprint filter
+// nominate ways the full tag compare must reject. Tags of different
+// pairs have different fingerprints.
+var scriptTags = func() []cache.Tag {
+	tags := make([]cache.Tag, 128)
+	for k := range tags {
+		if k%2 == 0 {
+			tags[k] = cache.Tag(k/2 + 1)
+			continue
+		}
+		t := tags[k-1] + 1<<16
+		for cache.Fingerprint(t) != cache.Fingerprint(tags[k-1]) {
+			t += 1 << 16
+		}
+		tags[k] = t
+	}
+	return tags
+}()
+
+// TestScriptTagsCollide pins what scriptTags promises: distinct tags,
+// equal fingerprints within a pair, different fingerprints across.
+func TestScriptTagsCollide(t *testing.T) {
+	seen := map[cache.Tag]bool{}
+	for k, tag := range scriptTags {
+		if seen[tag] {
+			t.Fatalf("tag number %d repeats tag %#x", k, tag)
+		}
+		seen[tag] = true
+		for j := range k {
+			if same := cache.Fingerprint(scriptTags[j]) == cache.Fingerprint(tag); same != (j/2 == k/2) {
+				t.Fatalf("tags %d (%#x) and %d (%#x): equal fingerprints %v", j, scriptTags[j], k, tag, same)
+			}
+		}
+	}
+}
+
 // wideWays are the associativities the top b1 values select: a valid
 // bit past bit 31, the widest odd set, and a whole mask word, whose
 // region edge is the 1<<64 shift.
@@ -129,6 +168,22 @@ func FuzzCacheMatchesModel(f *testing.F) {
 		f.Add(append([]byte{pol, 10, 4}, script...))
 		f.Add(append([]byte{pol, 0xFF, 32}, script...))
 	}
+	// Colliding fingerprints (tag numbers 2j and 2j+1), on one set.
+	// A 12-way set: tag 16 lands in way 8, the second fingerprint word,
+	// and its partner 17 beside it; 16 is then removed, so its way keeps
+	// a stale tag and fingerprint, and re-filled.
+	wide := []byte{0, 11, 0}
+	for tag := byte(0); tag <= 16; tag += 2 {
+		wide = append(wide, 2, 0, tag)
+	}
+	f.Add(append(wide, 2, 0, 17, 0, 0, 17, 0, 0, 16, 4, 0, 16, 0, 0, 16, 0, 0, 17, 5, 0, 17, 2, 0, 16, 4, 0, 17, 0, 0, 16))
+	// A 64-way set filled by the even tags: tag 126 is in way 63, and
+	// its partner 127 must miss there until it replaces it.
+	full := []byte{0, 0xFF, 0}
+	for tag := 0; tag < 128; tag += 2 {
+		full = append(full, 2, 0, byte(tag))
+	}
+	f.Add(append(full, 0, 0, 127, 0, 0, 126, 4, 0, 127, 4, 0, 126, 0, 0, 126, 2, 0, 127, 0, 0, 127, 4, 0, 127))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 {
 			return

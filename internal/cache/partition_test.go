@@ -99,7 +99,7 @@ func TestPartitionReset(t *testing.T) {
 		var evs []Tag
 		for tag := Tag(1); tag < 30; tag++ {
 			reg := int(tag) % 2
-			if ev := c.InsertRegion(reg, 0, tag<<6, uint8(reg)); ev.Valid {
+			if ev := c.InsertRegion(reg, 0, tag<<6, uint16(reg)); ev.Valid {
 				evs = append(evs, ev.Tag)
 			}
 		}

@@ -9,9 +9,11 @@
 //
 // The implementation is layout- and dispatch-optimized: tags and
 // payloads live in flat arrays indexed by set*ways+way, validity is one
-// 64-bit mask per set (so a set has at most MaxWays ways), and the
-// replacement policy is resolved to a small enum at construction so the
-// per-access path is a switch instead of an interface call. Fill skips
+// 64-bit mask per set (so a set has at most MaxWays ways) stored beside
+// the set's one-byte tag fingerprints, which let a scan test eight ways
+// per word, and the replacement policy is resolved to a small enum at
+// construction so the per-access path is a switch instead of an
+// interface call. Fill skips
 // InsertRegion's presence scan for a caller that has just missed on the
 // tag. The reference implementation it must match op-for-op lives in
 // internal/cache/model.

@@ -327,8 +327,10 @@ func (c Config) WithDefense(sp defense.Spec) Config {
 }
 
 // Validate rejects configurations whose geometry, memory, noise,
-// latency, tenant or defense parameters are out of range — a set count
-// that is not a power of two (the index helpers mask with Sets-1, so
+// latency, tenant or defense parameters are out of range — a core count
+// outside [1, 255) (core IDs must stay below the background tenants' SF
+// owner, 0xff, and fit an LLC line's sharer byte), no slices, a set
+// count that is not a power of two (the index helpers mask with Sets-1, so
 // such a count would silently leave sets unused), an associativity
 // outside [1, cache.MaxWays], a memory size below one page or above
 // memory.MaxFrames frames, a negative rate, a probability outside
@@ -339,6 +341,12 @@ func (c Config) WithDefense(sp defense.Spec) Config {
 // on error; callers that assemble configs from external input (sweep
 // specs, CLI flags) call it directly for a graceful error.
 func (c Config) Validate() error {
+	switch {
+	case c.Cores < 1 || c.Cores >= noiseOwner:
+		return fmt.Errorf("hierarchy: core count %d outside [1, %d)", c.Cores, noiseOwner)
+	case c.Slices < 1:
+		return fmt.Errorf("hierarchy: slice count %d is below 1", c.Slices)
+	}
 	for _, g := range []struct {
 		name       string
 		sets, ways int

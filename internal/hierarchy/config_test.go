@@ -1,6 +1,7 @@
 package hierarchy
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/memory"
@@ -133,5 +134,43 @@ func TestParallelBatchCheaperThanSequential(t *testing.T) {
 	}
 	if float64(seq) < 8*float64(par) {
 		t.Fatalf("sequential (%d) should be ~an order of magnitude above parallel (%d)", seq, par)
+	}
+}
+
+// TestValidateCoreAndSliceCounts pins the core and slice bounds: a core
+// ID must stay below noiseOwner, or its SF entries would read as a
+// background tenant's and never be back-invalidated, and a host needs
+// at least one slice. NewHost reports either as a hierarchy error.
+func TestValidateCoreAndSliceCounts(t *testing.T) {
+	for _, tc := range []struct {
+		cores, slices int
+		want          string // "" = valid
+	}{
+		{1, 1, ""},
+		{254, 28, ""},
+		{0, 4, "hierarchy: core count 0 outside [1, 255)"},
+		{-1, 4, "hierarchy: core count -1 outside [1, 255)"},
+		{255, 4, "hierarchy: core count 255 outside [1, 255)"},
+		{256, 4, "hierarchy: core count 256 outside [1, 255)"},
+		{4, 0, "hierarchy: slice count 0 is below 1"},
+		{4, -2, "hierarchy: slice count -2 is below 1"},
+	} {
+		cfg := Scaled(4)
+		cfg.Cores, cfg.Slices = tc.cores, tc.slices
+		err := cfg.Validate()
+		if got := fmt.Sprint(err); (err == nil) != (tc.want == "") || (err != nil && got != tc.want) {
+			t.Errorf("%d cores, %d slices: Validate = %v, want %q", tc.cores, tc.slices, err, tc.want)
+		}
+		if tc.want == "" {
+			continue
+		}
+		func() {
+			defer func() {
+				if msg := fmt.Sprint(recover()); msg != tc.want {
+					t.Errorf("%d cores, %d slices: NewHost panicked with %q, want %q", tc.cores, tc.slices, msg, tc.want)
+				}
+			}()
+			NewHost(cfg, 1)
+		}()
 	}
 }

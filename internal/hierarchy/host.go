@@ -13,8 +13,15 @@ import (
 )
 
 // noiseOwner is the payload marking SF entries installed by background
-// tenants; no simulated core holds their private copies.
+// tenants; no simulated core holds their private copies. Config.Validate
+// keeps every core ID below it.
 const noiseOwner = 0xff
+
+// sharers is an LLC line's payload: the cores that may hold private
+// copies of it, a and b, encoded (a+1) | (b+1)<<8. The payload 0 names
+// none. Core IDs stay below noiseOwner (Config.Validate), so each fits
+// its byte.
+func sharers(a, b int) uint16 { return uint16(a+1) | uint16(b+1)<<8 }
 
 // SetID identifies one LLC/SF set (slice plus in-slice index). The SF and
 // LLC share the same mapping, so a SetID addresses both structures.
@@ -406,7 +413,7 @@ func (h *Host) handleSFEviction(set SetID, ev cache.Evicted) {
 	}
 	owner := int(ev.Payload)
 	reg := h.region(defense.DomainOther)
-	if owner != noiseOwner && owner < len(h.cores) {
+	if owner != noiseOwner {
 		pa := memory.PAddr(ev.Tag)
 		h.cores[owner].l1.Remove(h.l1Index(pa), ev.Tag)
 		h.cores[owner].l2.Remove(h.l2Index(pa), ev.Tag)
@@ -422,17 +429,39 @@ func (h *Host) handleSFEviction(set SetID, ev cache.Evicted) {
 // the LLC is the directory for shared lines, so sharers' private copies
 // are back-invalidated.
 func (h *Host) handleLLCEviction(ev cache.Evicted) {
-	if !ev.Valid {
+	if !ev.Valid || uint64(ev.Tag)&(1<<62) != 0 {
+		return // nothing displaced, or a noise line no core holds
+	}
+	h.invalidateSharers(ev.Tag, ev.Payload, -1)
+}
+
+// invalidateSharers removes an LLC line's private copies from every core
+// but skip (-1 for none). The line's payload (sharers) names the only
+// cores that can hold one: an SF forward records the previous owner and
+// the requester, and no other path gives a core a private copy of an
+// LLC-resident line — a core that misses privately on it takes the line
+// out of the LLC. Reuse-predictor and tenant inserts record none. Silent
+// private evictions only shrink the set, so the record is a superset.
+// Under an index-transforming defense a line can be LLC-resident in one
+// domain's set while another domain's core fills it privately through
+// its own set, so those hosts scan every core.
+func (h *Host) invalidateSharers(tag cache.Tag, dir uint16, skip int) {
+	pa := memory.PAddr(tag)
+	l1i, l2i := h.l1Index(pa), h.l2Index(pa)
+	if h.defHooks.Index {
+		for c := range h.cores {
+			if c != skip {
+				h.cores[c].l1.Remove(l1i, tag)
+				h.cores[c].l2.Remove(l2i, tag)
+			}
+		}
 		return
 	}
-	pa := memory.PAddr(ev.Tag)
-	if uint64(ev.Tag)&(1<<62) != 0 {
-		return // noise line: no simulated core holds a copy
-	}
-	l1i, l2i := h.l1Index(pa), h.l2Index(pa)
-	for c := range h.cores {
-		h.cores[c].l1.Remove(l1i, ev.Tag)
-		h.cores[c].l2.Remove(l2i, ev.Tag)
+	for ; dir != 0; dir >>= 8 {
+		if c := int(dir&0xff) - 1; c >= 0 && c != skip {
+			h.cores[c].l1.Remove(l1i, tag)
+			h.cores[c].l2.Remove(l2i, tag)
+		}
 	}
 }
 
@@ -472,7 +501,7 @@ type accessResult struct {
 //   - L1/L2 hits stay private.
 //   - An SF hit (another core owns the line E/M) triggers a cache-to-cache
 //     forward: both copies become Shared, the SF entry is freed and the
-//     line is installed in the LLC.
+//     line is installed in the LLC with the two cores as its sharers.
 //   - An LLC hit by a core that misses privately takes the line Exclusive:
 //     it is removed from the LLC and an SF entry is allocated.
 //   - A full miss fetches from DRAM and allocates an SF entry (Exclusive).
@@ -511,7 +540,7 @@ func (h *Host) accessState(coreID int, pa memory.PAddr) accessResult {
 			// freed, line installed in the LLC. The previous owner keeps
 			// its (now Shared) private copies.
 			h.sf[set.Slice].Remove(set.Index, tag)
-			lev := h.llc[set.Slice].InsertRegion(h.region(dom), set.Index, tag, 0)
+			lev := h.llc[set.Slice].InsertRegion(h.region(dom), set.Index, tag, sharers(int(owner), coreID))
 			h.handleLLCEviction(lev)
 			c.fillPrivate(l1i, l2i, tag)
 			return accessResult{level: SFForward, set: set}
@@ -519,33 +548,27 @@ func (h *Host) accessState(coreID int, pa memory.PAddr) accessResult {
 		// Stale, own, or noise entry: the snoop misses every private
 		// cache, so the line is refetched from DRAM; the SF entry is
 		// retained and re-owned by the requester.
-		h.sf[set.Slice].UpdatePayload(set.Index, tag, uint8(coreID))
+		h.sf[set.Slice].UpdatePayload(set.Index, tag, uint16(coreID))
 		c.fillPrivate(l1i, l2i, tag)
 		return accessResult{level: DRAM, set: set}
 	}
 
-	if _, hit := h.llc[set.Slice].Lookup(set.Index, tag); hit {
+	if dir, hit := h.llc[set.Slice].Lookup(set.Index, tag); hit {
 		// Shared line taken Exclusive: remove from LLC, allocate SF, and
 		// invalidate every other core's (Shared) private copy — a line
 		// cannot be Exclusive in one core while cached elsewhere.
 		h.llc[set.Slice].Remove(set.Index, tag)
-		for o := range h.cores {
-			if o == coreID {
-				continue
-			}
-			h.cores[o].l1.Remove(l1i, tag)
-			h.cores[o].l2.Remove(l2i, tag)
-		}
+		h.invalidateSharers(tag, dir, coreID)
 		// The SF lookup above missed and nothing since inserts into the
 		// SF, so the allocation skips the presence scan.
-		ev := h.sf[set.Slice].Fill(h.region(dom), set.Index, tag, uint8(coreID))
+		ev := h.sf[set.Slice].Fill(h.region(dom), set.Index, tag, uint16(coreID))
 		h.handleSFEviction(set, ev)
 		c.fillPrivate(l1i, l2i, tag)
 		return accessResult{level: LLCHit, set: set}
 	}
 
 	// Full miss: DRAM fetch, allocate SF entry (Exclusive).
-	ev := h.sf[set.Slice].Fill(h.region(dom), set.Index, tag, uint8(coreID))
+	ev := h.sf[set.Slice].Fill(h.region(dom), set.Index, tag, uint16(coreID))
 	h.handleSFEviction(set, ev)
 	c.fillPrivate(l1i, l2i, tag)
 	return accessResult{level: DRAM, set: set}

@@ -28,8 +28,11 @@ import (
 //  4. A line is never both SF-tracked and LLC-resident: the SF forward
 //     moves it from the SF into the LLC, an LLC hit moves it back, and
 //     the reuse predictor inserts only a line the SF just dropped.
+//  5. A private copy of an LLC-resident line belongs to one of the
+//     sharers its LLC payload records. This is what lets
+//     invalidateSharers visit only those cores.
 //
-// Rules 2-4 resolve a line's set under one mapping, so they hold only
+// Rules 2-5 resolve a line's set under one mapping, so they hold only
 // on hosts whose defense leaves the index alone: a randomize rekey
 // orphans resident lines, and scatter places one line in a different
 // set per domain.
@@ -60,7 +63,7 @@ func checkInvariants(t *testing.T, h *Host, pas []memory.PAddr, after string) {
 	for _, pa := range pas {
 		s := h.SetOf(pa)
 		owner, inSF := h.sf[s.Slice].Peek(s.Index, cache.Tag(pa.Line()))
-		inLLC := h.llcContains(s, pa)
+		dir, inLLC := h.llc[s.Slice].Peek(s.Index, cache.Tag(pa.Line()))
 		if inSF && inLLC {
 			t.Fatalf("after %s: line %#x is both SF-tracked (owner %d) and LLC-resident", after, pa, owner)
 		}
@@ -73,6 +76,9 @@ func checkInvariants(t *testing.T, h *Host, pas []memory.PAddr, after string) {
 			}
 			if inSF && int(owner) != c {
 				t.Fatalf("after %s: core %d caches line %#x, whose SF entry core %d owns", after, c, pa, owner)
+			}
+			if inLLC && dir&0xff != uint16(c+1) && dir>>8 != uint16(c+1) {
+				t.Fatalf("after %s: core %d caches LLC-resident line %#x, whose recorded sharers are %#04x", after, c, pa, dir)
 			}
 		}
 	}

@@ -259,7 +259,7 @@ func (p *oraclePair) compare(t *testing.T, after string) {
 // peekSet is the part of both cache implementations compare reads.
 type peekSet interface {
 	TagsIn(idx int) []cache.Tag
-	Peek(idx int, tag cache.Tag) (uint8, bool)
+	Peek(idx int, tag cache.Tag) (uint16, bool)
 	Recency(idx int) []uint8
 }
 

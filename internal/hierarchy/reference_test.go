@@ -29,7 +29,12 @@ import (
 //   - per-set sync times live in a map and scheduled events in a
 //     container/heap queue;
 //   - every defense hook is called on every access, whether or not the
-//     model needs it.
+//     model needs it;
+//   - an LLC eviction or LLC hit back-invalidates every core, not just
+//     the sharers the line's payload records. It records the same pair
+//     at the SF forward, so payloads still compare exactly, and a
+//     sharer the host's directory misses shows as a private copy the
+//     model no longer holds.
 //
 // It draws from its own rng in the order the protocol fixes, so a Host
 // and a refHost built from the same config and seed must agree on every
@@ -353,12 +358,12 @@ func (r *refHost) access(core int, pa memory.PAddr) Level {
 		// the line moves from the SF into the LLC.
 		if int(owner) != core && owner != noiseOwner && r.hasPrivate(int(owner), pa) {
 			sf.Remove(set.Index, tag)
-			r.llcEvicted(llc.InsertRegion(r.region(dom), set.Index, tag, 0))
+			r.llcEvicted(llc.InsertRegion(r.region(dom), set.Index, tag, sharers(int(owner), core)))
 			r.fillPrivate(core, pa)
 			return SFForward
 		}
 		// Stale, own or background entry: DRAM refetch, entry re-owned.
-		sf.UpdatePayload(set.Index, tag, uint8(core))
+		sf.UpdatePayload(set.Index, tag, uint16(core))
 		r.fillPrivate(core, pa)
 		return DRAM
 	}
@@ -371,12 +376,12 @@ func (r *refHost) access(core int, pa memory.PAddr) Level {
 				r.dropPrivate(c, pa)
 			}
 		}
-		r.sfEvicted(set, sf.InsertRegion(r.region(dom), set.Index, tag, uint8(core)))
+		r.sfEvicted(set, sf.InsertRegion(r.region(dom), set.Index, tag, uint16(core)))
 		r.fillPrivate(core, pa)
 		return LLCHit
 	}
 	// Full miss: DRAM fetch, Exclusive, tracked by the SF.
-	r.sfEvicted(set, sf.InsertRegion(r.region(dom), set.Index, tag, uint8(core)))
+	r.sfEvicted(set, sf.InsertRegion(r.region(dom), set.Index, tag, uint16(core)))
 	r.fillPrivate(core, pa)
 	return DRAM
 }

@@ -42,13 +42,14 @@ BASELINE=BENCH_seed.json
 
 # Hot-path allowlist for --gate: the end-to-end attack benchmark, eviction-set
 # construction's parallel TestEviction (Figure 3, the grid geometry), the
-# per-access microbenchmarks the attack's hot path is made of (the Parallel-Probing
+# cache substrate's set scans (lookup hit and miss, remove miss, remove from an
+# empty set), the per-access microbenchmarks the attack's hot path is made of (the Parallel-Probing
 # probe on both sides of the quiet-batch kernel: replayed, and mostly aborted
 # under heavy noise), host construction
 # and reset (the frame-pool shuffle), and key recovery's two off-host
 # kernels (forest fit, HNP lattice). Keep this list in sync
 # with the "Hot path" section of ARCHITECTURE.md.
-GATE_PATTERN='^(BenchmarkE2E_FullAttack|BenchmarkFigure3_ParallelTestEviction|BenchmarkMicro_HierarchyAccess|BenchmarkMicro_ParallelProbe|BenchmarkMicro_ParallelProbeNoisy|BenchmarkMicro_HostReset|BenchmarkMicro_NewHost|BenchmarkMicro_GF2m571Mul|BenchmarkMicro_LadderSign163|BenchmarkMicro_ForestTrain|BenchmarkMicro_LatticeHNP163|BenchmarkTenant_Burst|BenchmarkTenant_Stream|BenchmarkTenant_Churn|BenchmarkDefense_Partition|BenchmarkDefense_Randomize|BenchmarkObs_DisabledHooks)$'
+GATE_PATTERN='^(BenchmarkE2E_FullAttack|BenchmarkFigure3_ParallelTestEviction|BenchmarkMicro_CacheScan|BenchmarkMicro_HierarchyAccess|BenchmarkMicro_ParallelProbe|BenchmarkMicro_ParallelProbeNoisy|BenchmarkMicro_HostReset|BenchmarkMicro_NewHost|BenchmarkMicro_GF2m571Mul|BenchmarkMicro_LadderSign163|BenchmarkMicro_ForestTrain|BenchmarkMicro_LatticeHNP163|BenchmarkTenant_Burst|BenchmarkTenant_Stream|BenchmarkTenant_Churn|BenchmarkDefense_Partition|BenchmarkDefense_Randomize|BenchmarkObs_DisabledHooks)$'
 
 MODE="${1:-}"
 BENCH_RE='.'
