@@ -11,7 +11,6 @@ package attack
 import (
 	"context"
 	"math/big"
-	"runtime/pprof"
 
 	"repro/internal/clock"
 	"repro/internal/ec2m"
@@ -19,6 +18,7 @@ import (
 	"repro/internal/hierarchy"
 	"repro/internal/obs"
 	"repro/internal/probe"
+	"repro/internal/profiling"
 	"repro/internal/victim"
 	"repro/internal/xrand"
 )
@@ -55,16 +55,8 @@ type Session struct {
 }
 
 // Phase runs f under the pprof label phase=name on top of the
-// session's Labels, so a CPU profile splits by attack phase (go tool
-// pprof -tagfocus phase=scan). Callers label each phase once, never an
-// access. Labels reach neither the simulation nor any report.
-func (s *Session) Phase(name string, f func()) {
-	ctx := s.Labels
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	pprof.Do(ctx, pprof.Labels("phase", name), func(context.Context) { f() })
-}
+// session's Labels (profiling.Phase).
+func (s *Session) Phase(name string, f func()) { profiling.Phase(s.Labels, name, f) }
 
 // NewSession builds a host from the config and co-locates an attacker
 // environment and a victim using the given curve.

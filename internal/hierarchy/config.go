@@ -33,6 +33,7 @@ import (
 	"repro/internal/cache"
 	"repro/internal/defense"
 	"repro/internal/memory"
+	"repro/internal/slicehash"
 	"repro/internal/tenant"
 )
 
@@ -346,6 +347,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("hierarchy: core count %d outside [1, %d)", c.Cores, noiseOwner)
 	case c.Slices < 1:
 		return fmt.Errorf("hierarchy: slice count %d is below 1", c.Slices)
+	case c.Slices > slicehash.MaxSlices:
+		return fmt.Errorf("hierarchy: slice count %d exceeds %d", c.Slices, slicehash.MaxSlices)
 	}
 	for _, g := range []struct {
 		name       string

@@ -140,7 +140,8 @@ func TestParallelBatchCheaperThanSequential(t *testing.T) {
 // TestValidateCoreAndSliceCounts pins the core and slice bounds: a core
 // ID must stay below noiseOwner, or its SF entries would read as a
 // background tenant's and never be back-invalidated, and a host needs
-// at least one slice. NewHost reports either as a hierarchy error.
+// at least one slice and at most slicehash.MaxSlices, above which slices
+// would fold together. NewHost reports either as a hierarchy error.
 func TestValidateCoreAndSliceCounts(t *testing.T) {
 	for _, tc := range []struct {
 		cores, slices int
@@ -154,6 +155,9 @@ func TestValidateCoreAndSliceCounts(t *testing.T) {
 		{256, 4, "hierarchy: core count 256 outside [1, 255)"},
 		{4, 0, "hierarchy: slice count 0 is below 1"},
 		{4, -2, "hierarchy: slice count -2 is below 1"},
+		{4, 256, ""},
+		{4, 257, "hierarchy: slice count 257 exceeds 256"},
+		{4, 300, "hierarchy: slice count 300 exceeds 256"},
 	} {
 		cfg := Scaled(4)
 		cfg.Cores, cfg.Slices = tc.cores, tc.slices

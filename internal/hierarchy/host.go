@@ -75,6 +75,8 @@ type Host struct {
 	// quiet is the memo of the batch it may replay (quiet.go).
 	quietHost bool
 	quiet     quietMemo
+	settle    quietSettle
+	stepCuts  stepCuts
 
 	// Statistics for instrumentation and tests.
 	NoiseEvents uint64
@@ -205,6 +207,7 @@ func NewHost(cfg Config, seed uint64) *Host {
 		h.tenants[i].model.Reset(tenantSeed(seed, i))
 	}
 	h.quietHost = quietHost(cfg, h.defHooks, h.tenants)
+	h.stepCuts = newStepCuts(h.tenants, clock.Cycles(cfg.Lat.Issue+cfg.Lat.Drain[L1Hit]))
 	return h
 }
 

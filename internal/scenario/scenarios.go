@@ -12,8 +12,10 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/hierarchy"
 	"repro/internal/lattice"
+	"repro/internal/memory"
 	"repro/internal/obs"
 	"repro/internal/probe"
+	"repro/internal/profiling"
 	"repro/internal/psd"
 	"repro/internal/tenant"
 	"repro/internal/xrand"
@@ -444,7 +446,13 @@ func runCovert(t *experiments.Trial, cfg hierarchy.Config) Outcome {
 		interval = clock.Cycles(5000)
 		sends    = 200
 	)
-	e, lines, alt, sender, ok := experiments.CovertSetup(t, cfg, t.Seed)
+	var (
+		e          *evset.Env
+		lines, alt []memory.VAddr
+		sender     memory.PAddr
+		ok         bool
+	)
+	profiling.Phase(t.Labels, "build", func() { e, lines, alt, sender, ok = experiments.CovertSetup(t, cfg, t.Seed) })
 	if !ok {
 		return Outcome{Steps: []Step{{Name: "build", OK: false}}}
 	}
@@ -455,8 +463,11 @@ func runCovert(t *experiments.Trial, cfg hierarchy.Config) Outcome {
 		st.wallLast = time.Now()
 	}
 	st.mark("build", true)
-	m := probe.NewMonitor(e, probe.Parallel, lines).WithAlt(alt)
-	cres := probe.RunCovertChannel(e, m, 2, sender, interval, sends)
+	var cres probe.CovertResult
+	profiling.Phase(t.Labels, "channel", func() {
+		m := probe.NewMonitor(e, probe.Parallel, lines).WithAlt(alt)
+		cres = probe.RunCovertChannel(e, m, 2, sender, interval, sends)
+	})
 	st.mark("channel", cres.Sent > 0)
 	o := st.outcome(cres.DetectionRate >= 0.5)
 	o.BitsRecovered = cres.Detected

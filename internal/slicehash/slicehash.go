@@ -51,12 +51,19 @@ const maxPABits = 46
 // non-linear construction (4096 entries, as in McCalpin's tables).
 const intermediateBits = 12
 
-// New constructs the hash for the given slice count. The function is
-// deterministic: the same count always yields the same hash, emulating a
-// fixed (if undocumented) piece of silicon.
+// MaxSlices is the largest slice count a Hash supports: its lookup
+// table holds slice IDs in one byte, so more slices would fold together.
+const MaxSlices = 256
+
+// New constructs the hash for the given slice count, from 1 to
+// MaxSlices. The function is deterministic: the same count always yields
+// the same hash, emulating a fixed (if undocumented) piece of silicon.
 func New(nslices int) *Hash {
 	if nslices <= 0 {
 		panic("slicehash: non-positive slice count")
+	}
+	if nslices > MaxSlices {
+		panic("slicehash: slice count above 256")
 	}
 	h := &Hash{nslices: nslices}
 	// Seed the mask generator from the slice count so distinct SKUs get

@@ -110,3 +110,33 @@ func TestPowerOfTwoLinear(t *testing.T) {
 		}
 	}
 }
+
+// TestSliceCountBound pins MaxSlices: at 255 and 256 slices every slice
+// receives lines, and a count above the bound, whose slice IDs would
+// not fit the lookup table's byte, panics instead of folding slices
+// together.
+func TestSliceCountBound(t *testing.T) {
+	for _, n := range []int{255, MaxSlices} {
+		h := New(n)
+		seen := make([]bool, n)
+		rng := xrand.New(uint64(n))
+		for i := 0; i < 1<<16; i++ {
+			seen[h.Slice(memory.PAddr(rng.Uint64()&(1<<40-1)))] = true
+		}
+		for s, ok := range seen {
+			if !ok {
+				t.Fatalf("%d slices: slice %d received no line", n, s)
+			}
+		}
+	}
+	for _, n := range []int{MaxSlices + 1, 300, 1 << 12} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("New(%d) did not panic", n)
+				}
+			}()
+			New(n)
+		}()
+	}
+}

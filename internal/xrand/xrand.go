@@ -290,10 +290,32 @@ func (g Gen) poissonHead(mean float64) (p float64, h headVerdict, _ Gen) {
 		return 0, headLarge, g
 	}
 	p, g = g.Float64()
-	if p <= 1-mean-1e-12 {
+	if p <= zeroBound(mean) {
 		return p, headZero, g
 	}
 	return p, headOpen, g
+}
+
+// zeroBound is the largest first uniform poissonHead settles at zero
+// without exp for a mean in (0, 64].
+func zeroBound(mean float64) float64 { return 1 - mean - 1e-12 }
+
+// PoissonZeroCut states PoissonZero's test for one mean in (0, 64] as an
+// integer compare: the uniform it draws is k/2^53 for the k that
+// Gen.Uint53 would return, and it reports true exactly when k <= cut.
+// Scaling zeroBound(mean) by 2^53 is exact and k is an integer, so cut
+// is that product's floor. ok is false when no draw settles the mean at
+// zero: a mean above 64 or NaN, or a bound below 0. A mean that is not
+// positive draws nothing and is zero; the caller settles it first.
+func PoissonZeroCut(mean float64) (cut uint64, ok bool) {
+	if !(mean > 0 && mean <= 64) {
+		return 0, false
+	}
+	t := zeroBound(mean)
+	if t < 0 {
+		return 0, false
+	}
+	return uint64(t * (1 << 53)), true
 }
 
 // Norm returns a Gaussian sample with the given mean and standard
@@ -346,12 +368,18 @@ func (g Gen) Float64() (float64, Gen) {
 	return unit(v), Gen{x}
 }
 
+// Uint53 draws one uniform as its raw 53-bit integer k: the Float64
+// the same draw gives is exactly k/2^53.
+func (g Gen) Uint53() (uint64, Gen) {
+	v, x := g.x.next()
+	return v >> 11, Gen{x}
+}
+
 // NormDraw is Rand.NormDraw on the copy.
 func (g Gen) NormDraw() (k1, k2 uint64, _ Gen) {
-	x := g.x
-	k1, x = x.next()
-	k2, x = x.next()
-	return k1 >> 11, k2 >> 11, Gen{x}
+	k1, g = g.Uint53()
+	k2, g = g.Uint53()
+	return k1, k2, g
 }
 
 // PoissonZero reports whether Rand.Poisson(mean) on this state returns

@@ -2,6 +2,7 @@ package xrand
 
 import (
 	"math"
+	"math/bits"
 	"testing"
 	"testing/quick"
 )
@@ -377,5 +378,60 @@ func TestGenMatchesRand(t *testing.T) {
 	r.SetGen(g)
 	if a, b := r.Uint64(), ref.Uint64(); a != b {
 		t.Fatalf("after SetGen the next draw is %#x, want %#x", a, b)
+	}
+}
+
+// genWithNext returns a Gen whose next output is v. xoshiro256**'s
+// output depends on s1 alone, as rotl(s1*5, 7)*9, and 5 and 9 are
+// invertible modulo 2^64.
+func genWithNext(v uint64) Gen {
+	inv := func(a uint64) uint64 {
+		x := a // correct to 3 bits for odd a; each Newton step doubles that
+		for i := 0; i < 5; i++ {
+			x *= 2 - a*x
+		}
+		return x
+	}
+	s1 := bits.RotateLeft64(v*inv(9), -7) * inv(5)
+	return Gen{xoshiro{s0: 0x9e3779b97f4a7c15, s1: s1, s2: 0xbf58476d1ce4e5b9, s3: 0x94d049bb133111eb}}
+}
+
+// TestPoissonCutMatchesPoissonZero pins the integer form of Poisson's
+// zero test: for every mean in (0, 64], PoissonZero on a state whose
+// next output is v reports zero exactly when Uint53's k = v>>11 is at
+// most PoissonZeroCut's cut, drawing that one output, whatever v's low
+// 11 bits; k/2^53 is the Float64 of the same draw. The means cover
+// both ends of the test (a cut of 0, a bound just below 0), tiny and
+// random means; k covers the cut, its neighbours and both extremes.
+func TestPoissonCutMatchesPoissonZero(t *testing.T) {
+	means := []float64{5e-324, 1e-300, 1e-12, 2.5e-7, 1e-3, 0.5, 1 - 3e-12, 1 - 1e-12, 1 - 5e-13, 1, 1.5, 63.9, 64}
+	rng := New(5)
+	for i := 0; i < 3000; i++ {
+		means = append(means, rng.Float64()*rng.Float64())
+	}
+	for _, mean := range means {
+		cut, ok := PoissonZeroCut(mean)
+		ks := []uint64{0, 1, 1<<53 - 1, rng.Uint64() >> 11}
+		if ok {
+			ks = append(ks, cut, cut+1, max(cut, 1)-1)
+		}
+		for _, k := range ks {
+			for _, low := range []uint64{0, 0x7ff} {
+				g := genWithNext(k<<11 | low)
+				got, next := g.Uint53()
+				if f, _ := g.Float64(); got != k || f != float64(k)/(1<<53) {
+					t.Fatalf("Uint53 on output %#x = %d (Float64 %v), want %d", k<<11|low, got, f, k)
+				}
+				zero, g2 := g.PoissonZero(mean)
+				if want := ok && k <= cut; zero != want || g2 != next {
+					t.Fatalf("mean %v k %d: PoissonZero %v (one draw: %v), cut %d ok %v says %v", mean, k, zero, g2 == next, cut, ok, want)
+				}
+			}
+		}
+	}
+	for _, mean := range []float64{0, -1, math.Nextafter(64, 65), 200, math.Inf(1), math.NaN()} {
+		if _, ok := PoissonZeroCut(mean); ok {
+			t.Errorf("PoissonZeroCut(%v) settles; a mean outside (0, 64] has no cut", mean)
+		}
 	}
 }
