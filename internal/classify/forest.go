@@ -26,16 +26,6 @@ type Tree struct {
 	maxDepth    int
 	minLeaf     int
 	maxFeatures int // features sampled per split (random forest mode)
-	// scratch holds one node's (value, label) pairs during Train: sized
-	// to the training set once and reused by every node's split search.
-	scratch []sample
-}
-
-// sample is one training row's value on the feature being split, with
-// the row's label.
-type sample struct {
-	v float64
-	y int
 }
 
 // TreeConfig bundles decision-tree hyperparameters.
@@ -58,95 +48,207 @@ func NewTree(cfg TreeConfig) *Tree {
 
 // Train fits the tree on x with 0/1 labels y.
 func (t *Tree) Train(x [][]float64, y []int, rng *xrand.Rand) {
-	idx := make([]int, len(x))
-	for i := range idx {
-		idx[i] = i
+	mult := make([]int32, len(x))
+	for i := range mult {
+		mult[i] = 1
 	}
-	t.scratch = make([]sample, len(x))
-	t.root = t.build(x, y, idx, 0, rng)
-	t.scratch = nil
+	newFitter(x, y).grow(t, mult, rng)
 }
 
-// build grows the subtree over rows idx. A feature's candidate
-// thresholds are the midpoints (a+b)/2 of its distinct consecutive
-// sorted values, and rows go left when value <= threshold. The split
-// with the lowest weighted Gini wins, the first in (feature, threshold)
-// order on ties.
-//
-// splitOn finds a feature's best split with one sort and one sweep. It
-// sorts the non-NaN values once with their labels. Midpoints of sorted
-// values never decrease (rounding is monotone), so one pointer sweeps
-// forward over every value <= the current midpoint, keeping the left
-// side's count and label sum. That also covers a midpoint that rounds
-// up to the upper value (the value's whole run goes left) or overflows
-// to ±Inf. NaN rows are never <= a threshold and always count on the
-// right. The one NaN midpoint, (-Inf+Inf)/2, can only be the first
-// candidate, since nothing sorts below -Inf; it leaves the left side
-// empty, so minLeaf rejects it. reference_test.go keeps the quadratic
-// rescan as the test oracle.
-func (t *Tree) build(x [][]float64, y []int, idx []int, depth int, rng *xrand.Rand) *treeNode {
-	ones := 0
-	for _, i := range idx {
-		ones += y[i]
+// fitter fits trees on one training set. It sorts each feature's rows
+// once, so no tree node sorts anything, and sizes its buffers once for
+// every node and every tree.
+type fitter struct {
+	vals [][]float64 // vals[f][r] = x[r][f]
+	y    []int
+	// order[f] lists the rows with a non-NaN vals[f] in ascending order
+	// of value, then the rows where it is NaN.
+	order [][]int32
+
+	// One tree's fit: cols[f] holds its rows in order[f]'s order.
+	t        *Tree
+	rng      *xrand.Rand
+	cols     [][]entry
+	buf      []entry // stable-partition scratch
+	mark     []int32 // mark[row] == stamp: row goes left at this split
+	stamp    int32
+	features []int
+}
+
+// entry is one training row in a feature's sorted column: the row's
+// value on that feature, its 0/1 label and its id.
+type entry struct {
+	v   float64
+	y   int32
+	row int32
+}
+
+// newFitter builds the column-major copy of x and each feature's row
+// order. Rows are named by int32 ids, so x may hold at most MaxInt32
+// rows.
+func newFitter(x [][]float64, y []int) *fitter {
+	if len(x) > math.MaxInt32 {
+		panic("classify: training set too large")
 	}
-	prob := float64(ones) / float64(len(idx))
-	if depth >= t.maxDepth || len(idx) < 2*t.minLeaf || ones == 0 || ones == len(idx) {
+	nf := 0
+	if len(x) > 0 {
+		nf = len(x[0])
+	}
+	g := &fitter{
+		vals: make([][]float64, nf), y: y, order: make([][]int32, nf),
+		cols: make([][]entry, nf), mark: make([]int32, len(x)), features: make([]int, nf),
+	}
+	for f := range g.vals {
+		v := make([]float64, len(x))
+		for r, row := range x {
+			v[r] = row[f]
+		}
+		order := make([]int32, 0, len(x))
+		for r := range v {
+			if !math.IsNaN(v[r]) {
+				order = append(order, int32(r))
+			}
+		}
+		slices.SortFunc(order, func(a, b int32) int { return cmp.Compare(v[a], v[b]) })
+		for r := range v {
+			if math.IsNaN(v[r]) {
+				order = append(order, int32(r))
+			}
+		}
+		g.vals[f], g.order[f] = v, order
+	}
+	return g
+}
+
+// grow fits t on the training rows taken mult[r] times each (a
+// bootstrap sample, or every row once). Each column expands its
+// feature's order by the multiplicities, a counting pass that needs no
+// sort.
+func (g *fitter) grow(t *Tree, mult []int32, rng *xrand.Rand) {
+	n, ones := 0, 0
+	for r, m := range mult {
+		n += int(m)
+		ones += int(m) * g.y[r]
+	}
+	for f, order := range g.order {
+		col, vals := g.cols[f][:0], g.vals[f]
+		for _, r := range order {
+			e := entry{vals[r], int32(g.y[r]), r}
+			for m := mult[r]; m > 0; m-- {
+				col = append(col, e)
+			}
+		}
+		g.cols[f] = col
+	}
+	if cap(g.buf) < n {
+		g.buf = make([]entry, n)
+	}
+	clear(g.mark)
+	g.t, g.rng, g.stamp = t, rng, 0
+	t.root = g.build(0, n, ones, 0)
+}
+
+// build grows the subtree over the rows in segment [a, b) of every
+// column; ones of them are labelled 1. A feature's candidate thresholds
+// are the midpoints (u+v)/2 of its distinct consecutive sorted values,
+// and rows go left when value <= threshold. The split with the lowest
+// weighted Gini wins, the first in (feature, threshold) order on ties.
+//
+// The columns are presorted: every node's segment of a column holds its
+// rows' non-NaN values in ascending order, then its NaN rows. splitOn
+// sweeps that segment in place. After the split, the best feature's
+// segment is already partitioned (the rows <= threshold are a prefix),
+// and every other column is stable-partitioned through one scratch
+// buffer, so both children's segments stay sorted. The trees are the
+// ones a per-node sort would give: that sort sees the same multiset of
+// (value, label) pairs, and the orders can differ only within a run of
+// equal values (ties, or -0 beside +0). The sweep sums labels over whole
+// runs and reads values only at a run's edge, as a midpoint (u+v)/2 of
+// two unequal values, where a signed zero adds to a non-zero value
+// (u ± 0 == u), so no threshold bit and no count changes.
+func (g *fitter) build(a, b, ones, depth int) *treeNode {
+	t, n := g.t, b-a
+	prob := float64(ones) / float64(n)
+	if depth >= t.maxDepth || n < 2*t.minLeaf || ones == 0 || ones == n {
 		return &treeNode{leaf: true, prob: prob}
 	}
 
-	nf := len(x[0])
-	features := make([]int, nf)
+	features := g.features
 	for i := range features {
 		features[i] = i
 	}
-	if t.maxFeatures > 0 && t.maxFeatures < nf {
-		rng.ShuffleInts(features)
+	if t.maxFeatures > 0 && t.maxFeatures < len(features) {
+		g.rng.ShuffleInts(features)
 		features = features[:t.maxFeatures]
 	}
 
 	bestGini := math.Inf(1)
 	bestF, bestThr := -1, 0.0
 	for _, f := range features {
-		if g, thr, ok := t.splitOn(x, y, idx, f, ones); ok && g < bestGini {
-			bestGini, bestF, bestThr = g, f, thr
+		if gi, thr, ok := t.splitOn(g.cols[f][a:b], ones); ok && gi < bestGini {
+			bestGini, bestF, bestThr = gi, f, thr
 		}
 	}
 	if bestF < 0 {
 		return &treeNode{leaf: true, prob: prob}
 	}
-	// Partition idx in place: the subtrees depend only on which rows
-	// they get, not on their order.
-	l, r := 0, len(idx)
-	for l < r {
-		if x[idx[l]][bestF] <= bestThr {
-			l++
-		} else {
-			r--
-			idx[l], idx[r] = idx[r], idx[l]
+	// The rows x[r][bestF] <= bestThr are a prefix of bestF's segment.
+	g.stamp++
+	nl, lo := 0, 0
+	for _, e := range g.cols[bestF][a:b] {
+		if !(e.v <= bestThr) {
+			break
+		}
+		g.mark[e.row] = g.stamp
+		nl++
+		lo += int(e.y)
+	}
+	for f := range g.cols {
+		if f != bestF {
+			g.partition(g.cols[f][a:b])
 		}
 	}
 	return &treeNode{
 		feature:   bestF,
 		threshold: bestThr,
-		left:      t.build(x, y, idx[:l], depth+1, rng),
-		right:     t.build(x, y, idx[l:], depth+1, rng),
+		left:      g.build(a, a+nl, lo, depth+1),
+		right:     g.build(a+nl, b, ones-lo, depth+1),
 	}
 }
 
-// splitOn returns the lowest weighted Gini over feature f's candidate
-// thresholds (the first on ties) and that threshold; ok is false when no
-// threshold leaves minLeaf rows on each side. ones is the number of
-// label-1 rows in idx.
-func (t *Tree) splitOn(x [][]float64, y []int, idx []int, f, ones int) (bestGini, bestThr float64, ok bool) {
-	s := t.scratch[:0]
-	for _, i := range idx {
-		if v := x[i][f]; !math.IsNaN(v) {
-			s = append(s, sample{v, y[i]})
+// partition stably moves seg's rows marked left to its front.
+func (g *fitter) partition(seg []entry) {
+	l, right := 0, g.buf[:0]
+	for _, e := range seg {
+		if g.mark[e.row] == g.stamp {
+			seg[l] = e
+			l++
+		} else {
+			right = append(right, e)
 		}
 	}
-	slices.SortFunc(s, func(a, b sample) int { return cmp.Compare(a.v, b.v) })
+	copy(seg[l:], right)
+}
 
-	n := len(idx)
+// splitOn returns the lowest weighted Gini over the thresholds of one
+// node's sorted column segment s (the first on ties) and that threshold;
+// ok is false when no threshold leaves minLeaf rows on each side. ones
+// is the number of label-1 rows in s.
+//
+// Midpoints of sorted values never decrease (rounding is monotone), so
+// one pointer sweeps forward over every value <= the current midpoint,
+// keeping the left side's count and label sum. That also covers a
+// midpoint that rounds up to the upper value (the value's whole run
+// goes left) or overflows to ±Inf. NaN rows are never <= a threshold
+// and always count on the right. The one NaN midpoint, (-Inf+Inf)/2,
+// can only be the first candidate, since nothing sorts below -Inf; it
+// leaves the left side empty, so minLeaf rejects it. reference_test.go
+// keeps the quadratic rescan as the test oracle.
+func (t *Tree) splitOn(s []entry, ones int) (bestGini, bestThr float64, ok bool) {
+	n := len(s)
+	for len(s) > 0 && math.IsNaN(s[len(s)-1].v) {
+		s = s[:len(s)-1]
+	}
 	bestGini = math.Inf(1)
 	lt, lo := 0, 0
 	for v := 1; v < len(s); v++ {
@@ -155,7 +257,7 @@ func (t *Tree) splitOn(x [][]float64, y []int, idx []int, f, ones int) (bestGini
 		}
 		thr := (s[v].v + s[v-1].v) / 2
 		for lt < len(s) && s[lt].v <= thr {
-			lo += s[lt].y
+			lo += int(s[lt].y)
 			lt++
 		}
 		rt, ro := n-lt, ones-lo
@@ -235,17 +337,17 @@ func (f *Forest) Train(x [][]float64, y []int, rng *xrand.Rand) {
 	if mtry < 1 {
 		mtry = 1
 	}
+	g := newFitter(x, y)
+	mult := make([]int32, len(x))
 	for _, t := range f.trees {
 		t.maxFeatures = mtry
-		// Bootstrap sample.
-		bx := make([][]float64, len(x))
-		by := make([]int, len(x))
-		for i := range bx {
-			j := rng.Intn(len(x))
-			bx[i] = x[j]
-			by[i] = y[j]
+		// Bootstrap sample: the same draws, in the same order, as
+		// gathering it row by row.
+		clear(mult)
+		for range x {
+			mult[rng.Intn(len(x))]++
 		}
-		t.Train(bx, by, rng)
+		g.grow(t, mult, rng)
 	}
 }
 

@@ -131,6 +131,40 @@ func FuzzTreeMatchesReference(f *testing.F) {
 	})
 }
 
+// FuzzForestMatchesReference licenses Forest.Train's presorted fit
+// (bootstrap multiplicities expanded into sorted columns, stably
+// partitioned down each tree) against per-tree bootstrap gathering and
+// the quadratic reference search. Header byte 3, which a forest does not
+// read as MaxFeatures, picks 1-4 trees. The seed corpus in testdata/fuzz/
+// covers NaN rows, signed zeros, infinities and heavy bootstrap
+// duplication.
+func FuzzForestMatchesReference(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		cfg, seed, x, y, ok := decodeTreeInput(data)
+		if !ok {
+			return
+		}
+		fc := ForestConfig{Trees: 1 + int(data[3]%4), MaxDepth: cfg.MaxDepth, MinLeaf: cfg.MinLeaf}
+		fast, ref := NewForest(fc), NewForest(fc)
+		fastRng, refRng := xrand.New(seed), xrand.New(seed)
+		fast.Train(x, y, fastRng)
+		refForestTrain(ref, x, y, refRng)
+		for i := range fast.trees {
+			if d := diffTree(fast.trees[i].root, ref.trees[i].root, "root"); d != "" {
+				t.Fatalf("tree %d differs from reference at %s", i, d)
+			}
+		}
+		for i, row := range x {
+			if fp, rp := fast.Prob(row), ref.Prob(row); math.Float64bits(fp) != math.Float64bits(rp) {
+				t.Fatalf("Prob(row %d) = %v, reference %v", i, fp, rp)
+			}
+		}
+		if fastRng.Uint64() != refRng.Uint64() {
+			t.Fatal("rng stream diverged from reference (different number of draws)")
+		}
+	})
+}
+
 // TestTreeMatchesReferenceAtScale checks one random-forest-mode tree at
 // the extractor's shape (5 continuous features, 2 sampled per split,
 // depth 10) on more rows than the fuzz inputs reach.

@@ -91,3 +91,20 @@ func refBuild(t *Tree, x [][]float64, y []int, idx []int, depth int, rng *xrand.
 		right:     refBuild(t, x, y, ri, depth+1, rng),
 	}
 }
+
+// refForestTrain fits f as Forest.Train did before presorting: for each
+// tree, gather a bootstrap sample row by row, then fit it with refTrain.
+func refForestTrain(f *Forest, x [][]float64, y []int, rng *xrand.Rand) {
+	mtry := max(1, int(math.Sqrt(float64(len(x[0])))))
+	for _, t := range f.trees {
+		t.maxFeatures = mtry
+		bx := make([][]float64, len(x))
+		by := make([]int, len(x))
+		for i := range bx {
+			j := rng.Intn(len(x))
+			bx[i] = x[j]
+			by[i] = y[j]
+		}
+		refTrain(t, bx, by, rng)
+	}
+}

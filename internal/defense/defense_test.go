@@ -2,6 +2,7 @@ package defense
 
 import (
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 
@@ -46,6 +47,9 @@ func TestSpecValidate(t *testing.T) {
 		{Model: "randomize", Period: -5},
 		{Model: "quiesce", Quantum: -1},
 		{Model: "quiesce", Jitter: -2},
+		{Model: "quiesce", Quantum: math.NaN()},
+		{Model: "quiesce", Quantum: math.Inf(1)},
+		{Model: "quiesce", Jitter: math.NaN()},
 		// Inapplicable parameters are typos, not silent no-ops.
 		{Model: "scatter", Ways: 4},
 		{Model: "partition", Period: 100},
@@ -87,6 +91,8 @@ func TestParseErrors(t *testing.T) {
 		"partition:period=100": `does not apply to model "partition"`,
 		"partition:ways=0":     "ways out of range",
 		"quiesce:quantum=0":    "quantum out of range",
+		"quiesce:quantum=NaN":  "quantum out of range",
+		"quiesce:jitter=+Inf":  "jitter out of range",
 		"randomize:period=1.5": "period out of range",
 	} {
 		if _, err := Parse(in); err == nil || !strings.Contains(err.Error(), wantSub) {
@@ -331,4 +337,35 @@ func TestHooksOfHonest(t *testing.T) {
 	if h := HooksOf(nil); h.Tick || h.Index || h.Observe {
 		t.Fatalf("HooksOf(nil) = %+v, want all false", h)
 	}
+}
+
+// FuzzDefenseSpecRoundTrip: Parse never panics, and whatever it accepts
+// renders through String to a spec with the same effective parameters
+// (String fills the model's defaults, so both sides compare after
+// WithDefaults) whose String is a fixed point.
+func FuzzDefenseSpecRoundTrip(f *testing.F) {
+	for _, s := range []string{
+		"partition", "partition:ways=2", "randomize:period=5000", "scatter",
+		"quiesce", "quiesce:quantum=128,jitter=16", "quiesce:jitter=-0",
+		"quiesce:quantum=NaN", "quiesce:jitter=Inf", "partition:ways=1e300",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		sp, err := Parse(s)
+		if err != nil {
+			return
+		}
+		str := sp.String()
+		back, err := Parse(str)
+		if err != nil {
+			t.Fatalf("Parse(%q) accepted, but Parse(String) = Parse(%q): %v", s, str, err)
+		}
+		if back.WithDefaults() != sp.WithDefaults() {
+			t.Fatalf("Parse(%q) = %#v, Parse(String) = %#v", s, sp, back)
+		}
+		if again := back.String(); again != str {
+			t.Fatalf("String is not a fixed point: %q -> %q", str, again)
+		}
+	})
 }

@@ -117,13 +117,24 @@ func (s Spec) Validate() error {
 		return fmt.Errorf("defense: %s: ways %d below 1", d.Model, d.Ways)
 	case d.Period < 1:
 		return fmt.Errorf("defense: %s: period %d below 1", d.Model, d.Period)
-	case d.Quantum <= 0:
-		return fmt.Errorf("defense: %s: quantum %g must be positive", d.Model, d.Quantum)
-	case d.Jitter < 0:
-		return fmt.Errorf("defense: %s: negative jitter %g", d.Model, d.Jitter)
+	case !positive(d.Quantum):
+		return fmt.Errorf("defense: %s: quantum %g must be finite and positive", d.Model, d.Quantum)
+	case !nonNegative(d.Jitter):
+		return fmt.Errorf("defense: %s: jitter %g must be finite and non-negative", d.Model, d.Jitter)
 	}
 	return nil
 }
+
+// The range predicates of Validate and Parse. Each is false for NaN and
+// for infinities: a NaN quantum or jitter would silently switch that
+// step of quiesce off, and an infinite one turns every observed latency
+// into NaN or ±Inf.
+
+// positive reports x in (0, MaxFloat64].
+func positive(x float64) bool { return x > 0 && x <= math.MaxFloat64 }
+
+// nonNegative reports x in [0, MaxFloat64].
+func nonNegative(x float64) bool { return x >= 0 && x <= math.MaxFloat64 }
 
 // PartitionWays returns the attacker-region way count the spec's model
 // would reserve (0 for non-partitioning models). hierarchy.Config uses
@@ -193,9 +204,9 @@ func Parse(s string) (Spec, error) {
 			case "period":
 				spec.Period, bad = int(f), f < 1 || f != math.Trunc(f)
 			case "quantum":
-				spec.Quantum, bad = f, f <= 0
+				spec.Quantum, bad = f, !positive(f)
 			case "jitter":
-				spec.Jitter, bad = f, f < 0
+				spec.Jitter, bad = f, !nonNegative(f)
 			}
 			return true, bad
 		})

@@ -495,3 +495,35 @@ func TestMemorylessMatchesAccesses(t *testing.T) {
 		t.Fatal("inlined path left the rng stream in a different state")
 	}
 }
+
+// FuzzTenantSpecRoundTrip: Parse never panics, and whatever it accepts
+// renders through String to a spec with the same effective parameters
+// (String fills the model's defaults, so both sides compare after
+// WithDefaults) whose String is a fixed point.
+func FuzzTenantSpecRoundTrip(f *testing.F) {
+	for _, s := range []string{
+		"poisson", "burst:rate=34.5,on_frac=0.1", "stream:width=8", "hotset:hot_frac=0.125",
+		"churn:rate=11.5,llc_prob=0,arrivals_per_ms=0.1,life_ms=2,footprint_frac=0.75",
+		"poisson:rate=-0", "poisson:rate=5e-324", "stream:width=2147483647",
+		"burst:on_ms=+Inf", "hotset:hot_frac=NaN", " burst : rate = 0x1p-3 ",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		sp, err := Parse(s)
+		if err != nil {
+			return
+		}
+		str := sp.String()
+		back, err := Parse(str)
+		if err != nil {
+			t.Fatalf("Parse(%q) accepted, but Parse(String) = Parse(%q): %v", s, str, err)
+		}
+		if back.WithDefaults() != sp.WithDefaults() {
+			t.Fatalf("Parse(%q) = %#v, Parse(String) = %#v", s, sp, back)
+		}
+		if again := back.String(); again != str {
+			t.Fatalf("String is not a fixed point: %q -> %q", str, again)
+		}
+	})
+}
