@@ -11,6 +11,7 @@
 package repro_test
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/big"
@@ -192,7 +193,7 @@ func BenchmarkFigure7_WelchPSD(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dsp.Welch(signal, 1.0/500, dsp.DefaultWelch())
+		dsp.Welch(signal, 1.0/500)
 	}
 }
 
@@ -573,7 +574,7 @@ func BenchmarkMicro_ForestTrain(b *testing.B) {
 // regression number the benchmark guard tracks.
 func BenchmarkScenario_E2EExtract(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := scenario.Run("e2e/extract", 1, 1, uint64(i)+1); err != nil {
+		if _, err := scenario.RunWithObs(context.Background(), "e2e/extract", nil, nil, 1, 1, uint64(i)+1, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -583,7 +584,7 @@ func BenchmarkScenario_E2EExtract(b *testing.B) {
 // trial (build the shared set, run the channel).
 func BenchmarkScenario_CovertChannel(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := scenario.Run("covert/channel", 1, 1, uint64(i)+1); err != nil {
+		if _, err := scenario.RunWithObs(context.Background(), "covert/channel", nil, nil, 1, 1, uint64(i)+1, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -26,6 +26,10 @@
 //
 // Flags override spec-file fields; unset axes take defaults.
 //
+// Every grid runs as a campaign (internal/campaign): each finished cell
+// prints a progress line on stderr, and with -checkpoint FILE it is also
+// appended to FILE so an interrupted grid resumes with -resume.
+//
 // One grid can also span several PROCESSES or machines: `-shard i/N
 // -checkpoint shard_i.cells` runs the i-th round-robin slice of the
 // grid into its own checkpoint log, `-merge a.cells,b.cells,...
@@ -398,43 +402,38 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return nil
 	}
 	start := time.Now()
-	var res *sweep.Result
-	if ckpt != nil {
-		// Campaign path: the same flattened engine call as sweep.Run,
-		// with each cell checkpointed as it completes. Progress lines go
-		// to stderr (the artifact stays byte-identical to sweep.Run's).
-		var stats *campaign.Stats
-		res, stats, err = campaign.Run(ctx, spec, campaign.Options{
-			Workers: *parallel,
-			Log:     ckpt,
-			Owns:    owns,
-			Obs:     sink,
-			OnCell: func(ev campaign.Event) {
-				if ev.Skipped {
-					return // summarised once below; grids can have many cells
-				}
-				fmt.Fprintf(stderr, "llcsweep: cell %d/%d done %s\n", ev.Done, ev.Total, ev.Coords)
-			},
-		})
-		if stats != nil && stats.Skipped > 0 {
-			fmt.Fprintf(stderr, "llcsweep: resume: skipped %d verified cell(s), ran %d of %d\n",
-				stats.Skipped, stats.Ran, stats.Cells)
-		}
-		if err == nil && shardCnt > 0 {
-			// A shard's output is its checkpoint log; there is nothing to
-			// aggregate until the shard logs are merged.
-			if perr := stopProf(); perr != nil {
-				return fail(perr)
+	// Every grid runs as a campaign: with -checkpoint each cell is
+	// checkpointed as it completes, without it Log is nil and nothing
+	// persists. Progress lines go to stderr; the artifact is
+	// byte-identical either way.
+	res, stats, err := campaign.Run(ctx, spec, campaign.Options{
+		Workers: *parallel,
+		Log:     ckpt,
+		Owns:    owns,
+		Obs:     sink,
+		OnCell: func(ev campaign.Event) {
+			if ev.Skipped {
+				return // summarised once below; grids can have many cells
 			}
-			if oerr := emitObs(); oerr != nil {
-				return fail(oerr)
-			}
-			fmt.Fprintf(stderr, "llcsweep: shard %d/%d: ran %d and skipped %d of its %d cell(s), wall time %s\n",
-				shardIdx, shardCnt, stats.Ran, stats.Skipped, stats.Cells, time.Since(start).Round(time.Millisecond))
-			return 0
+			fmt.Fprintf(stderr, "llcsweep: cell %d/%d done %s\n", ev.Done, ev.Total, ev.Coords)
+		},
+	})
+	if stats != nil && stats.Skipped > 0 {
+		fmt.Fprintf(stderr, "llcsweep: resume: skipped %d verified cell(s), ran %d of %d\n",
+			stats.Skipped, stats.Ran, stats.Cells)
+	}
+	if err == nil && shardCnt > 0 {
+		// A shard's output is its checkpoint log; there is nothing to
+		// aggregate until the shard logs are merged.
+		if perr := stopProf(); perr != nil {
+			return fail(perr)
 		}
-	} else {
-		res, err = sweep.RunObs(ctx, spec, *parallel, sink)
+		if oerr := emitObs(); oerr != nil {
+			return fail(oerr)
+		}
+		fmt.Fprintf(stderr, "llcsweep: shard %d/%d: ran %d and skipped %d of its %d cell(s), wall time %s\n",
+			shardIdx, shardCnt, stats.Ran, stats.Skipped, stats.Cells, time.Since(start).Round(time.Millisecond))
+		return 0
 	}
 	if perr := stopProf(); err == nil {
 		err = perr

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -27,7 +28,7 @@ func main() {
 	fmt.Println("scenario             | usable | detection | capacity (bits/s)")
 	fmt.Println("---------------------+--------+-----------+------------------")
 	for _, id := range []string{"covert/channel", "covert/channel/noisy"} {
-		rep, err := scenario.Run(id, *trials, *parallel, *seed)
+		rep, err := scenario.RunWithObs(context.Background(), id, nil, nil, *trials, *parallel, *seed, nil)
 		if err != nil {
 			log.Fatal(err)
 		}

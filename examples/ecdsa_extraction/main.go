@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -24,7 +25,7 @@ func main() {
 	)
 	flag.Parse()
 
-	rep, err := scenario.Run("e2e/extract", *trials, *parallel, *seed)
+	rep, err := scenario.RunWithObs(context.Background(), "e2e/extract", nil, nil, *trials, *parallel, *seed, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

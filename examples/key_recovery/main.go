@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -25,7 +26,7 @@ func main() {
 	)
 	flag.Parse()
 
-	rep, err := scenario.Run("e2e/keyrecovery", *trials, *parallel, *seed)
+	rep, err := scenario.RunWithObs(context.Background(), "e2e/keyrecovery", nil, nil, *trials, *parallel, *seed, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -25,7 +26,7 @@ func main() {
 	)
 	flag.Parse()
 
-	rep, err := scenario.Run("scan/psd", *trials, *parallel, *seed)
+	rep, err := scenario.RunWithObs(context.Background(), "scan/psd", nil, nil, *trials, *parallel, *seed, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -32,9 +32,6 @@ type ScanOptions struct {
 	VerifyByExtraction bool
 	// Extractor is required when VerifyByExtraction is set.
 	Extractor *Extractor
-	// TraceCycles overrides the per-set capture window (default: the
-	// scanner's params).
-	TraceCycles clock.Cycles
 }
 
 // ScanForTarget runs Step 2: round-robin over the eviction sets,
@@ -45,10 +42,6 @@ type ScanOptions struct {
 func (s *Session) ScanForTarget(sets []*evset.EvictionSet, scanner *psd.Scanner, opt ScanOptions) ScanResult {
 	start := s.H.Clock().Now()
 	deadline := start + opt.Timeout
-	traceLen := opt.TraceCycles
-	if traceLen == 0 {
-		traceLen = scanner.Params.TraceCycles
-	}
 	res := ScanResult{}
 	rng := xrand.New(uint64(start) ^ 0x5ca9)
 
@@ -60,7 +53,7 @@ func (s *Session) ScanForTarget(sets []*evset.EvictionSet, scanner *psd.Scanner,
 			}
 			set := sets[idx]
 			m := probe.NewMonitor(s.Env, probe.Parallel, set.Lines)
-			tr := s.CaptureWhileBusy(m, traceLen)
+			tr := s.CaptureWhileBusy(m, scanner.Params.TraceCycles)
 			res.Scanned++
 			if !scanner.Classify(tr) {
 				continue

@@ -22,18 +22,6 @@ func PolyKernel(degree int, gamma, coef0 float64) Kernel {
 	}
 }
 
-// RBFKernel returns exp(-gamma*||a-b||^2).
-func RBFKernel(gamma float64) Kernel {
-	return func(a, b []float64) float64 {
-		s := 0.0
-		for i := range a {
-			d := a[i] - b[i]
-			s += d * d
-		}
-		return math.Exp(-gamma * s)
-	}
-}
-
 // LinearKernel returns <a,b>.
 func LinearKernel() Kernel { return dot }
 
@@ -50,8 +38,6 @@ func dot(a, b []float64) float64 {
 type SVM struct {
 	kernel Kernel
 	c      float64
-	tol    float64
-	maxIt  int
 
 	// Learned state: support vectors and their coefficients.
 	vecs  [][]float64
@@ -62,11 +48,16 @@ type SVM struct {
 
 // SVMConfig bundles training hyperparameters.
 type SVMConfig struct {
-	Kernel  Kernel
-	C       float64 // soft-margin penalty (default 1)
-	Tol     float64 // KKT tolerance (default 1e-3)
-	MaxIter int     // passes without progress before stopping (default 5)
+	Kernel Kernel
+	C      float64 // soft-margin penalty (default 1)
 }
+
+// SMO stopping rule: the KKT tolerance, and the number of consecutive
+// passes without a multiplier update after which training stops.
+const (
+	smoTol    = 1e-3
+	smoPasses = 5
+)
 
 // NewSVM creates an untrained SVM.
 func NewSVM(cfg SVMConfig) *SVM {
@@ -76,13 +67,7 @@ func NewSVM(cfg SVMConfig) *SVM {
 	if cfg.C <= 0 {
 		cfg.C = 1
 	}
-	if cfg.Tol <= 0 {
-		cfg.Tol = 1e-3
-	}
-	if cfg.MaxIter <= 0 {
-		cfg.MaxIter = 5
-	}
-	return &SVM{kernel: cfg.Kernel, c: cfg.C, tol: cfg.Tol, maxIt: cfg.MaxIter}
+	return &SVM{kernel: cfg.Kernel, c: cfg.C}
 }
 
 // Train fits the SVM on x with labels y (each ±1) using simplified SMO
@@ -127,11 +112,11 @@ func (s *SVM) Train(x [][]float64, y []float64, rng *xrand.Rand) {
 	}
 
 	passes := 0
-	for passes < s.maxIt {
+	for passes < smoPasses {
 		changed := 0
 		for i := 0; i < n; i++ {
 			ei := f(i) - y[i]
-			if (y[i]*ei < -s.tol && alpha[i] < s.c) || (y[i]*ei > s.tol && alpha[i] > 0) {
+			if (y[i]*ei < -smoTol && alpha[i] < s.c) || (y[i]*ei > smoTol && alpha[i] > 0) {
 				j := rng.Intn(n - 1)
 				if j >= i {
 					j++

@@ -116,40 +116,12 @@ func bluestein(x []complex128, inverse bool) {
 	}
 }
 
-// Window is a taper applied to each PSD segment.
-type Window int
-
-// Supported windows.
-const (
-	Rectangular Window = iota
-	Hann
-	Hamming
-)
-
-// Coefficients returns the window's n coefficients.
-func (w Window) Coefficients(n int) []float64 {
+// hann returns the n coefficients of the symmetric Hann window that
+// tapers each PSD segment (scipy's default and the paper's pipeline).
+func hann(n int) []float64 {
 	c := make([]float64, n)
 	for i := range c {
-		switch w {
-		case Hann:
-			c[i] = 0.5 * (1 - math.Cos(2*math.Pi*float64(i)/float64(n-1)))
-		case Hamming:
-			c[i] = 0.54 - 0.46*math.Cos(2*math.Pi*float64(i)/float64(n-1))
-		default:
-			c[i] = 1
-		}
+		c[i] = 0.5 * (1 - math.Cos(2*math.Pi*float64(i)/float64(n-1)))
 	}
 	return c
-}
-
-// String names the window.
-func (w Window) String() string {
-	switch w {
-	case Hann:
-		return "hann"
-	case Hamming:
-		return "hamming"
-	default:
-		return "rectangular"
-	}
 }

@@ -11,53 +11,21 @@ type PSD struct {
 	Power []float64
 }
 
-// WelchOptions configures Welch's method.
-type WelchOptions struct {
-	// SegmentLength is the per-segment FFT length (nperseg). It is
-	// clamped to the signal length.
-	SegmentLength int
-	// Overlap is the number of overlapping samples between consecutive
-	// segments (noverlap); the scipy default SegmentLength/2 is used
-	// when negative.
-	Overlap int
-	// Window tapers each segment (default Hann, as in scipy and the
-	// paper's pipeline).
-	Window Window
-}
-
-// DefaultWelch returns the options matching the conventional defaults:
-// 256-sample Hann segments with 50% overlap.
-func DefaultWelch() WelchOptions {
-	return WelchOptions{SegmentLength: 256, Overlap: -1, Window: Hann}
-}
-
 // Welch estimates the PSD of the real signal x sampled at fs using
-// Welch's method [96]: the signal is split into overlapping windowed
-// segments whose periodograms are averaged, trading frequency resolution
-// for variance reduction — which is what makes the victim's periodic
-// accesses stand out through cloud noise (§6.2).
-func Welch(x []float64, fs float64, opt WelchOptions) PSD {
+// Welch's method [96]: the signal is split into 256-sample Hann-windowed
+// segments (clamped to the signal length) overlapping by half, whose
+// periodograms are averaged, trading frequency resolution for variance
+// reduction — which is what makes the victim's periodic accesses stand
+// out through cloud noise (§6.2).
+func Welch(x []float64, fs float64) PSD {
 	n := len(x)
 	if n == 0 {
 		return PSD{}
 	}
-	seg := opt.SegmentLength
-	if seg <= 0 {
-		seg = 256
-	}
-	if seg > n {
-		seg = n
-	}
-	ov := opt.Overlap
-	if ov < 0 {
-		ov = seg / 2
-	}
-	if ov >= seg {
-		ov = seg - 1
-	}
-	step := seg - ov
+	seg := min(256, n)
+	step := seg - seg/2
 
-	win := opt.Window.Coefficients(seg)
+	win := hann(seg)
 	// Window power normalization (sum of squared coefficients).
 	u := 0.0
 	for _, w := range win {

@@ -10,9 +10,6 @@ import (
 type BulkOptions struct {
 	Algo   Pruner
 	PerSet Options
-	// MaxSetsPerGroup caps how many eviction sets are built per L2 group
-	// (0 = no cap); experiment harnesses use it for scaled-down runs.
-	MaxSetsPerGroup int
 	// OffsetLimit caps how many of the 64 line offsets BuildWholeSys
 	// covers (0 = all); harnesses use it to sample the WholeSys workload
 	// and extrapolate.
@@ -54,14 +51,10 @@ func BuildGroup(e *Env, g *L2Group, opt BulkOptions) BulkResult {
 	// LLC/SF sets per L2 group: the LLC index extends the L2 index by
 	// (LLCIndexBits - L2IndexBits) bits, times the slice count.
 	perGroup := (cfg.LLCSets / minInt(cfg.LLCSets, cfg.L2Sets)) * cfg.Slices
-	want := perGroup
-	if opt.MaxSetsPerGroup > 0 && opt.MaxSetsPerGroup < want {
-		want = opt.MaxSetsPerGroup
-	}
 
 	var res BulkResult
 	pool := append([]memory.VAddr(nil), g.Members...)
-	for len(pool) > cfg.SFWays && len(res.Sets) < want {
+	for len(pool) > cfg.SFWays && len(res.Sets) < perGroup {
 		ta := pool[0]
 		pool = pool[1:]
 		if covered(e, ta, res.Sets) {

@@ -32,55 +32,31 @@ type Env struct {
 	ThreshPrivate float64
 	ThreshLLC     float64
 
-	// CalibTrials is the number of lines timed per latency class during
-	// calibration; 0 selects DefaultCalibTrials.
-	CalibTrials int
-
 	// Counters.
 	Tests uint64 // TestEviction invocations
 }
 
-// DefaultCalibTrials is the calibration sample count per latency class
-// when EnvOptions does not override it.
-const DefaultCalibTrials = 64
-
-// EnvOptions configures environment construction.
-type EnvOptions struct {
-	// CalibTrials overrides the number of lines timed per latency class
-	// during calibration (0 keeps DefaultCalibTrials). Callers that
-	// rebuild environments every trial can lower it to trade threshold
-	// precision for setup cost; the experiment runners keep the default
-	// so their reports stay comparable with earlier trees.
-	CalibTrials int
-}
+// calibTrials is the number of lines timed per latency class during
+// calibration.
+const calibTrials = 64
 
 // NewEnv creates the attacker environment on cores 0 (main) and 1
 // (helper) of the host and calibrates the latency thresholds.
 func NewEnv(h *hierarchy.Host, seed uint64) *Env {
-	return NewEnvWith(h, seed, EnvOptions{})
-}
-
-// NewEnvWith is NewEnv with explicit options.
-func NewEnvWith(h *hierarchy.Host, seed uint64, opt EnvOptions) *Env {
 	main := h.NewAgent(0)
 	helper := h.NewAgentSharing(1, main.AddressSpace())
-	e := &Env{Main: main, Helper: helper, Rng: xrand.New(seed), CalibTrials: opt.CalibTrials}
+	e := &Env{Main: main, Helper: helper, Rng: xrand.New(seed)}
 	e.Calibrate()
 	return e
 }
 
 // Calibrate measures hit/miss latency distributions the way real attack
 // code does — timing accesses to lines in known states — and sets the
-// classification thresholds between the observed distributions. The
-// sample count comes from CalibTrials.
+// classification thresholds between the observed distributions.
 func (e *Env) Calibrate() {
-	trials := e.CalibTrials
-	if trials <= 0 {
-		trials = DefaultCalibTrials
-	}
-	buf := e.Main.Alloc(trials)
+	buf := e.Main.Alloc(calibTrials)
 	var l2, llc, dram []float64
-	for i := 0; i < trials; i++ {
+	for i := 0; i < calibTrials; i++ {
 		va := buf.LineAt(i, 0)
 		// DRAM: first-touch of a fresh line after flush.
 		e.Main.Flush(va)

@@ -54,23 +54,11 @@ func TestHostResetEquivalence(t *testing.T) {
 	}
 }
 
-func TestCalibTrialsOption(t *testing.T) {
-	cfg := resetTestConfig()
-	h := hierarchy.NewHost(cfg, 9)
-	e := NewEnvWith(h, 9, EnvOptions{CalibTrials: 16})
-	if e.CalibTrials != 16 {
-		t.Fatalf("CalibTrials = %d", e.CalibTrials)
-	}
+// TestCalibrationThresholds: calibration gives positive thresholds with
+// the private-cache threshold below the LLC one.
+func TestCalibrationThresholds(t *testing.T) {
+	e := NewEnv(hierarchy.NewHost(resetTestConfig(), 9), 9)
 	if e.ThreshPrivate <= 0 || e.ThreshLLC <= e.ThreshPrivate {
-		t.Fatalf("calibration with 16 trials produced bad thresholds: %v %v", e.ThreshPrivate, e.ThreshLLC)
-	}
-	// Default path must keep the historical 64-line calibration.
-	h2 := hierarchy.NewHost(cfg, 9)
-	e2 := NewEnv(h2, 9)
-	if e2.CalibTrials != 0 {
-		t.Fatalf("NewEnv should leave CalibTrials at 0 (default), got %d", e2.CalibTrials)
-	}
-	if e2.ThreshPrivate <= 0 || e2.ThreshLLC <= e2.ThreshPrivate {
-		t.Fatalf("default calibration produced bad thresholds: %v %v", e2.ThreshPrivate, e2.ThreshLLC)
+		t.Fatalf("default calibration produced bad thresholds: %v %v", e.ThreshPrivate, e.ThreshLLC)
 	}
 }

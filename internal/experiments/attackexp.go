@@ -56,7 +56,7 @@ func Figure7(o Options) *Report {
 			"target: clear peaks at f0 ≈ 0.41 MHz and harmonics; non-target: no peaks at expected frequencies",
 		},
 	}
-	samples := RunTrials(1, o.Workers, SubSeed(o.Seed, "fig7"), func(t *Trial) Sample {
+	samples := o.run(1, func(t *Trial) Sample {
 		s := pooledAttackSession(o, t, t.Seed)
 		p := psd.DefaultParams(s.V.ExpectedAccessPeriod())
 		td := s.CollectTrainingData(p, 2, 2)
@@ -67,7 +67,7 @@ func Figure7(o Options) *Report {
 		f0 := 1.0 / period
 		describe := func(tr *probe.Trace) []float64 {
 			sig := dsp.BinTrace(timesU64(tr), uint64(tr.Start), uint64(tr.End), uint64(p.BinCycles))
-			spec := dsp.Welch(sig, 1.0/float64(p.BinCycles), dsp.DefaultWelch())
+			spec := dsp.Welch(sig, 1.0/float64(p.BinCycles))
 			floor := spec.MedianPower()
 			if floor <= 0 {
 				floor = 1e-12
@@ -85,7 +85,7 @@ func Figure7(o Options) *Report {
 			Value:  period,
 			Series: [][]float64{describe(td.Target[0]), describe(td.NonTarget[0])},
 		}
-	})
+	}, "fig7")
 	s := samples[0]
 	if !s.OK {
 		rep.Notes = append(rep.Notes, "trace collection failed")
@@ -151,7 +151,7 @@ func Table6(o Options) *Report {
 		{"WholeSys", maxInt(2, trials(o, 8)/3), clock.FromMillis(900_000), true},
 	}
 	for _, sc := range scens {
-		samples := RunTrials(sc.trials, o.Workers, SubSeed(o.Seed, "table6", sc.name), func(t *Trial) Sample {
+		samples := o.run(sc.trials, func(t *Trial) Sample {
 			s := pooledAttackSession(o, t, t.Seed)
 			sets := buildScanSets(s, sc.whole)
 			if len(sets) == 0 {
@@ -168,7 +168,7 @@ func Table6(o Options) *Report {
 				Value: float64(res.Duration),
 				Extra: []float64{float64(res.Scanned), res.Duration.Seconds()},
 			}
-		})
+		}, "table6", sc.name)
 		var succ stats.Counter
 		scanned, dur := 0.0, 0.0
 		for _, s := range samples {
@@ -216,7 +216,7 @@ func Figure9(o Options) *Report {
 	// write race-free for any trial count, like the engine's own results.
 	const fig9Trials = 1
 	rowsByTrial := make([][][]string, fig9Trials)
-	samples := RunTrials(fig9Trials, o.Workers, SubSeed(o.Seed, "fig9"), func(t *Trial) Sample {
+	samples := o.run(fig9Trials, func(t *Trial) Sample {
 		s := pooledAttackSession(o, t, t.Seed)
 		lines := targetSetLines(s)
 		if lines == nil {
@@ -247,7 +247,7 @@ func Figure9(o Options) *Report {
 		}
 		rowsByTrial[t.Index] = rows
 		return Sample{OK: true}
-	})
+	}, "fig9")
 	if !samples[0].OK {
 		rep.Notes = append(rep.Notes, "no congruent lines found")
 		return rep
@@ -299,7 +299,7 @@ func EndToEnd(o Options) *Report {
 	if !o.Full {
 		opt.Traces = 5
 	}
-	samples := RunTrials(pairs, o.Workers, SubSeed(o.Seed, "e2e"), func(t *Trial) Sample {
+	samples := o.run(pairs, func(t *Trial) Sample {
 		s := pooledAttackSession(o, t, t.Seed)
 		res := s.RunEndToEnd(scanner, ex, opt)
 		return Sample{
@@ -307,7 +307,7 @@ func EndToEnd(o Options) *Report {
 			Value:  float64(res.TotalTime),
 			Series: [][]float64{res.Fractions, res.ErrorRates},
 		}
-	})
+	}, "e2e")
 	signal := 0
 	var fracs, errs, totals []float64
 	for _, s := range samples {

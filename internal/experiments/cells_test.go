@@ -47,7 +47,7 @@ func TestCellTrialDeterminism(t *testing.T) {
 	}
 	cell, _ := LookupCell("probe/parallel")
 	cfg := hierarchy.Scaled(2)
-	samples := RunTrials(4, 1, 5, func(tr *Trial) Sample {
+	samples := runAll(t, 4, 1, 5, func(tr *Trial) Sample {
 		// Trials 0/2 and 1/3 share seeds; 2 and 3 run on recycled hosts.
 		return cell.Run(tr.WithSeed(uint64(42+tr.Index%2)), cfg)
 	})

@@ -53,7 +53,7 @@ type Trial struct {
 	// may consume, directly or via sub-seeds derived from it.
 	Seed uint64
 	// Trace is the trial's span track when the run is traced
-	// (RunTrialsObs with a Sink.Tracer), nil otherwise. Instrumented
+	// (RunTrials with a Sink.Tracer), nil otherwise. Instrumented
 	// runners call Trace.Span unconditionally — a nil TrialTrace drops
 	// spans at zero cost — and must never let tracing touch a rng
 	// stream or the simulated clock (determinism clause 10).
@@ -117,71 +117,26 @@ func (p *hostPool) get(cfg hierarchy.Config, seed uint64) *hierarchy.Host {
 // seeds are drawn from the splitmix64 stream rooted at seed, so the
 // result is independent of the worker count and of scheduling order.
 //
-// A panic inside a trial is re-raised on the calling goroutine (wrapped
-// with the trial index) after the pool has drained, never from a worker —
-// so a buggy trial cannot deadlock the pool or kill the process from an
-// unrecoverable goroutine. Callers that would rather handle the failure
-// use RunTrialsObs.
-func RunTrials(n, workers int, seed uint64, fn func(t *Trial) Sample) []Sample {
-	out, tp, _ := runTrials(context.Background(), n, workers, seed, nil, fn)
-	if tp != nil {
-		// Panic with the typed value (its Error text prints identically)
-		// so a recover() above can still inspect index and cause.
-		panic(tp)
-	}
-	return out
-}
-
-// RunTrialsObs is RunTrials with two failure modes surfaced as errors
-// instead of panics, and an optional observability sink. A panicking
-// trial is converted into an error identifying the trial, and a
-// cancelled ctx stops the run between trials (in-flight trials finish;
-// no new trials start) and returns ctx's error. Because cancellation is
-// only ever checked on trial boundaries, the samples of trials that did
-// complete are exactly what an uninterrupted run would have produced —
-// which is what lets the campaign layer checkpoint completed cells and
-// resume byte-identically. The sweep runner uses the error form so one
-// broken grid cell fails the sweep cleanly.
+// A panicking trial is recovered on its worker and, once the pool has
+// drained, returned as an error identifying the trial — so a buggy
+// trial can neither deadlock the pool nor kill the process from an
+// unrecoverable goroutine. A cancelled ctx stops the run between trials
+// (in-flight trials finish; no new trials start) and returns ctx's
+// error. Because cancellation is only ever checked on trial boundaries,
+// the samples of trials that did complete are exactly what an
+// uninterrupted run would have produced — which is what lets the
+// campaign layer checkpoint completed cells and resume byte-identically.
 //
 // When sink.Tracer is set every trial carries a TrialTrace on
-// (sink.TracePID, trial index), and when sink.Metrics is set the
-// engine records per-trial wall durations (engine_trial_seconds) and
-// a trial counter (engine_trials_total). A nil or empty sink is the
-// exact disabled path — instrumentation reads only the host wall
-// clock, never a rng stream or the simulated clock, so samples are
-// byte-identical with the sink on or off (determinism clause 10).
-func RunTrialsObs(ctx context.Context, n, workers int, seed uint64, sink *obs.Sink, fn func(t *Trial) Sample) ([]Sample, error) {
-	out, tp, cancelled := runTrials(ctx, n, workers, seed, sink, fn)
-	if tp != nil {
-		return nil, tp
-	}
-	if cancelled {
-		return nil, context.Cause(ctx)
-	}
-	return out, nil
-}
-
-// trialPanic records the first trial panic observed by a run, with the
-// trial goroutine's stack captured at recover time (the re-raise on the
-// caller's goroutine would otherwise lose the faulting site).
-type trialPanic struct {
-	index int
-	value any
-	stack []byte
-}
-
-func (p *trialPanic) Error() string {
-	return fmt.Sprintf("experiments: trial %d panicked: %v\n%s", p.index, p.value, p.stack)
-}
-
-// TrialIndex returns the index of the trial that panicked; callers that
-// map flat indices onto richer coordinates (the sweep's grid cells) use
-// it to name the failing unit of work.
-func (p *trialPanic) TrialIndex() int { return p.index }
-
-func runTrials(ctx context.Context, n, workers int, seed uint64, sink *obs.Sink, fn func(t *Trial) Sample) ([]Sample, *trialPanic, bool) {
+// (PID 0, trial index), and when sink.Metrics is set the engine records
+// per-trial wall durations (engine_trial_seconds) and a trial counter
+// (engine_trials_total). A nil or empty sink is the exact disabled path
+// — instrumentation reads only the host wall clock, never a rng stream
+// or the simulated clock, so samples are byte-identical with the sink
+// on or off (determinism clause 10).
+func RunTrials(ctx context.Context, n, workers int, seed uint64, sink *obs.Sink, fn func(t *Trial) Sample) ([]Sample, error) {
 	if n <= 0 {
-		return nil, nil, false
+		return nil, nil
 	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -195,10 +150,8 @@ func runTrials(ctx context.Context, n, workers int, seed uint64, sink *obs.Sink,
 	var tracer *obs.Tracer
 	var trialSec *obs.Histogram
 	var trialsTotal *obs.Counter
-	tracePID := 0
 	if sink != nil {
 		tracer = sink.Tracer
-		tracePID = sink.TracePID
 		if sink.Metrics != nil {
 			trialSec = sink.Metrics.Histogram("engine_trial_seconds", nil)
 			trialsTotal = sink.Metrics.Counter("engine_trials_total")
@@ -207,7 +160,7 @@ func runTrials(ctx context.Context, n, workers int, seed uint64, sink *obs.Sink,
 	mkTrial := func(i int, pool *hostPool) *Trial {
 		t := &Trial{Index: i, Seed: xrand.Stream(seed, uint64(i)), pool: pool}
 		if tracer != nil {
-			t.Trace = &obs.TrialTrace{Tracer: tracer, PID: tracePID, TID: i}
+			t.Trace = &obs.TrialTrace{Tracer: tracer, TID: i}
 		}
 		return t
 	}
@@ -267,27 +220,65 @@ func runTrials(ctx context.Context, n, workers int, seed uint64, sink *obs.Sink,
 			}
 			runOne(mkTrial(i, pool))
 		}
-		return out, firstPanic.Load(), cancelled.Load()
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			pool := &hostPool{}
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n || firstPanic.Load() != nil || interrupted() {
-					return
+	} else {
+		var next atomic.Int64
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				pool := &hostPool{}
+				for {
+					i := int(next.Add(1)) - 1
+					if i >= n || firstPanic.Load() != nil || interrupted() {
+						return
+					}
+					runOne(mkTrial(i, pool))
 				}
-				runOne(mkTrial(i, pool))
-			}
-		}()
+			}()
+		}
+		wg.Wait()
 	}
-	wg.Wait()
-	return out, firstPanic.Load(), cancelled.Load()
+	if tp := firstPanic.Load(); tp != nil {
+		return nil, tp
+	}
+	if cancelled.Load() {
+		return nil, context.Cause(ctx)
+	}
+	return out, nil
 }
+
+// run is how the paper runners reach the engine: n trials of fn on
+// o.Workers workers, seeded by SubSeed(o.Seed, labels...). A trial
+// panic is re-raised on the calling goroutine after the pool has
+// drained, never from a worker; it panics with the typed value (its
+// Error text names the trial and carries its stack) so a recover()
+// above can still inspect index and cause.
+func (o Options) run(n int, fn func(t *Trial) Sample, labels ...string) []Sample {
+	out, err := RunTrials(context.Background(), n, o.Workers, SubSeed(o.Seed, labels...), nil, fn)
+	if err != nil {
+		panic(err)
+	}
+	return out
+}
+
+// trialPanic records the first trial panic observed by a run, with the
+// trial goroutine's stack captured at recover time (the re-raise on the
+// caller's goroutine would otherwise lose the faulting site).
+type trialPanic struct {
+	index int
+	value any
+	stack []byte
+}
+
+func (p *trialPanic) Error() string {
+	return fmt.Sprintf("experiments: trial %d panicked: %v\n%s", p.index, p.value, p.stack)
+}
+
+// TrialIndex returns the index of the trial that panicked; callers that
+// map flat indices onto richer coordinates (the sweep's grid cells) use
+// it to name the failing unit of work.
+func (p *trialPanic) TrialIndex() int { return p.index }
 
 // SubSeed derives an independent base seed for one labelled sub-run of an
 // experiment (e.g. one scenario of table6), so that separate RunTrials

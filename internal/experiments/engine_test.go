@@ -14,9 +14,20 @@ import (
 	"repro/internal/xrand"
 )
 
+// runAll is RunTrials on a background context with no sink, failing the
+// test on any error.
+func runAll(t *testing.T, n, workers int, seed uint64, fn func(*Trial) Sample) []Sample {
+	t.Helper()
+	s, err := RunTrials(context.Background(), n, workers, seed, nil, fn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 func TestRunTrialsOrderAndSeeds(t *testing.T) {
 	const n, base = 37, uint64(99)
-	samples := RunTrials(n, 5, base, func(tr *Trial) Sample {
+	samples := runAll(t, n, 5, base, func(tr *Trial) Sample {
 		if tr.Seed != xrand.Stream(base, uint64(tr.Index)) {
 			t.Errorf("trial %d seed %#x, want stream value", tr.Index, tr.Seed)
 		}
@@ -39,7 +50,7 @@ func TestRunTrialsWorkerCountInvariance(t *testing.T) {
 	// A trial whose output depends only on its seed must yield identical
 	// sample slices at every worker count.
 	run := func(workers int) []Sample {
-		return RunTrials(23, workers, 4242, func(tr *Trial) Sample {
+		return runAll(t, 23, workers, 4242, func(tr *Trial) Sample {
 			r := xrand.New(tr.Seed)
 			return Sample{OK: r.Bool(), Value: r.Float64(), Extra: []float64{float64(r.Intn(1000))}}
 		})
@@ -53,27 +64,23 @@ func TestRunTrialsWorkerCountInvariance(t *testing.T) {
 }
 
 func TestRunTrialsEdgeCases(t *testing.T) {
-	if s := RunTrials(0, 4, 1, func(*Trial) Sample { return Sample{} }); s != nil {
+	if s := runAll(t, 0, 4, 1, func(*Trial) Sample { return Sample{} }); s != nil {
 		t.Errorf("n=0 should return nil, got %v", s)
 	}
-	if s := RunTrials(-3, 4, 1, func(*Trial) Sample { return Sample{} }); s != nil {
+	if s := runAll(t, -3, 4, 1, func(*Trial) Sample { return Sample{} }); s != nil {
 		t.Errorf("negative n should return nil, got %v", s)
 	}
 	// workers beyond n must not deadlock or drop trials.
-	s := RunTrials(2, 16, 1, func(tr *Trial) Sample { return Sample{OK: true} })
+	s := runAll(t, 2, 16, 1, func(tr *Trial) Sample { return Sample{OK: true} })
 	if len(s) != 2 || !s[0].OK || !s[1].OK {
 		t.Errorf("short run mishandled: %v", s)
-	}
-	// Zero trials through the error-returning variant.
-	if s, err := RunTrialsObs(context.Background(), 0, 4, 1, nil, func(*Trial) Sample { return Sample{} }); s != nil || err != nil {
-		t.Errorf("RunTrialsObs(0) = %v, %v", s, err)
 	}
 }
 
 // TestRunTrialsPanicSurfacesError pins the pool-hardening contract: a
 // panicking trial must drain the pool and come back as a clean error
-// naming the trial (RunTrialsObs) or as a caller-side panic (RunTrials)
-// — never a deadlock or a process abort from a worker goroutine.
+// naming the trial (RunTrials) or as a caller-side panic (the runners'
+// Options.run) — never a deadlock or a process abort from a worker goroutine.
 func TestRunTrialsPanicSurfacesError(t *testing.T) {
 	boom := func(tr *Trial) Sample {
 		if tr.Index == 3 {
@@ -91,13 +98,13 @@ func TestRunTrialsPanicSurfacesError(t *testing.T) {
 		// t.Errorf against test completion.
 		done := make(chan result, 1)
 		go func() {
-			s, err := RunTrialsObs(context.Background(), 8, workers, 1, nil, boom)
+			s, err := RunTrials(context.Background(), 8, workers, 1, nil, boom)
 			done <- result{s, err}
 		}()
 		select {
 		case r := <-done:
 			if r.err == nil {
-				t.Errorf("workers=%d: RunTrialsObs missed the panic", workers)
+				t.Errorf("workers=%d: RunTrials missed the panic", workers)
 				continue
 			}
 			if !strings.Contains(r.err.Error(), "trial 3") || !strings.Contains(r.err.Error(), "boom") {
@@ -107,20 +114,20 @@ func TestRunTrialsPanicSurfacesError(t *testing.T) {
 				t.Errorf("workers=%d: got samples alongside an error", workers)
 			}
 		case <-time.After(30 * time.Second):
-			t.Fatalf("workers=%d: RunTrialsObs deadlocked on a panicking trial", workers)
+			t.Fatalf("workers=%d: RunTrials deadlocked on a panicking trial", workers)
 		}
 	}
 }
 
 // TestRunTrialsCancellation pins the context contract: cancelling the
 // ctx stops the run between trials (no trial is ever interrupted
-// mid-flight), RunTrialsObs reports the context's error, and every
+// mid-flight), RunTrials reports the context's error, and every
 // worker goroutine exits.
 func TestRunTrialsCancellation(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		ctx, cancel := context.WithCancel(context.Background())
 		var started atomic.Int64
-		_, err := RunTrialsObs(ctx, 1000, workers, 1, nil, func(tr *Trial) Sample {
+		_, err := RunTrials(ctx, 1000, workers, 1, nil, func(tr *Trial) Sample {
 			if started.Add(1) == 3 {
 				cancel()
 			}
@@ -140,7 +147,7 @@ func TestRunTrialsCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	ran := false
-	if _, err := RunTrialsObs(ctx, 10, 4, 1, nil, func(*Trial) Sample { ran = true; return Sample{} }); !errors.Is(err, context.Canceled) {
+	if _, err := RunTrials(ctx, 10, 4, 1, nil, func(*Trial) Sample { ran = true; return Sample{} }); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled ctx: err = %v", err)
 	}
 	if ran {
@@ -155,7 +162,7 @@ func TestRunTrialsCancellation(t *testing.T) {
 // on trial boundaries and never perturbs a trial's seed or host).
 func TestRunTrialsCompletedPrefixUnperturbed(t *testing.T) {
 	const n = 64
-	full, err := RunTrialsObs(context.Background(), n, 1, 7, nil, func(tr *Trial) Sample {
+	full, err := RunTrials(context.Background(), n, 1, 7, nil, func(tr *Trial) Sample {
 		r := xrand.New(tr.Seed)
 		return Sample{OK: r.Bool(), Value: r.Float64()}
 	})
@@ -165,7 +172,7 @@ func TestRunTrialsCompletedPrefixUnperturbed(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var got [n]Sample
 	var gotMask [n]bool
-	_, err = RunTrialsObs(ctx, n, 1, 7, nil, func(tr *Trial) Sample {
+	_, err = RunTrials(ctx, n, 1, 7, nil, func(tr *Trial) Sample {
 		if tr.Index == 10 {
 			cancel()
 		}
@@ -196,7 +203,7 @@ func TestRunTrialsCompletedPrefixUnperturbed(t *testing.T) {
 func TestRunTrialsPanicLeavesNoWorkers(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for i := 0; i < 4; i++ {
-		_, err := RunTrialsObs(context.Background(), 64, 8, 1, nil, func(tr *Trial) Sample {
+		_, err := RunTrials(context.Background(), 64, 8, 1, nil, func(tr *Trial) Sample {
 			if tr.Index == 0 {
 				panic("boom")
 			}
@@ -206,7 +213,7 @@ func TestRunTrialsPanicLeavesNoWorkers(t *testing.T) {
 			t.Fatal("panic not surfaced")
 		}
 	}
-	// Workers are wg.Wait()ed before RunTrialsObs returns, so any excess
+	// Workers are wg.Wait()ed before RunTrials returns, so any excess
 	// here would be a genuine leak; allow slack for runtime helpers.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
@@ -224,17 +231,17 @@ func TestRunTrialsRepanicsOnCaller(t *testing.T) {
 	defer func() {
 		r := recover()
 		if r == nil {
-			t.Fatal("RunTrials swallowed a trial panic")
+			t.Fatal("Options.run swallowed a trial panic")
 		}
 		if msg := fmt.Sprint(r); !strings.Contains(msg, "boom") {
 			t.Fatalf("re-raised panic %q lost the original value", msg)
 		}
 	}()
-	RunTrials(4, 2, 1, func(tr *Trial) Sample { panic("boom") })
+	Options{Seed: 1, Workers: 2}.run(4, func(tr *Trial) Sample { panic("boom") }, "test")
 }
 
 func TestTrialWithSeed(t *testing.T) {
-	RunTrials(1, 1, 9, func(tr *Trial) Sample {
+	runAll(t, 1, 1, 9, func(tr *Trial) Sample {
 		re := tr.WithSeed(0xdead)
 		if re.Seed != 0xdead || re.Index != tr.Index {
 			t.Errorf("WithSeed = %+v", re)

@@ -73,11 +73,11 @@ func Table3(o Options) *Report {
 			cells = append(cells, cell{env.name, env.cfg, algo})
 		}
 	}
-	samples := RunTrials(len(cells)*n, o.Workers, SubSeed(o.Seed, "table3"), func(t *Trial) Sample {
+	samples := o.run(len(cells)*n, func(t *Trial) Sample {
 		c := cells[t.Index/n]
 		ok, d := singleSetTrial(t, c.cfg, c.algo, t.Seed, evset.DefaultOptions())
 		return Sample{OK: ok, Value: float64(d)}
-	})
+	}, "table3")
 	for ci, c := range cells {
 		cs := samples[ci*n : (ci+1)*n]
 		s := stats.Summarize(sampleValues(cs))
@@ -107,10 +107,10 @@ func Figure2(o Options) *Report {
 		name string
 		cfg  hierarchy.Config
 	}{{"local", localConfig(o)}, {"cloud", cloudConfig(o)}}
-	samples := RunTrials(len(envs), o.Workers, SubSeed(o.Seed, "fig2"), func(t *Trial) Sample {
+	samples := o.run(len(envs), func(t *Trial) Sample {
 		gaps := collectGaps(t, envs[t.Index].cfg, t.Seed, trials(o, 1000))
 		return Sample{Series: [][]float64{gaps}}
-	})
+	}, "fig2")
 	for i, env := range envs {
 		gaps := samples[i].Series[0]
 		if len(gaps) < 2 {
@@ -172,7 +172,7 @@ func Figure3(o Options) *Report {
 	u := cfg.LLCUncertainty()
 	mults := []int{1, 3, 5, 7, 9, 11}
 	reps := trials(o, 30)
-	samples := RunTrials(len(mults), o.Workers, SubSeed(o.Seed, "fig3"), func(t *Trial) Sample {
+	samples := o.run(len(mults), func(t *Trial) Sample {
 		h := t.Host(cfg, t.Seed)
 		e := evset.NewEnv(h, t.Seed^0xf13)
 		pool := evset.NewCandidates(e, 11*u+1, 0)
@@ -190,7 +190,7 @@ func Figure3(o Options) *Report {
 			seq = append(seq, float64(h.Clock().Now()-t0))
 		}
 		return Sample{Series: [][]float64{par, seq}}
-	})
+	}, "fig3")
 	for i, mult := range mults {
 		p := stats.Mean(samples[i].Series[0])
 		s := stats.Mean(samples[i].Series[1])
@@ -268,11 +268,11 @@ func Table4(o Options) *Report {
 			}
 		}
 	}
-	samples := RunTrials(len(jobCell), o.Workers, SubSeed(o.Seed, "table4"), func(t *Trial) Sample {
+	samples := o.run(len(jobCell), func(t *Trial) Sample {
 		c := cells[jobCell[t.Index]]
 		rate, d := table4Trial(t, c.cfg, c.algo, c.scenario, t.Seed)
 		return Sample{Value: float64(d), Extra: []float64{rate}}
-	})
+	}, "table4")
 	off := 0
 	for _, c := range cells {
 		cs := samples[off : off+c.trials]
@@ -344,7 +344,7 @@ func FilterOverhead(o Options) *Report {
 		},
 	}
 	cfg := cloudConstructionConfig(o, true)
-	samples := RunTrials(1, o.Workers, SubSeed(o.Seed, "filter"), func(t *Trial) Sample {
+	samples := o.run(1, func(t *Trial) Sample {
 		h := t.Host(cfg, t.Seed)
 		e := evset.NewEnv(h, t.Seed^0x71f)
 		cands := evset.NewCandidates(e, evset.DefaultPoolSize(cfg), 0)
@@ -369,7 +369,7 @@ func FilterOverhead(o Options) *Report {
 			float64(fstats.Duration),
 			float64(keep),
 		}}
-	})
+	}, "filter")
 	s := samples[0]
 	if !s.OK {
 		rep.Rows = append(rep.Rows, []string{"one filtering", "L2 set construction failed"})
@@ -425,11 +425,11 @@ func IceLake(o Options) *Report {
 			}
 		}
 	}
-	samples := RunTrials(len(cells)*n, o.Workers, SubSeed(o.Seed, "icelake"), func(t *Trial) Sample {
+	samples := o.run(len(cells)*n, func(t *Trial) Sample {
 		c := cells[t.Index/n]
 		d, ok := iceLakeTrial(t, c.cfg, c.algo, c.target, t.Seed)
 		return Sample{OK: ok, Value: float64(d)}
-	})
+	}, "icelake")
 	for ci := 0; ci < len(cells); ci += len(algos) {
 		means := map[string]float64{}
 		for ai, algo := range algos {

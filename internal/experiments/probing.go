@@ -67,7 +67,7 @@ func Table5(o Options) *Report {
 	reps := trials(o, 6)
 	strats := []probe.Strategy{probe.PSFlush, probe.PSAlt, probe.Parallel}
 	cfg := cloudConfig(o)
-	samples := RunTrials(len(strats)*reps, o.Workers, SubSeed(o.Seed, "table5"), func(t *Trial) Sample {
+	samples := o.run(len(strats)*reps, func(t *Trial) Sample {
 		strat := strats[t.Index/reps]
 		e, lines, alt, sender, ok := CovertSetup(t, cfg, t.Seed)
 		if !ok {
@@ -76,7 +76,7 @@ func Table5(o Options) *Report {
 		m := probe.NewMonitor(e, strat, lines).WithAlt(alt)
 		res := probe.RunCovertChannel(e, m, 2, sender, 50000, 60)
 		return Sample{OK: true, Series: [][]float64{res.PrimeLatency, res.ProbeLatency}}
-	})
+	}, "table5")
 	for si, strat := range strats {
 		cs := samples[si*reps : (si+1)*reps]
 		prime := concatSeries(cs, 0)
@@ -107,7 +107,7 @@ func Figure6(o Options) *Report {
 	count := trials(o, 300)
 	reps := 3
 	cfg := cloudConfig(o)
-	samples := RunTrials(len(intervals)*len(strats)*reps, o.Workers, SubSeed(o.Seed, "fig6"), func(t *Trial) Sample {
+	samples := o.run(len(intervals)*len(strats)*reps, func(t *Trial) Sample {
 		cellIdx := t.Index / reps
 		iv := intervals[cellIdx/len(strats)]
 		strat := strats[cellIdx%len(strats)]
@@ -118,7 +118,7 @@ func Figure6(o Options) *Report {
 		m := probe.NewMonitor(e, strat, lines).WithAlt(alt)
 		res := probe.RunCovertChannel(e, m, 2, sender, iv, count)
 		return Sample{OK: true, Value: res.DetectionRate}
-	})
+	}, "fig6")
 	for ii, iv := range intervals {
 		row := []string{fmt.Sprint(iv)}
 		for si := range strats {
@@ -148,7 +148,7 @@ func AblationPolicy(o Options) *Report {
 	strats := []probe.Strategy{probe.Parallel, probe.PSFlush}
 	const reps = 3
 	count := trials(o, 250)
-	samples := RunTrials(len(pols)*len(strats)*reps, o.Workers, SubSeed(o.Seed, "abl-policy"), func(t *Trial) Sample {
+	samples := o.run(len(pols)*len(strats)*reps, func(t *Trial) Sample {
 		cellIdx := t.Index / reps
 		p := pols[cellIdx/len(strats)]
 		strat := strats[cellIdx%len(strats)]
@@ -161,7 +161,7 @@ func AblationPolicy(o Options) *Report {
 		m := probe.NewMonitor(e, strat, lines).WithAlt(alt)
 		res := probe.RunCovertChannel(e, m, 2, sender, 5000, count)
 		return Sample{OK: true, Value: res.DetectionRate}
-	})
+	}, "abl-policy")
 	for pi, p := range pols {
 		row := []string{p.name}
 		for si := range strats {
@@ -195,7 +195,7 @@ func AblationNoise(o Options) *Report {
 	cfgFor := func(rate float64) hierarchy.Config {
 		return localConfig(o).WithNoiseRate(rate * ConstructionNoiseScale(localConfig(o), true))
 	}
-	samples := RunTrials(len(noiseRates)*perRate, o.Workers, SubSeed(o.Seed, "abl-noise"), func(t *Trial) Sample {
+	samples := o.run(len(noiseRates)*perRate, func(t *Trial) Sample {
 		rate := noiseRates[t.Index/perRate]
 		cfg := cfgFor(rate)
 		if t.Index%perRate < n {
@@ -215,7 +215,7 @@ func AblationNoise(o Options) *Report {
 		m := probe.NewMonitor(e, probe.Parallel, lines).WithAlt(alt)
 		res := probe.RunCovertChannel(e, m, 2, sender, 10000, count)
 		return Sample{OK: true, Value: res.DetectionRate}
-	})
+	}, "abl-noise")
 	for ri, rate := range noiseRates {
 		rs := samples[ri*perRate : (ri+1)*perRate]
 		cons := rs[:n]

@@ -240,17 +240,13 @@ func (tt *TrialTrace) Span(name, cat string, start, dur clock.Cycles, wall time.
 }
 
 // Sink bundles the observability outputs a run threads through its
-// layers: a metrics registry, a tracer, and the PID tracks the sink's
-// owner assigns trials to. Any field may be nil; a nil *Sink disables
-// everything.
+// layers: a metrics registry and a tracer. Either may be nil; a nil
+// *Sink disables everything.
 type Sink struct {
 	// Metrics receives counters/gauges/histograms (nil = off).
 	Metrics *Registry
 	// Tracer receives spans (nil = off).
 	Tracer *Tracer
-	// TracePID is the PID track for trials spawned under this sink
-	// (the engine sets each trial's TID to its trial index).
-	TracePID int
 }
 
 // Enabled reports whether the sink carries any live output.

@@ -67,7 +67,7 @@ const nBands = 16
 func (p Params) Features(tr *probe.Trace) []float64 {
 	signal := dsp.BinTrace(toU64(tr.Times), uint64(tr.Start), uint64(tr.End), uint64(p.BinCycles))
 	fs := 1.0 / float64(p.BinCycles) // samples per cycle
-	spec := dsp.Welch(signal, fs, dsp.WelchOptions{SegmentLength: 256, Overlap: -1, Window: dsp.Hann})
+	spec := dsp.Welch(signal, fs)
 
 	floor := spec.MedianPower()
 	if floor <= 0 {

@@ -237,28 +237,22 @@ func (r *Report) WriteJSON(w io.Writer) error {
 	return enc.Encode(r)
 }
 
-// Run executes trials of the scenario on its default config across
-// workers (<= 0 selects GOMAXPROCS) and aggregates the outcomes. The
-// report depends only on (id, trials, seed).
-func Run(id string, trials, workers int, seed uint64) (*Report, error) {
-	return RunWithObs(context.Background(), id, nil, nil, trials, workers, seed, nil)
-}
-
-// RunWithObs is Run with both environment overrides and an
-// observability sink (the cmd/llcattack -tenants / -defense / -trace
-// flags). Tenant specs replace the scenario's background workload and
-// def replaces its LLC defense; nil values keep the scenario's own
-// environment. Tenant specs must already be validated (tenant.ParseList
-// / Spec.Validate); a defense override must survive
+// RunWithObs executes trials of the scenario across workers (<= 0
+// selects GOMAXPROCS) and aggregates the outcomes; the report depends
+// only on (id, tenants, def, trials, seed). Tenant specs replace the
+// scenario's background workload and def replaces its LLC defense (the
+// cmd/llcattack -tenants / -defense flags); nil values keep the
+// scenario's own environment. Tenant specs must already be validated
+// (tenant.ParseList / Spec.Validate); a defense override must survive
 // hierarchy.Config.Validate against the scenario's geometry, reported
 // as an error rather than a panic. Cancelling ctx (the CLI's signal
 // context) stops the run between trials and returns the context's
 // error; a completed report never depends on ctx. When sink.Tracer is
 // set every trial's pipeline steps land on the trace as cat="phase"
-// spans under the sink's PID track (named after the scenario), with the
-// trial index as TID; when sink.Metrics is set the engine's trial
-// metrics record. The report is byte-identical with or without a sink
-// (determinism clause 10).
+// spans on PID track 0 (named after the scenario), with the trial index
+// as TID; when sink.Metrics is set the engine's trial metrics record.
+// A nil sink runs untraced, and the report is byte-identical with or
+// without one (determinism clause 10).
 func RunWithObs(ctx context.Context, id string, tenants []tenant.Spec, def *defense.Spec, trials, workers int, seed uint64, sink *obs.Sink) (*Report, error) {
 	sc, ok := Lookup(id)
 	if !ok {
@@ -278,12 +272,12 @@ func RunWithObs(ctx context.Context, id string, tenants []tenant.Spec, def *defe
 		return nil, fmt.Errorf("scenario: %s: %w", sc.ID, err)
 	}
 	if sink != nil && sink.Tracer != nil {
-		sink.Tracer.SetProcessName(sink.TracePID, "scenario "+sc.ID)
+		sink.Tracer.SetProcessName(0, "scenario "+sc.ID)
 	}
 	// Per-trial outcome slots keep the writes race-free at any worker
 	// count, like the engine's own sample slice.
 	outs := make([]Outcome, trials)
-	_, err := experiments.RunTrialsObs(ctx, trials, workers, experiments.SubSeed(seed, "scenario", sc.ID), sink, func(t *experiments.Trial) experiments.Sample {
+	_, err := experiments.RunTrials(ctx, trials, workers, experiments.SubSeed(seed, "scenario", sc.ID), sink, func(t *experiments.Trial) experiments.Sample {
 		o := sc.Run(t, cfg)
 		outs[t.Index] = o
 		return experiments.Sample{OK: o.Success, Value: float64(o.TotalCycles)}

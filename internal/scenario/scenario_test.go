@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"bytes"
+	"context"
 	"reflect"
 	"testing"
 
@@ -43,11 +44,11 @@ func TestRegistry(t *testing.T) {
 }
 
 func TestRunUnknownScenario(t *testing.T) {
-	if _, err := Run("nope", 1, 1, 1); err == nil {
-		t.Fatal("Run accepted an unknown scenario")
+	if _, err := RunWithObs(context.Background(), "nope", nil, nil, 1, 1, 1, nil); err == nil {
+		t.Fatal("RunWithObs accepted an unknown scenario")
 	}
-	if _, err := Run("scan/psd", 0, 1, 1); err == nil {
-		t.Fatal("Run accepted zero trials")
+	if _, err := RunWithObs(context.Background(), "scan/psd", nil, nil, 0, 1, 1, nil); err == nil {
+		t.Fatal("RunWithObs accepted zero trials")
 	}
 }
 
@@ -180,7 +181,7 @@ func TestParallelEquivalence(t *testing.T) {
 			t.Parallel()
 			var reports [][]byte
 			for _, workers := range []int{1, 8} {
-				rep, err := Run(id, 2, workers, 7)
+				rep, err := RunWithObs(context.Background(), id, nil, nil, 2, workers, 7, nil)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -383,16 +383,6 @@ func cellKey(labels []any) string {
 // context's error; Run itself persists nothing (the resumable path is
 // internal/campaign.Run, which produces the identical Result).
 func Run(ctx context.Context, spec Spec, workers int) (*Result, error) {
-	return RunObs(ctx, spec, workers, nil)
-}
-
-// RunObs is Run with an observability sink (the cmd/llcsweep -trace
-// flag): on a traced run each grid cell becomes one trace process
-// (PID = cell index, named with the cell's coordinates) whose trials
-// are its threads, and metrics record the engine's per-trial series.
-// A nil sink is exactly Run — the Result is byte-identical either way
-// (determinism clause 10).
-func RunObs(ctx context.Context, spec Spec, workers int, sink *obs.Sink) (*Result, error) {
 	spec.Normalize()
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -402,12 +392,7 @@ func RunObs(ctx context.Context, spec Spec, workers int, sink *obs.Sink) (*Resul
 	for ci := range all {
 		all[ci] = ci
 	}
-	if sink != nil && sink.Tracer != nil {
-		for ci := range cls {
-			sink.Tracer.SetProcessName(ci, cls[ci].Coords())
-		}
-	}
-	samples, err := RunCells(ctx, cls, all, spec.Trials, workers, sink, nil)
+	samples, err := RunCells(ctx, cls, all, spec.Trials, workers, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -415,7 +400,7 @@ func RunObs(ctx context.Context, spec Spec, workers int, sink *obs.Sink) (*Resul
 }
 
 // RunCells is the one grid executor: it runs n trials of each cell
-// cls[ci], ci in which, as a single experiments.RunTrialsObs call and
+// cls[ci], ci in which, as a single experiments.RunTrials call and
 // returns the samples cell after cell in which order. Trials are
 // scheduled individually, so W workers share even a one-cell grid, and
 // each worker reuses its host across the consecutive trials of a cell.
@@ -452,7 +437,7 @@ func RunCells(ctx context.Context, cls []Cell, which []int, n, workers int, sink
 	}
 	// The engine's own seed stream is unused: every trial re-roots on
 	// its cell's stream below.
-	_, err := experiments.RunTrialsObs(ctx, len(which)*n, workers, 0, sink, func(t *experiments.Trial) experiments.Sample {
+	_, err := experiments.RunTrials(ctx, len(which)*n, workers, 0, sink, func(t *experiments.Trial) experiments.Sample {
 		k, i := t.Index/n, t.Index%n
 		ci := which[k]
 		c := &cls[ci]
