@@ -436,6 +436,32 @@ func BenchmarkMicro_HierarchyAccess(b *testing.B) {
 	}
 }
 
+// BenchmarkMicro_SharedTraversal times the grid's wall: one op is one
+// LoadSharedAll, the two-thread shared load eviction-set construction
+// traverses candidates with, over the first L2-filtered group of a
+// default candidate pool. The host is the grid's (Scaled(4), 8-way SF)
+// under Cloud Run noise, with the LLC and SF under the sub-benchmark's
+// policy. Traversals repeat over one pool, so after the first they take
+// the mix of LLC hits and refetches a pruning loop sees.
+func BenchmarkMicro_SharedTraversal(b *testing.B) {
+	for _, kind := range []cache.PolicyKind{cache.TrueLRU, cache.SRRIP, cache.RandomRepl} {
+		b.Run(kind.String(), func(b *testing.B) {
+			cfg := hierarchy.Scaled(4).WithCloudNoise().WithSharedPolicy(kind)
+			e := evset.NewEnv(hierarchy.NewHost(cfg, 5), 5^0xbe)
+			pool := evset.NewCandidates(e, evset.DefaultPoolSize(cfg), 0)
+			groups, _ := evset.PartitionByL2(e, pool.Addrs, evset.FilteredOptions())
+			if len(groups) == 0 {
+				b.Fatal("L2 filtering found no group")
+			}
+			lines := groups[0].Members
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.Main.LoadSharedAll(e.Helper, lines)
+			}
+		})
+	}
+}
+
 func BenchmarkMicro_FFT1024(b *testing.B) {
 	x := make([]complex128, 1024)
 	for i := range x {

@@ -192,10 +192,12 @@ func bit(w int) uint64 { return 1 << (w & 63) }
 // collide in about one way in 256, and the full tag compare settles it.
 func Fingerprint(tag Tag) uint8 { return uint8(uint64(tag) * 0x9e3779b97f4a7c15 >> 56) }
 
-// ones has the low bit of every byte set, and low7 the low seven.
+// ones has the low bit of every byte set, low7 the low seven and highs
+// the high one.
 const (
-	ones = 0x0101010101010101
-	low7 = 0x7f7f7f7f7f7f7f7f
+	ones  = 0x0101010101010101
+	low7  = 0x7f7f7f7f7f7f7f7f
+	highs = 0x8080808080808080
 )
 
 // zeroBytes returns 0x80 in every zero byte of x and 0 elsewhere: a
@@ -323,6 +325,22 @@ func (c *Cache) UpdatePayload(idx int, tag Tag, payload uint16) bool {
 		return true
 	}
 	return false
+}
+
+// Take is Lookup then Remove in one scan: on a hit it touches the way's
+// replacement state, invalidates the way and returns its payload, and
+// Version advances by two, as it would over the two calls. A line that
+// moves to another structure (an SF entry forwarded into the LLC, an
+// LLC line taken Exclusive) leaves through Take.
+func (c *Cache) Take(idx int, tag Tag) (payload uint16, hit bool) {
+	b, m := c.base(idx)
+	if w := c.find(b, m, tag); w >= 0 {
+		c.touch(idx, w)
+		c.ver++
+		c.meta[m] &^= bit(w)
+		return c.payload[b+w], true
+	}
+	return 0, false
 }
 
 // Remove invalidates tag in set idx, reporting whether it was present.

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -421,6 +422,48 @@ func TestFindMatchesLinearScan(t *testing.T) {
 			}
 			for _, probe := range universe {
 				wayOf(t, c, set, probe)
+			}
+		}
+	}
+}
+
+// TestTakeIsLookupThenRemove drives twin caches through one random
+// script over every policy, partitioned or not, and at every step
+// takes one tag from the first and looks it up then removes it from
+// the second: the payload, the hit, the Version and every byte of state
+// (ways, valid masks, fingerprints, policy state, random stream) must
+// agree.
+func TestTakeIsLookupThenRemove(t *testing.T) {
+	for _, pol := range Policies() {
+		for _, split := range []int{0, 3} {
+			cfg := Config{Name: "take", Sets: 2, Ways: 7, Policy: pol, PartitionAt: split}
+			a, b := New(cfg, xrand.New(9)), New(cfg, xrand.New(9))
+			ops := xrand.New(uint64(pol)*10 + uint64(split))
+			for i := 0; i < 3000; i++ {
+				set, tag, region := ops.Intn(2), Tag(1+ops.Intn(20)), -1
+				if split > 0 {
+					region = ops.Intn(2)
+				}
+				switch ops.Intn(3) {
+				case 0:
+					a.InsertRegion(region, set, tag, uint16(i))
+					b.InsertRegion(region, set, tag, uint16(i))
+				case 1:
+					a.Lookup(set, tag)
+					b.Lookup(set, tag)
+				case 2:
+					ap, ah := a.Take(set, tag)
+					bp, bh := b.Lookup(set, tag)
+					if rp, rh := b.Remove(set, tag); rp != bp || rh != bh {
+						t.Fatalf("%v: Remove after Lookup = (%d, %v), Lookup = (%d, %v)", pol, rp, rh, bp, bh)
+					}
+					if ap != bp || ah != bh {
+						t.Fatalf("%v split %d op %d: Take = (%d, %v), Lookup then Remove = (%d, %v)", pol, split, i, ap, ah, bp, bh)
+					}
+				}
+				if a.Version() != b.Version() || !reflect.DeepEqual(a, b) {
+					t.Fatalf("%v split %d op %d: state differs (Version %d vs %d)", pol, split, i, a.Version(), b.Version())
+				}
 			}
 		}
 	}

@@ -184,6 +184,28 @@ func FuzzCacheMatchesModel(f *testing.F) {
 		full = append(full, 2, 0, byte(tag))
 	}
 	f.Add(append(full, 0, 0, 127, 0, 0, 126, 4, 0, 127, 4, 0, 126, 0, 0, 126, 2, 0, 127, 0, 0, 127, 4, 0, 127))
+	// SRRIP and QLRU victims at every oldest age a policy reaches (QLRU
+	// 0-3; SRRIP 0, 2 and 3, since its ages only take 1 on the way to
+	// 3), alone and tied, on one 4-way set: the fill ties the insertion
+	// age, the touches tie age 0, the refills age the set, and touching
+	// two ways leaves the others tied at the oldest age. The partitioned
+	// copies (split at 2; op 0x12 allocates in region 1) age each region
+	// apart.
+	rrip := []byte{2, 0, 0, 2, 0, 2, 2, 0, 4, 2, 0, 6, 2, 0, 8}
+	for _, tag := range []byte{0, 2, 4, 6, 8} {
+		rrip = append(rrip, 0, 0, tag)
+	}
+	rrip = append(rrip, 2, 0, 10, 2, 0, 12, 0, 0, 10, 0, 0, 12, 2, 0, 14, 2, 0, 16, 2, 0, 18, 0, 0, 18, 2, 0, 20, 2, 0, 22, 2, 0, 24)
+	for _, pol := range []byte{2, 3} {
+		f.Add(append([]byte{pol, 3, 0}, rrip...))
+		split := append([]byte{pol, 3, 2}, rrip...)
+		for i := 3; i < len(split); i += 3 {
+			if split[i] == 2 && split[i+2]%4 == 2 {
+				split[i] = 0x12
+			}
+		}
+		f.Add(split)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 {
 			return

@@ -132,11 +132,19 @@ func resolvePolicy(kind PolicyKind, ways int) rpolicy {
 
 // metaStride returns the bytes of replacement metadata one set needs for
 // the resolved policy over a region of the given width: a recency order
-// for LRU, tree bits for PLRU, one age/RRPV byte per way for QLRU/SRRIP,
-// nothing for random replacement.
+// for LRU (padded, see moveToFront), tree bits for PLRU, one age/RRPV
+// byte per way for QLRU/SRRIP, nothing for random replacement.
 func metaStride(kind rpolicy, ways int) int {
 	switch kind {
-	case rLRU, rSRRIP, rQLRU:
+	case rLRU:
+		if ways <= 8 {
+			return 8
+		}
+		if ways <= 16 {
+			return 16
+		}
+		return ways
+	case rSRRIP, rQLRU:
 		return ways
 	case rPLRU:
 		return ways - 1
@@ -208,20 +216,27 @@ func (p *regionPolicy) resetAll() {
 	}
 }
 
-// moveToFront promotes way w to MRU in an LRU recency order. The
-// entries ahead of it shift down one by one: orders are a few bytes
-// long, where a loop beats a call to memmove. An 8-way order (every
-// L1) is one word, shifted in a register.
+// moveToFront promotes way to MRU in an LRU recency order: the entries
+// ahead of it shift down one place. metaStride pads every order of up
+// to 16 ways to 8 or 16 bytes, with padding bytes no way equals and no
+// promotion moves, so the search and the shift run on one or two words
+// in registers. A longer order (the Ice Lake L2's) takes the byte loop:
+// orders are a few bytes long, where a loop beats a call to memmove.
 func moveToFront(order []uint8, way uint8) {
-	if len(order) == 8 {
-		const ones, highs = 0x0101010101010101, 0x8080808080808080
+	switch len(order) {
+	case 8:
 		x := binary.LittleEndian.Uint64(order)
-		// The order is a permutation, so the lowest zero byte of v is
-		// way's position (higher false positives cannot precede it).
-		v := x ^ ones*uint64(way)
-		pos := bits.TrailingZeros64((v-ones)&^v&highs) >> 3
-		ahead := uint64(1)<<(8*pos+8) - 1 // bytes 0..pos; all ones at pos 7
-		binary.LittleEndian.PutUint64(order, x&^ahead|(x<<8)&ahead|uint64(way))
+		binary.LittleEndian.PutUint64(order, shiftIn(x, bytePos(x, way), uint64(way)))
+		return
+	case 16:
+		lo := binary.LittleEndian.Uint64(order)
+		if pos := bytePos(lo, way); pos < 8 {
+			binary.LittleEndian.PutUint64(order, shiftIn(lo, pos, uint64(way)))
+			return
+		}
+		hi := binary.LittleEndian.Uint64(order[8:])
+		binary.LittleEndian.PutUint64(order[8:], shiftIn(hi, bytePos(hi, way), lo>>56))
+		binary.LittleEndian.PutUint64(order, lo<<8|uint64(way))
 		return
 	}
 	pos := 0
@@ -235,6 +250,21 @@ func moveToFront(order []uint8, way uint8) {
 		order[pos] = order[pos-1]
 	}
 	order[0] = way
+}
+
+// bytePos returns the position of the lowest byte of x equal to b, or 8
+// when no byte is. The lowest zero byte of x^b·ones is exact: the
+// borrow that makes a false positive only runs upward from a true one.
+func bytePos(x uint64, b uint8) int {
+	v := x ^ ones*uint64(b)
+	return bits.TrailingZeros64((v-ones)&^v&highs) >> 3
+}
+
+// shiftIn moves bytes [0, pos) of x up one place and puts in (a byte)
+// at byte 0; byte pos is overwritten and the bytes above it keep.
+func shiftIn(x uint64, pos int, in uint64) uint64 {
+	ahead := uint64(1)<<(8*pos+8) - 1 // bytes 0..pos; all ones at pos 7
+	return x&^ahead | (x<<8|in)&ahead
 }
 
 // plruTouch flips tree bits along the path to way so the victim search
@@ -262,7 +292,7 @@ func (p *regionPolicy) touch(set, w int) {
 	m := p.meta[set*p.stride:]
 	switch p.kind {
 	case rLRU:
-		moveToFront(m[:p.ways], uint8(w))
+		moveToFront(m[:p.stride], uint8(w))
 	case rPLRU:
 		plruTouch(m, p.ways, w)
 	case rSRRIP, rQLRU:
@@ -277,7 +307,7 @@ func (p *regionPolicy) insert(set, w int) {
 	m := p.meta[set*p.stride:]
 	switch p.kind {
 	case rLRU:
-		moveToFront(m[:p.ways], uint8(w))
+		moveToFront(m[:p.stride], uint8(w))
 	case rPLRU:
 		plruTouch(m, p.ways, w)
 	case rSRRIP:

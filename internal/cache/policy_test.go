@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/xrand"
@@ -242,4 +243,59 @@ func TestMoveToFrontWord(t *testing.T) {
 		}
 	}
 	visit(0)
+}
+
+// moveToFrontLoop is the byte loop moveToFront replaces on padded
+// orders: find the way, shift the entries ahead of it down one place.
+func moveToFrontLoop(order []uint8, way uint8) {
+	pos := 0
+	for i, v := range order {
+		if v == way {
+			pos = i
+			break
+		}
+	}
+	copy(order[1:pos+1], order[:pos])
+	order[0] = way
+}
+
+// TestMoveToFrontPadded checks moveToFront against the byte loop on
+// every order length 1-16 and every position, laid out as metaStride
+// pads it (resetSet's padding bytes), over the identity, its reverse
+// and shuffled orders: the order's bytes must match the loop's and the
+// padding must not move.
+func TestMoveToFrontPadded(t *testing.T) {
+	rng := xrand.New(5)
+	for ways := 1; ways <= 16; ways++ {
+		stride := metaStride(rLRU, ways)
+		if want := 8 + 8*((ways-1)/8); stride != want {
+			t.Fatalf("%d ways: LRU stride %d, want %d", ways, stride, want)
+		}
+		for trial := 0; trial < 8; trial++ {
+			perm := make([]uint8, ways)
+			for i := range perm {
+				perm[i] = uint8(i)
+			}
+			switch trial {
+			case 0:
+			case 1:
+				slices.Reverse(perm)
+			default:
+				for i := len(perm) - 1; i > 0; i-- {
+					j := rng.Intn(i + 1)
+					perm[i], perm[j] = perm[j], perm[i]
+				}
+			}
+			for pos := range perm {
+				p := newRegionPolicy(TrueLRU, ways, 1)
+				copy(p.meta, perm)
+				want := slices.Clone(p.meta)
+				moveToFrontLoop(want[:ways], perm[pos])
+				moveToFront(p.meta, perm[pos])
+				if !slices.Equal(p.meta, want) {
+					t.Fatalf("%d ways: promoting %d at position %d of %v gives %v, want %v", ways, perm[pos], pos, perm, p.meta, want)
+				}
+			}
+		}
+	}
 }

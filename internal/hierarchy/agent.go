@@ -192,23 +192,25 @@ func (a *Agent) LoadShared(helper *Agent, va memory.VAddr) clock.Cycles {
 // accesses of the batch. Like AccessParallel, the batch is charged its
 // maximum jittered latency from draws taken in stream order; no
 // measurement hook filters the result, so only its truncations are
-// needed (batchFloors).
+// needed (batchFloors). Each line is one host transition (sharedLoad).
+// The helper must share the agent's address space, as a helper thread
+// does; LoadSharedAll panics otherwise.
 func (a *Agent) LoadSharedAll(helper *Agent, vas []memory.VAddr) clock.Cycles {
 	if len(vas) == 0 {
 		return 0
+	}
+	if helper.as != a.as {
+		panic("hierarchy: LoadSharedAll helper does not share the agent's address space")
 	}
 	lat := &a.h.cfg.Lat
 	total := 0.0
 	mark := len(a.h.jit)
 	for i, va := range vas {
-		pa := a.as.Translate(va)
-		a.h.dropPrivate(a.core, pa)
-		res := a.h.accessState(a.core, pa)
-		helper.h.accessState(helper.core, helper.as.Translate(va))
-		a.h.drawJitter(res.level)
+		level := a.h.sharedLoad(a.core, helper.core, a.as.Translate(va))
+		a.h.drawJitter(level)
 		step := lat.Issue * 2 // main issue + helper sync
 		if i > 0 {
-			step += lat.Drain[res.level]
+			step += lat.Drain[level]
 		}
 		total += step
 		a.h.clk.Advance(clock.Cycles(step))

@@ -536,45 +536,127 @@ func (h *Host) accessState(coreID int, pa memory.PAddr) accessResult {
 		c.l1.Fill(-1, l1i, tag, 0)
 		return accessResult{level: L2Hit, set: set}
 	}
+	return accessResult{level: h.fetch(coreID, pa, set, false), set: set}
+}
 
-	if owner, hit := h.sf[set.Slice].Lookup(set.Index, tag); hit {
+// fetch serves coreID's access to pa, resolved to set, beyond its
+// private caches: an SF forward, a DRAM refetch through a stale or own
+// SF entry, an LLC hit or a full miss (see accessState). Normally the
+// core has just missed on the line in its L1 and L2. With drop set
+// (sharedLoad) it may instead still hold private copies, which are
+// first discarded silently, as dropPrivate does, wherever the directory
+// says a copy can be: under the SF entry the core owns, or under an LLC
+// line that records the core as a sharer. Nowhere else can one be on a
+// host without an index-transforming defense (checkInvariants' rules 2,
+// 3 and 5), and removals commute with the lookups in between.
+func (h *Host) fetch(coreID int, pa memory.PAddr, set SetID, drop bool) Level {
+	tag := cache.Tag(pa.Line())
+	c := &h.cores[coreID]
+	l1i, l2i := h.l1Index(pa), h.l2Index(pa)
+	sf, llc := h.sf[set.Slice], h.llc[set.Slice]
+	if owner, hit := sf.Lookup(set.Index, tag); hit {
 		if int(owner) != coreID && owner != noiseOwner && h.hasPrivate(int(owner), pa) {
 			// Cache-to-cache forward; line transitions E->S: SF entry
 			// freed, line installed in the LLC. The previous owner keeps
 			// its (now Shared) private copies.
-			h.sf[set.Slice].Remove(set.Index, tag)
-			lev := h.llc[set.Slice].InsertRegion(h.region(dom), set.Index, tag, sharers(int(owner), coreID))
+			sf.Remove(set.Index, tag)
+			lev := llc.InsertRegion(h.region(domainOf(coreID)), set.Index, tag, sharers(int(owner), coreID))
 			h.handleLLCEviction(lev)
 			c.fillPrivate(l1i, l2i, tag)
-			return accessResult{level: SFForward, set: set}
+			return SFForward
+		}
+		if drop && int(owner) == coreID {
+			c.l1.Remove(l1i, tag)
+			c.l2.Remove(l2i, tag)
 		}
 		// Stale, own, or noise entry: the snoop misses every private
 		// cache, so the line is refetched from DRAM; the SF entry is
 		// retained and re-owned by the requester.
-		h.sf[set.Slice].UpdatePayload(set.Index, tag, uint16(coreID))
+		sf.UpdatePayload(set.Index, tag, uint16(coreID))
 		c.fillPrivate(l1i, l2i, tag)
-		return accessResult{level: DRAM, set: set}
+		return DRAM
 	}
 
-	if dir, hit := h.llc[set.Slice].Lookup(set.Index, tag); hit {
-		// Shared line taken Exclusive: remove from LLC, allocate SF, and
-		// invalidate every other core's (Shared) private copy — a line
-		// cannot be Exclusive in one core while cached elsewhere.
-		h.llc[set.Slice].Remove(set.Index, tag)
-		h.invalidateSharers(tag, dir, coreID)
+	if dir, hit := llc.Take(set.Index, tag); hit {
+		// Shared line taken Exclusive: removed from the LLC, SF entry
+		// allocated, and every other core's (Shared) private copy
+		// invalidated — a line cannot be Exclusive in one core while
+		// cached elsewhere. A dropping core invalidates its own copy
+		// with the others.
+		skip := coreID
+		if drop {
+			skip = -1
+		}
+		h.invalidateSharers(tag, dir, skip)
 		// The SF lookup above missed and nothing since inserts into the
 		// SF, so the allocation skips the presence scan.
-		ev := h.sf[set.Slice].Fill(h.region(dom), set.Index, tag, uint16(coreID))
+		ev := sf.Fill(h.region(domainOf(coreID)), set.Index, tag, uint16(coreID))
 		h.handleSFEviction(set, ev)
 		c.fillPrivate(l1i, l2i, tag)
-		return accessResult{level: LLCHit, set: set}
+		return LLCHit
 	}
 
 	// Full miss: DRAM fetch, allocate SF entry (Exclusive).
-	ev := h.sf[set.Slice].Fill(h.region(dom), set.Index, tag, uint16(coreID))
+	ev := sf.Fill(h.region(domainOf(coreID)), set.Index, tag, uint16(coreID))
 	h.handleSFEviction(set, ev)
 	c.fillPrivate(l1i, l2i, tag)
-	return accessResult{level: DRAM, set: set}
+	return DRAM
+}
+
+// sharedLoad is one line of the two-thread shared load
+// (Agent.LoadSharedAll) as one transition: main's private copies are
+// dropped (dropPrivate), main accesses the line, then the helper does,
+// with no clock advance in between. It returns the level that served
+// main's access. The state, counters and rng draws equal those of the
+// three calls in sequence.
+//
+// On a host without an index-transforming or ticking defense, with no
+// scheduled event due, the step syncs the line's set once and skips
+// what the sequence would do for nothing: main's private lookups, which
+// miss after the drop; the drop's removals where the directory says
+// main holds no copy (fetch); and the helper's set hash, sync, private
+// lookups and SF/LLC scans. Whenever main's access leaves the line
+// SF-owned by main (an LLC hit, a full miss or a stale or own SF
+// entry), the helper's access is certain to be the cache-to-cache
+// forward from main: SF-tracked means not LLC-resident (checkInvariants
+// rule 4) and held privately by no core but main (rule 3). Any other
+// case runs the sequence, or the helper's general access.
+func (h *Host) sharedLoad(main, helper int, pa memory.PAddr) Level {
+	if h.defHooks.Index || h.defHooks.Tick || main == helper {
+		return h.sharedLoadSeq(main, helper, pa)
+	}
+	set := h.setFor(domainOf(main), pa)
+	h.syncNoise(set)
+	if h.sched.due(h.clk.Now()) {
+		// The sequence's own sync is a no-op at the same clock, and a
+		// drop commutes with the sync: both only remove lines.
+		return h.sharedLoadSeq(main, helper, pa)
+	}
+	h.Accesses++
+	level := h.fetch(main, pa, set, true)
+	if level == SFForward {
+		h.accessState(helper, pa)
+		return level
+	}
+	// The helper's forward from main: SF entry touched and freed, the
+	// line installed in the LLC, where it is absent, with main and the
+	// helper as sharers, and filled into the helper's private caches,
+	// where it is absent too.
+	h.Accesses++
+	tag := cache.Tag(pa.Line())
+	h.sf[set.Slice].Take(set.Index, tag)
+	lev := h.llc[set.Slice].Fill(h.region(domainOf(helper)), set.Index, tag, sharers(main, helper))
+	h.handleLLCEviction(lev)
+	h.cores[helper].fillPrivate(h.l1Index(pa), h.l2Index(pa), tag)
+	return level
+}
+
+// sharedLoadSeq is sharedLoad as the three calls it stands for.
+func (h *Host) sharedLoadSeq(main, helper int, pa memory.PAddr) Level {
+	h.dropPrivate(main, pa)
+	level := h.accessState(main, pa).level
+	h.accessState(helper, pa)
+	return level
 }
 
 // dropPrivate silently discards the core's private copies of a line

@@ -101,9 +101,14 @@ func (h *Host) ClearScheduled() { h.sched.events = h.sched.events[:0] }
 // The common case, nothing due, is decided inline on every access;
 // drainDue does the work.
 func (h *Host) drainScheduled() {
-	if len(h.sched.events) != 0 && h.sched.events[0].Time <= h.clk.Now() {
+	if h.sched.due(h.clk.Now()) {
 		h.drainDue()
 	}
+}
+
+// due reports whether an event is due at now.
+func (q *eventQueue) due(now clock.Cycles) bool {
+	return len(q.events) != 0 && q.events[0].Time <= now
 }
 
 // drainDue applies the due events in time order. It re-enters

@@ -248,8 +248,3 @@ type Sink struct {
 	// Tracer receives spans (nil = off).
 	Tracer *Tracer
 }
-
-// Enabled reports whether the sink carries any live output.
-func (s *Sink) Enabled() bool {
-	return s != nil && (s.Metrics != nil || s.Tracer != nil)
-}

@@ -123,14 +123,3 @@ func TestTracerConcurrentEmit(t *testing.T) {
 		t.Fatalf("len = %d, want 800", tr.Len())
 	}
 }
-
-// TestSinkEnabled: a sink is enabled exactly when it carries a tracer
-// or a registry.
-func TestSinkEnabled(t *testing.T) {
-	if (&Sink{}).Enabled() {
-		t.Fatal("sink with no outputs must be disabled")
-	}
-	if !(&Sink{Tracer: NewTracer()}).Enabled() || !(&Sink{Metrics: NewRegistry()}).Enabled() {
-		t.Fatal("sink with a tracer or a registry must be enabled")
-	}
-}

@@ -44,15 +44,15 @@ GATE_TOLERANCE="${BENCH_GATE_TOLERANCE:-1.50}"
 BASELINE=BENCH_seed.json
 
 # Hot-path allowlist for --gate: the end-to-end attack benchmark, eviction-set
-# construction's parallel TestEviction (Figure 3, the grid geometry), the
-# cache substrate's set scans (lookup hit and miss, remove miss, remove from an
+# construction's parallel TestEviction (Figure 3, the grid geometry) and its
+# shared-load traversal under three policies, the cache substrate's set scans (lookup hit and miss, remove miss, remove from an
 # empty set), the per-access microbenchmarks the attack's hot path is made of (the Parallel-Probing
 # probe on both sides of the quiet-batch kernel: replayed, and mostly aborted
 # under heavy noise), host construction
 # and reset (the frame-pool shuffle), and key recovery's two off-host
 # kernels (forest fit, HNP lattice). Keep this list in sync
 # with the "Hot path" section of ARCHITECTURE.md.
-GATE_PATTERN='^(BenchmarkE2E_FullAttack|BenchmarkFigure3_ParallelTestEviction|BenchmarkMicro_CacheScan|BenchmarkMicro_HierarchyAccess|BenchmarkMicro_ParallelProbe|BenchmarkMicro_ParallelProbeNoisy|BenchmarkMicro_HostReset|BenchmarkMicro_NewHost|BenchmarkMicro_GF2m571Mul|BenchmarkMicro_LadderSign163|BenchmarkMicro_ForestTrain|BenchmarkMicro_LatticeHNP163|BenchmarkTenant_Burst|BenchmarkTenant_Stream|BenchmarkTenant_Churn|BenchmarkDefense_Partition|BenchmarkDefense_Randomize|BenchmarkObs_DisabledHooks)$'
+GATE_PATTERN='^(BenchmarkE2E_FullAttack|BenchmarkFigure3_ParallelTestEviction|BenchmarkMicro_CacheScan|BenchmarkMicro_HierarchyAccess|BenchmarkMicro_ParallelProbe|BenchmarkMicro_ParallelProbeNoisy|BenchmarkMicro_SharedTraversal|BenchmarkMicro_HostReset|BenchmarkMicro_NewHost|BenchmarkMicro_GF2m571Mul|BenchmarkMicro_LadderSign163|BenchmarkMicro_ForestTrain|BenchmarkMicro_LatticeHNP163|BenchmarkTenant_Burst|BenchmarkTenant_Stream|BenchmarkTenant_Churn|BenchmarkDefense_Partition|BenchmarkDefense_Randomize|BenchmarkObs_DisabledHooks)$'
 
 MODE="${1:-}"
 BENCH_RE='.'
@@ -73,9 +73,10 @@ fi
 # A baseline entry with its own "benchtime" field runs again at that
 # benchtime: its per-op cost is too small to time over a few iterations
 # that also pay the benchmark's cold start (a replayed probe), so its
-# best-of is the steady-state figure the baseline records.
+# best-of is the steady-state figure the baseline records. A sub-benchmark
+# entry (Name/sub) is selected by its top-level name.
 while read -r name benchtime; do
-    [[ "$name" =~ $BENCH_RE ]] || continue
+    [[ "${name%%/*}" =~ $BENCH_RE ]] || continue
     if ! go test -bench="^${name}\$" -benchtime="$benchtime" -count="$COUNT" -run '^$' . >>"$OUT" 2>&1; then
         echo "benchguard: benchmark run failed:" >&2
         cat "$OUT" >&2
