@@ -690,7 +690,7 @@ func BenchmarkDefense_Randomize(b *testing.B) {
 
 // BenchmarkObs_DisabledHooks times the nil-receiver no-op path every
 // instrumented loop pays when -trace/-metrics are off — the zero-cost
-// half of determinism clause 10. Each op performs 1000 rounds of the
+// half of determinism clause 9. Each op performs 1000 rounds of the
 // disabled counter/gauge/histogram/trace calls the engine and campaign
 // hot paths make, so the guard measures the hook overhead itself rather
 // than loop scaffolding (and stays measurable at -benchtime=3x).

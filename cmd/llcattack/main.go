@@ -22,7 +22,7 @@
 // trial's cycle budget), with host wall time per phase in each span's
 // args — which is how a phase that is cheap in simulated time but
 // expensive on the host (e.g. the Norm-jitter wall) is located. Tracing
-// never changes a report byte (determinism clause 10).
+// never changes a report byte (determinism clause 9).
 package main
 
 import (
@@ -160,7 +160,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 	// The sink is nil unless -trace is set, which is the engine's exact
 	// untraced path; a traced run's report is byte-identical anyway
-	// (determinism clause 10, pinned by TestTraceByteIdentity).
+	// (determinism clause 9, pinned by TestTraceByteIdentity).
 	var sink *obs.Sink
 	if *traceFile != "" {
 		sink = &obs.Sink{Tracer: obs.NewTracer()}

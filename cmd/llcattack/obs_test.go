@@ -29,7 +29,7 @@ type traceDoc struct {
 	} `json:"traceEvents"`
 }
 
-// TestTraceByteIdentity pins determinism clause 10 for llcattack: the
+// TestTraceByteIdentity pins determinism clause 9 for llcattack: the
 // report written with -trace is byte-identical to the committed golden
 // written without it, at -parallel 1 and 8, and the trace itself is a
 // parseable Chrome trace_event document whose per-trial cat="phase"

@@ -10,32 +10,29 @@
 //
 // Endpoints (all under /api/v1):
 //
-//	POST /api/v1/jobs               submit a sweep.Spec (JSON body); ?start=I&end=J submits the cell range [I, J)
+//	POST /api/v1/jobs               submit a sweep.Spec (JSON body; no query string)
 //	GET  /api/v1/jobs               list jobs in submission order
 //	GET  /api/v1/jobs/{id}          one job's status and progress
-//	GET  /api/v1/jobs/{id}/result   final sweep artifact JSON (done full-grid jobs only)
+//	GET  /api/v1/jobs/{id}/result   final sweep artifact JSON (done jobs only)
 //	GET  /api/v1/jobs/{id}/artifact the job's raw .cells checkpoint log (done jobs only)
 //	GET  /api/v1/jobs/{id}/events   ndjson stream of per-cell completions: backlog, then live
 //	POST /api/v1/jobs/{id}/cancel   stop a queued or running job at the next trial boundary
 //	GET  /healthz                   liveness probe: JSON {status, uptime_s, jobs_running, queue_depth}
 //	GET  /metrics                   Prometheus text: queue depth, jobs by state, cells/s, GC reaps, event-stream clients
 //
-// The job ID is the spec's campaign fingerprint (16 hex digits), plus
-// "-r<start>-<end>" for cell-range jobs, so a job IS its
-// spec-plus-range: submitting a byte-different spec or different range
-// makes a new job, resubmitting an identical one attaches to the
-// existing job in any state — including interrupted jobs from a
-// previous process, which re-enqueue and resume. Range jobs are the
-// lease unit of the fleet coordinator (cmd/llcfleet): they compute no
-// aggregate result, and their artifact endpoint serves the raw
-// checkpoint log for central merging. Up to -jobs campaigns run
-// concurrently in submission order, splitting the -parallel
-// trial-worker budget evenly; neither knob changes any artifact byte
-// (determinism clauses 4 and 8). The submit queue is unbounded —
-// accepting a job is a map insert and a slice append, so submission
-// never blocks on the runners. On SIGINT/SIGTERM the daemon drains:
-// in-flight trials finish, the checkpoint log keeps every completed
-// cell, and the job is marked interrupted for the next
+// The job ID is the spec's campaign fingerprint (16 hex digits), so a
+// job IS its spec: submitting a byte-different spec makes a new job,
+// resubmitting an identical one attaches to the existing job in any
+// state — including interrupted jobs from a previous process, which
+// re-enqueue and resume. Every job runs the whole grid; to split one
+// grid over several processes, run llcsweep -shard and -merge. Up to
+// -jobs campaigns run concurrently in submission order, splitting the
+// -parallel trial-worker budget evenly; neither knob changes any
+// artifact byte (determinism clauses 4 and 8). The submit queue is
+// unbounded — accepting a job is a map insert and a slice append, so
+// submission never blocks on the runners. On SIGINT/SIGTERM the daemon
+// drains: in-flight trials finish, the checkpoint log keeps every
+// completed cell, and the job is marked interrupted for the next
 // incarnation to resume.
 //
 // With -retain-age and/or -retain-count the daemon garbage-collects

@@ -45,7 +45,7 @@
 // telemetry — per-trial and per-cell duration histograms, cell
 // completed/resumed counters, checkpoint append bytes — as Prometheus
 // text on stderr. Neither changes a single artifact byte (determinism
-// clause 10).
+// clause 9).
 package main
 
 import (
@@ -369,7 +369,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 	// The sink stays nil unless -trace/-metrics asked for telemetry —
 	// the exact disabled path; a telemetered run's artifact is
-	// byte-identical anyway (determinism clause 10).
+	// byte-identical anyway (determinism clause 9).
 	var sink *obs.Sink
 	if *traceFile != "" || *metrics {
 		sink = &obs.Sink{}

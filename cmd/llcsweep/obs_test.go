@@ -11,7 +11,7 @@ import (
 	"testing"
 )
 
-// TestObsByteIdentity pins determinism clause 10 for llcsweep: a 2x2
+// TestObsByteIdentity pins determinism clause 9 for llcsweep: a 2x2
 // grid's artifact is byte-identical with and without -trace/-metrics,
 // at -parallel 1 and 8; the trace parses as Chrome trace_event JSON
 // with one named process per grid cell, and the -metrics stderr dump

@@ -443,15 +443,6 @@ type MergeOptions struct {
 	// destination file created. The campaign layer uses it to require
 	// payloads that decode to the spec's exact trial count.
 	Validate func(key string, payload []byte) error
-	// SourceKeys, when non-nil, is the range-aware input validation: it
-	// maps a source path to the exact key set that source was assigned
-	// (a fleet coordinator knows which cell range each worker's log must
-	// cover). A listed source holding any key outside its set aborts the
-	// merge — a range log with foreign keys means a worker ran cells it
-	// was never leased, and accepting them would let a confused or
-	// malicious worker overwrite ranges it does not own. Sources not
-	// listed are only checked against Order.
-	SourceKeys map[string][]string
 }
 
 // MergeStats summarises a completed Merge.
@@ -491,22 +482,11 @@ func Merge(dstPath string, fingerprint uint64, opts MergeOptions, srcPaths ...st
 		if err != nil {
 			return nil, err
 		}
-		var allowed map[string]bool
-		if keys, ok := opts.SourceKeys[sp]; ok {
-			allowed = make(map[string]bool, len(keys))
-			for _, k := range keys {
-				allowed[k] = true
-			}
-		}
 		for _, key := range src.Keys() {
 			payload, _ := src.Get(key)
 			if !inOrder[key] {
 				src.Close()
 				return nil, fmt.Errorf("artifact: merge: %s holds key %q which is not a cell of this grid", sp, key)
-			}
-			if allowed != nil && !allowed[key] {
-				src.Close()
-				return nil, fmt.Errorf("artifact: merge: %s holds key %q outside its assigned range", sp, key)
 			}
 			if prev, seen := merged[key]; seen {
 				if !bytes.Equal(prev, payload) {
@@ -556,12 +536,12 @@ func Merge(dstPath string, fingerprint uint64, opts MergeOptions, srcPaths ...st
 // CheckKeys opens the log at path (running the usual header, checksum
 // and duplicate repairs) and verifies it holds EXACTLY the given keys:
 // every wanted key present with a verified record, no key beyond them.
-// It is the integrity gate a fleet coordinator runs on a downloaded
-// range artifact before trusting it — a truncated transfer loses tail
-// records (missing keys), a wrong-fingerprint file fails at open, and
-// a log with extra keys was computed by something other than the
-// leased range. The verified key count is returned so callers can
-// report what a failed transfer was missing.
+// It is the integrity gate for a log copied from elsewhere (a merged
+// shard log, a download from a daemon's artifact endpoint): a
+// truncated copy loses tail records (missing keys), a wrong-fingerprint
+// file fails at open, and a log with extra keys belongs to another
+// grid. The verified key count is returned so callers can report what
+// a failed copy was missing.
 func CheckKeys(path string, fingerprint uint64, keys []string) (int, error) {
 	l, err := Open(path, fingerprint)
 	if err != nil {

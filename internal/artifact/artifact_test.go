@@ -444,69 +444,9 @@ func TestMergeUnit(t *testing.T) {
 	}
 }
 
-// SourceKeys is the merge's range-aware input gate: a listed source
-// holding any key outside its assigned set aborts the merge, while
-// unlisted sources are only checked against Order.
-func TestMergeSourceKeys(t *testing.T) {
-	dir := t.TempDir()
-	mk := func(name string, cells map[string][]byte) string {
-		t.Helper()
-		p := filepath.Join(dir, name)
-		l, err := Create(p, fp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for k, v := range cells {
-			if err := l.Append(k, v); err != nil {
-				t.Fatal(err)
-			}
-		}
-		l.Close()
-		return p
-	}
-	order := []string{"a", "b", "c", "d"}
-	left := mk("left.cells", map[string][]byte{"a": {1}, "b": {2}})
-	right := mk("right.cells", map[string][]byte{"c": {3}, "d": {4}})
-
-	// Exact assignments merge cleanly.
-	dst := filepath.Join(dir, "ok.cells")
-	st, err := Merge(dst, fp, MergeOptions{
-		Order:      order,
-		SourceKeys: map[string][]string{left: {"a", "b"}, right: {"c", "d"}},
-	}, left, right)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Records != 4 {
-		t.Fatalf("stats = %+v, want 4 records", st)
-	}
-
-	// A source holding a key outside its assignment aborts, even though
-	// the key is inside Order.
-	d2 := filepath.Join(dir, "narrow.cells")
-	if _, err := Merge(d2, fp, MergeOptions{
-		Order:      order,
-		SourceKeys: map[string][]string{left: {"a"}},
-	}, left, right); err == nil {
-		t.Fatal("source with a key outside its assigned range merged")
-	}
-	if _, serr := os.Stat(d2); serr == nil {
-		t.Fatal("failed merge left a destination")
-	}
-
-	// An unlisted source falls back to the Order-only check.
-	d3 := filepath.Join(dir, "unlisted.cells")
-	if _, err := Merge(d3, fp, MergeOptions{
-		Order:      order,
-		SourceKeys: map[string][]string{right: {"c", "d"}},
-	}, left, right); err != nil {
-		t.Fatalf("unlisted source rejected: %v", err)
-	}
-}
-
-// CheckKeys is the download-integrity gate: the log must verify under
-// the fingerprint and hold exactly the expected key set — missing keys
-// are a truncated transfer, extra keys a foreign range, and a wrong
+// CheckKeys is the copy-integrity gate: the log must verify under the
+// fingerprint and hold exactly the expected key set — missing keys are
+// a truncated copy, extra keys another grid's cells, and a wrong
 // fingerprint fails at open.
 func TestCheckKeys(t *testing.T) {
 	l, path := mustCreate(t)

@@ -47,7 +47,7 @@ type Session struct {
 	// Trace is the owning trial's span track when the run is traced
 	// (nil otherwise). Attack steps emit cat="probe" sub-spans through
 	// it; like all instrumentation it reads clocks already being read
-	// and never touches a rng stream (determinism clause 10).
+	// and never touches a rng stream (determinism clause 9).
 	Trace *obs.TrialTrace
 	// Labels is the owning trial's pprof label set (nil for none), which
 	// Phase extends.

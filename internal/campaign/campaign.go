@@ -23,11 +23,10 @@
 // byte-identical to what an uninterrupted sequential single-process
 // run would have written (determinism clause 8). The campaign does not
 // know how the grid was cut: llcsweep -shard i/N owns the round-robin
-// residue class ci%N == i, and an llcserve range job (the unit the
-// fleet coordinator leases and reassigns, clause 9) owns a contiguous
-// range. Callers validate their own partition parameters. The artifact
-// log is the only rendezvous — parts share no state and need no
-// coordinator while running.
+// residue class ci%N == i, and any other predicate (a contiguous cell
+// range, say) works the same way. Callers validate their own partition
+// parameters. The artifact log is the only rendezvous — parts share no
+// state and need no coordinator while running.
 package campaign
 
 import (
@@ -124,7 +123,7 @@ type Options struct {
 	// traced run — one trace process per cell (PID = Expand index,
 	// named with the cell's coordinates). Instrumentation reads wall
 	// clocks only; the artifact and Result are byte-identical with Obs
-	// set or nil (determinism clause 10).
+	// set or nil (determinism clause 9).
 	Obs *obs.Sink
 }
 

@@ -506,10 +506,10 @@ func TestShardedMergeByteIdentical(t *testing.T) {
 	checkPartitionMerge(t, []func(int) bool{roundRobin(0, 3), roundRobin(1, 3), roundRobin(2, 3)})
 }
 
-// TestRangeClaimPartitionsCells is the dynamic-lease analogue: uneven
-// explicit cell ranges [0,1) [1,3) [3,4), as llcserve range jobs claim
-// them, cover the grid once and merge byte-identical — the property the
-// fleet coordinator leans on (determinism clause 9).
+// TestRangeClaimPartitionsCells: Owns need not be round-robin. Uneven
+// contiguous cell ranges [0,1) [1,3) [3,4) cover the grid once and
+// merge byte-identical, so Merge relies on nothing but the partition
+// being a disjoint cover (determinism clause 8).
 func TestRangeClaimPartitionsCells(t *testing.T) {
 	checkPartitionMerge(t, []func(int) bool{cellRange(0, 1), cellRange(1, 3), cellRange(3, 4)})
 }

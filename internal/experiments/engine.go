@@ -56,7 +56,7 @@ type Trial struct {
 	// (RunTrials with a Sink.Tracer), nil otherwise. Instrumented
 	// runners call Trace.Span unconditionally — a nil TrialTrace drops
 	// spans at zero cost — and must never let tracing touch a rng
-	// stream or the simulated clock (determinism clause 10).
+	// stream or the simulated clock (determinism clause 9).
 	Trace *obs.TrialTrace
 	// Labels carries the pprof labels the trial runs under (a sweep
 	// cell's experiment and policy), nil for none. A runner that labels
@@ -133,7 +133,7 @@ func (p *hostPool) get(cfg hierarchy.Config, seed uint64) *hierarchy.Host {
 // (engine_trials_total). A nil or empty sink is the exact disabled path
 // — instrumentation reads only the host wall clock, never a rng stream
 // or the simulated clock, so samples are byte-identical with the sink
-// on or off (determinism clause 10).
+// on or off (determinism clause 9).
 func RunTrials(ctx context.Context, n, workers int, seed uint64, sink *obs.Sink, fn func(t *Trial) Sample) ([]Sample, error) {
 	if n <= 0 {
 		return nil, nil

@@ -3,11 +3,11 @@
 // (Registry), and simulated-time span tracing in Chrome trace_event
 // JSON (Tracer). It exists to make "the run is slow/stuck" an
 // attributed measurement — per-phase cycle budgets, per-cell duration
-// histograms, daemon and fleet telemetry — without perturbing a single
+// histograms, daemon telemetry — without perturbing a single
 // committed artifact byte.
 //
 // Two rules keep instrumentation outside the determinism contract
-// (clause 10, observability identity):
+// (clause 9, observability identity):
 //
 //  1. Two clock domains, strictly separated. Simulated cycles
 //     (clock.Cycles) are deterministic and may appear in exported

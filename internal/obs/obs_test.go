@@ -8,7 +8,7 @@ import (
 )
 
 // TestNilSafety pins the disabled path: every operation on nil
-// receivers is a no-op, never a panic (clause 10 relies on
+// receivers is a no-op, never a panic (clause 9 relies on
 // instrumented code calling through unconditionally).
 func TestNilSafety(t *testing.T) {
 	var r *Registry

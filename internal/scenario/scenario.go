@@ -252,7 +252,7 @@ func (r *Report) WriteJSON(w io.Writer) error {
 // spans on PID track 0 (named after the scenario), with the trial index
 // as TID; when sink.Metrics is set the engine's trial metrics record.
 // A nil sink runs untraced, and the report is byte-identical with or
-// without one (determinism clause 10).
+// without one (determinism clause 9).
 func RunWithObs(ctx context.Context, id string, tenants []tenant.Spec, def *defense.Spec, trials, workers int, seed uint64, sink *obs.Sink) (*Report, error) {
 	sc, ok := Lookup(id)
 	if !ok {

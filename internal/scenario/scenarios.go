@@ -203,7 +203,7 @@ type stepTimer struct {
 	// each span's wall_us attribution. Tracing reads the same clock
 	// values the steps already record plus the host wall clock — it
 	// feeds nothing back into steps or the simulated clock, so a traced
-	// Outcome is byte-identical to an untraced one (clause 10).
+	// Outcome is byte-identical to an untraced one (clause 9).
 	tr       *obs.TrialTrace
 	wallLast time.Time
 }

@@ -43,7 +43,7 @@ func TestHealthzJSON(t *testing.T) {
 // (queue depth, jobs by state, cells/s) and the campaign counters the
 // runner fed through the shared registry. Scraping is read-only
 // telemetry — it must not disturb the job or its artifact (determinism
-// clause 10; the byte-identity itself is pinned by the campaign and
+// clause 9; the byte-identity itself is pinned by the campaign and
 // CLI tests).
 func TestMetricsEndpoint(t *testing.T) {
 	_, ts, _ := startServer(t, t.TempDir())

@@ -9,32 +9,26 @@
 //
 // Endpoints (all under /api/v1):
 //
-//	POST /api/v1/jobs               submit a sweep.Spec (JSON body); ?start=I&end=J submits the cell range [I, J)
+//	POST /api/v1/jobs               submit a sweep.Spec (JSON body; no query string)
 //	GET  /api/v1/jobs               list jobs in submission order
 //	GET  /api/v1/jobs/{id}          one job's status and progress
-//	GET  /api/v1/jobs/{id}/result   final sweep artifact JSON (done full-grid jobs only)
+//	GET  /api/v1/jobs/{id}/result   final sweep artifact JSON (done jobs only)
 //	GET  /api/v1/jobs/{id}/artifact the job's raw .cells checkpoint log (done jobs only)
 //	GET  /api/v1/jobs/{id}/events   ndjson stream of per-cell completions: backlog, then live
 //	POST /api/v1/jobs/{id}/cancel   stop a queued or running job at the next trial boundary
 //	GET  /healthz                   liveness probe (JSON: status, uptime_s, jobs_running, queue_depth)
 //	GET  /metrics                   Prometheus text telemetry (queue depth, jobs by state, cells/s, ...)
 //
-// A full-grid job's ID is the spec's campaign fingerprint (16 hex
-// digits); a range job's ID is the fingerprint plus its half-open cell
-// range ("<fp>-r<start>-<end>"), so a job IS its spec-plus-range:
-// submitting a byte-different spec or a different range makes a new
-// job, resubmitting an identical one attaches to the existing job in
-// any state — including interrupted jobs from a previous process,
-// which re-enqueue and resume. Range jobs are how a fleet coordinator
-// (internal/fleet) leases slices of one grid to many daemons; they
-// compute no aggregate (their artifact is the .cells log the
-// coordinator downloads and merges centrally), and a restarted daemon
-// re-derives their done state from the log itself, since the verified
-// records are the run.
+// A job's ID is the spec's campaign fingerprint (16 hex digits), so a
+// job IS its spec: submitting a byte-different spec makes a new job,
+// resubmitting an identical one attaches to the existing job in any
+// state — including interrupted jobs from a previous process, which
+// re-enqueue and resume. Every job runs the whole grid and ends in a
+// result artifact; a job is done exactly when that artifact exists.
 //
 // The package exists so the daemon can be embedded: cmd/llcserve wraps
-// it in flags and signal handling, while fleet tests drive real
-// in-process workers through httptest without shelling out.
+// it in flags and signal handling, while tests and the llcbench service
+// workload drive it in-process through httptest.
 package serve
 
 import (
@@ -48,7 +42,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -74,7 +67,7 @@ const (
 	stateInterrupted jobState = "interrupted"
 )
 
-// job is one submitted spec (optionally restricted to a cell range).
+// job is one submitted spec.
 // Its mutable fields are guarded by the server mutex; cond broadcasts
 // on every event append and state change, which is what the ndjson
 // streams block on.
@@ -86,11 +79,6 @@ type job struct {
 	Skip  int        `json:"skipped_cells"`
 	Error string     `json:"error,omitempty"`
 	Spec  sweep.Spec `json:"spec"`
-	// CellStart/CellEnd are the half-open Expand-order cell range of a
-	// range job; both zero means the full grid. Total counts only the
-	// job's own cells.
-	CellStart int `json:"cell_start,omitempty"`
-	CellEnd   int `json:"cell_end,omitempty"`
 
 	seq       int // submission order for listing
 	events    []campaign.Event
@@ -99,10 +87,6 @@ type job struct {
 	cancel    context.CancelFunc
 	cancelled bool // cancel endpoint (vs daemon drain) hit while active
 }
-
-// ranged reports whether the job owns an explicit cell range rather
-// than the full grid.
-func (j *job) ranged() bool { return j.CellEnd > 0 }
 
 // Options configures a daemon instance.
 type Options struct {
@@ -143,7 +127,7 @@ type Server struct {
 	// metrics is the daemon's telemetry registry, served by GET /metrics
 	// and fed by the campaign layer of every job it runs. Telemetry is
 	// wall-clock only and never touches job artifacts (determinism
-	// clause 10).
+	// clause 9).
 	metrics      *obs.Registry
 	started      time.Time
 	cellsDone    *obs.Counter // campaign_cells_total{state="computed"}
@@ -155,11 +139,9 @@ type Server struct {
 // WritePrometheus or the /metrics endpoint).
 func (s *Server) Metrics() *obs.Registry { return s.metrics }
 
-// New loads the data directory's jobs: a full-grid spec with a result
-// is done, a range job whose checkpoint log verifiably covers its
-// whole range is done, and anything else is a campaign a previous
-// incarnation never finished — exposed as interrupted so a resubmit
-// resumes it.
+// New loads the data directory's jobs: a spec with a result is done,
+// and anything else is a campaign a previous incarnation never
+// finished — exposed as interrupted so a resubmit resumes it.
 func New(dataDir string, opts Options) (*Server, error) {
 	if err := os.MkdirAll(dataDir, 0o755); err != nil {
 		return nil, err
@@ -192,10 +174,6 @@ func New(dataDir string, opts Options) (*Server, error) {
 	sort.Strings(specs)
 	for _, p := range specs {
 		id := strings.TrimSuffix(filepath.Base(p), ".spec.json")
-		start, end, err := parseRangeSuffix(id)
-		if err != nil {
-			return nil, fmt.Errorf("job %s: %w", id, err)
-		}
 		data, err := os.ReadFile(p)
 		if err != nil {
 			return nil, err
@@ -205,30 +183,12 @@ func New(dataDir string, opts Options) (*Server, error) {
 			return nil, fmt.Errorf("job %s: %w", id, err)
 		}
 		spec.Normalize()
-		if got := jobID(spec, start, end); got != id {
+		if got := jobID(spec); got != id {
 			return nil, fmt.Errorf("job %s: spec fingerprints as %s (foreign or edited spec file)", id, got)
 		}
-		total := len(sweep.Expand(spec))
-		if end > total || (end > 0 && start >= end) {
-			return nil, fmt.Errorf("job %s: cell range [%d, %d) out of range for a %d-cell grid", id, start, end, total)
-		}
-		j := &job{ID: id, Spec: spec, Total: total, CellStart: start, CellEnd: end, State: stateInterrupted, seq: s.next}
-		if j.ranged() {
-			j.Total = end - start
-		}
+		j := &job{ID: id, Spec: spec, Total: len(sweep.Expand(spec)), State: stateInterrupted, seq: s.next}
 		s.next++
-		if j.ranged() {
-			// A range job has no result artifact; its done state lives in
-			// the checkpoint log itself — done exactly when every cell of
-			// the range has a verified record with the spec's trial count.
-			if n, ok := rangeLogComplete(s.cellsPath(id), spec, start, end); ok {
-				j.State = stateDone
-				j.Done = n
-				if fi, err := os.Stat(s.cellsPath(id)); err == nil {
-					j.doneAt = fi.ModTime()
-				}
-			}
-		} else if fi, err := os.Stat(s.resultPath(id)); err == nil {
+		if fi, err := os.Stat(s.resultPath(id)); err == nil {
 			j.State = stateDone
 			j.Done = j.Total
 			// The artifact's install time stands in for the completion
@@ -240,57 +200,9 @@ func New(dataDir string, opts Options) (*Server, error) {
 	return s, nil
 }
 
-// jobID derives a job's identity: the spec's campaign fingerprint,
-// plus the cell range for range jobs — two leases over different
-// ranges of one grid are distinct jobs with distinct checkpoint logs.
-func jobID(spec sweep.Spec, start, end int) string {
-	fp := fmt.Sprintf("%016x", campaign.Fingerprint(spec))
-	if end > 0 {
-		return fmt.Sprintf("%s-r%d-%d", fp, start, end)
-	}
-	return fp
-}
-
-// parseRangeSuffix splits an on-disk job ID back into its range: a
-// bare fingerprint is the full grid (0, 0); "<fp>-r<s>-<e>" is [s, e).
-func parseRangeSuffix(id string) (start, end int, err error) {
-	base, suffix, ok := strings.Cut(id, "-r")
-	if !ok {
-		return 0, 0, nil
-	}
-	ss, es, ok := strings.Cut(suffix, "-")
-	if ok && base != "" {
-		s, err1 := strconv.Atoi(ss)
-		e, err2 := strconv.Atoi(es)
-		if err1 == nil && err2 == nil && s >= 0 && e > s {
-			return s, e, nil
-		}
-	}
-	return 0, 0, fmt.Errorf("malformed range suffix in job ID %q", id)
-}
-
-// rangeLogComplete reports whether the checkpoint log at path verifies
-// and covers the whole cell range [start, end) of the spec with
-// decodable records; n is the number of verified range cells either
-// way.
-func rangeLogComplete(path string, spec sweep.Spec, start, end int) (n int, complete bool) {
-	l, err := artifact.Open(path, campaign.Fingerprint(spec))
-	if err != nil {
-		return 0, false
-	}
-	defer l.Close()
-	cls := sweep.Expand(spec)
-	for _, c := range cls[start:end] {
-		payload, ok := l.Get(c.Key)
-		if !ok {
-			continue
-		}
-		if _, err := campaign.DecodeSamples(payload, spec.Trials); err != nil {
-			continue
-		}
-		n++
-	}
-	return n, n == end-start
+// jobID derives a job's identity: the spec's campaign fingerprint.
+func jobID(spec sweep.Spec) string {
+	return fmt.Sprintf("%016x", campaign.Fingerprint(spec))
 }
 
 func (s *Server) specPath(id string) string   { return filepath.Join(s.dataDir, id+".spec.json") }
@@ -454,15 +366,10 @@ func (s *Server) runJob(ctx context.Context, id string) {
 	var res *sweep.Result
 	if err == nil {
 		defer ckpt.Close()
-		var owns func(int) bool // nil: the whole grid
-		if j.ranged() {
-			owns = func(ci int) bool { return j.CellStart <= ci && ci < j.CellEnd }
-		}
 		res, _, err = campaign.Run(jctx, j.Spec, campaign.Options{
 			Workers: s.workers,
 			Log:     ckpt,
 			Obs:     &obs.Sink{Metrics: s.metrics},
-			Owns:    owns,
 			OnCell: func(ev campaign.Event) {
 				s.mu.Lock()
 				defer s.mu.Unlock()
@@ -475,9 +382,7 @@ func (s *Server) runJob(ctx context.Context, id string) {
 			},
 		})
 	}
-	if err == nil && !j.ranged() {
-		// A range job's artifact IS its checkpoint log (served by the
-		// artifact endpoint); only full-grid jobs aggregate a result.
+	if err == nil {
 		err = writeResult(s.resultPath(id), res)
 	}
 
@@ -538,8 +443,7 @@ const readHeaderTimeout = 10 * time.Second
 // every request of both daemons that share NewHTTPServer.
 const readBodyTimeout = 10 * time.Second
 
-// NewHTTPServer returns the http.Server that llcserve and llcfleet
-// listen with: h behind readHeaderTimeout. It sets no WriteTimeout,
+// NewHTTPServer returns the http.Server that llcserve listens with: h behind readHeaderTimeout. It sets no WriteTimeout,
 // because /events streams for as long as its job runs.
 func NewHTTPServer(h http.Handler) *http.Server {
 	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout}
@@ -628,11 +532,14 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	enc.Encode(v)
 }
 
-// submit decodes and validates a spec (plus an optional ?start=I&end=J
-// cell range), then either creates a new job or attaches to the
-// existing one with the same fingerprint and range. Jobs in a
+// submit decodes and validates a spec, then either creates a new job or
+// attaches to the existing one with the same fingerprint. Jobs in a
 // resumable terminal state (interrupted, cancelled, failed) re-enqueue
-// — the checkpoint log makes the rerun skip verified cells.
+// — the checkpoint log makes the rerun skip verified cells. The submit
+// takes no query string: a client asking for a part of the grid (say
+// ?start=1&end=3) would otherwise get the whole grid run silently. It
+// is checked after the body is read, under the body deadline, so a
+// refused submit cannot hold the connection either.
 func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
 	var spec sweep.Spec
 	// A writer without deadline support leaves the read unbounded, as
@@ -656,18 +563,16 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rc.SetReadDeadline(time.Time{})
+	if r.URL.RawQuery != "" {
+		httpError(w, http.StatusBadRequest, "submit takes no query parameters (got %q)", r.URL.RawQuery)
+		return
+	}
 	spec.Normalize()
 	if err := spec.Validate(); err != nil {
 		httpError(w, http.StatusBadRequest, "invalid spec: %v", err)
 		return
 	}
-	total := len(sweep.Expand(spec))
-	start, end, err := parseRangeParams(r, total)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	id := jobID(spec, start, end)
+	id := jobID(spec)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -683,10 +588,7 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
 			httpError(w, http.StatusInternalServerError, "persisting spec: %v", err)
 			return
 		}
-		j = &job{ID: id, Spec: spec, Total: total, CellStart: start, CellEnd: end, State: stateQueued, seq: s.next}
-		if j.ranged() {
-			j.Total = end - start
-		}
+		j = &job{ID: id, Spec: spec, Total: len(sweep.Expand(spec)), State: stateQueued, seq: s.next}
 		s.next++
 		s.jobs[id] = j
 		s.enqueue(id)
@@ -702,29 +604,6 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
 	default: // queued, running, done: idempotent attach
 		writeJSON(w, http.StatusOK, j)
 	}
-}
-
-// parseRangeParams reads the optional ?start=I&end=J cell-range query
-// of a submit: both absent is the full grid, anything else must be a
-// valid non-empty half-open range inside it.
-func parseRangeParams(r *http.Request, total int) (start, end int, err error) {
-	q := r.URL.Query()
-	ss, es := q.Get("start"), q.Get("end")
-	if ss == "" && es == "" {
-		return 0, 0, nil
-	}
-	if ss == "" || es == "" {
-		return 0, 0, fmt.Errorf("cell range needs both start and end (got start=%q end=%q)", ss, es)
-	}
-	s, err1 := strconv.Atoi(ss)
-	e, err2 := strconv.Atoi(es)
-	if err1 != nil || err2 != nil {
-		return 0, 0, fmt.Errorf("malformed cell range start=%q end=%q", ss, es)
-	}
-	if s < 0 || e <= s || e > total {
-		return 0, 0, fmt.Errorf("cell range [%d, %d) out of range for a %d-cell grid", s, e, total)
-	}
-	return s, e, nil
 }
 
 func (s *Server) list(w http.ResponseWriter, r *http.Request) {
@@ -765,22 +644,17 @@ func (s *Server) status(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, snap)
 }
 
-// result streams the installed artifact file. Only done full-grid jobs
-// have one — a range job's output is its checkpoint log (the artifact
-// endpoint) — and everything else is 409 so a poller can distinguish
-// "not yet" from "never submitted" (404).
+// result streams the installed artifact file. Only done jobs have one;
+// everything else is 409 so a poller can distinguish "not yet" from
+// "never submitted" (404).
 func (s *Server) result(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.lookup(w, r)
 	if !ok {
 		return
 	}
 	s.mu.Lock()
-	st, ranged := j.State, j.ranged()
+	st := j.State
 	s.mu.Unlock()
-	if ranged {
-		httpError(w, http.StatusConflict, "job %s is a cell-range job with no aggregate; download its artifact instead", j.ID)
-		return
-	}
 	if st != stateDone {
 		httpError(w, http.StatusConflict, "job %s is %s, not done", j.ID, st)
 		return
@@ -789,11 +663,9 @@ func (s *Server) result(w http.ResponseWriter, r *http.Request) {
 	http.ServeFile(w, r, s.resultPath(j.ID))
 }
 
-// artifact streams the job's raw .cells checkpoint log — the
-// download a fleet coordinator pulls to merge ranges centrally. Only
-// done jobs serve it: a running job's log is mid-append, and a
-// coordinator must never merge a half-computed range (it would show up
-// as missing keys and force a pointless retry loop). http.ServeFile
+// artifact streams the job's raw .cells checkpoint log, for a client
+// that merges or exports it itself (llcsweep -merge, llccells). Only
+// done jobs serve it: a running job's log is mid-append. http.ServeFile
 // sets Content-Length, so a truncated transfer is detectable
 // client-side even before the log's own checksums catch it.
 func (s *Server) artifact(w http.ResponseWriter, r *http.Request) {

@@ -10,7 +10,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
-	"net/url"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -70,12 +69,6 @@ func startServer(t *testing.T, dir string) (*Server, *httptest.Server, context.C
 func postSpec(t *testing.T, ts *httptest.Server, spec sweep.Spec) (int, job) {
 	t.Helper()
 	return postSpecURL(t, ts.URL+"/api/v1/jobs", spec)
-}
-
-// postSpecRange submits the cell range [start, end) of spec.
-func postSpecRange(t *testing.T, ts *httptest.Server, spec sweep.Spec, start, end int) (int, job) {
-	t.Helper()
-	return postSpecURL(t, fmt.Sprintf("%s/api/v1/jobs?start=%d&end=%d", ts.URL, start, end), spec)
 }
 
 func postSpecURL(t *testing.T, url string, spec sweep.Spec) (int, job) {
@@ -138,7 +131,7 @@ func TestSubmitRunResult(t *testing.T) {
 	if code != http.StatusCreated {
 		t.Fatalf("submit: status %d, want 201", code)
 	}
-	if j.ID != jobID(specNormalized(spec), 0, 0) || j.Total != 4 {
+	if j.ID != jobID(specNormalized(spec)) || j.Total != 4 {
 		t.Fatalf("job = %+v", j)
 	}
 	done := waitState(t, ts, j.ID, "done", func(j job) bool { return j.State == stateDone })
@@ -176,6 +169,37 @@ func TestSubmitRunResult(t *testing.T) {
 	}
 	if !bytes.Equal(got.Bytes(), want.Bytes()) {
 		t.Fatalf("served artifact differs from sweep.Run artifact")
+	}
+
+	// The done job's raw checkpoint log downloads and verifies as
+	// exactly the grid's cells.
+	resp, err = http.Get(ts.URL + "/api/v1/jobs/" + j.ID + "/artifact")
+	if err != nil {
+		t.Fatalf("GET artifact: %v", err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET artifact: status %d, want 200", resp.StatusCode)
+	}
+	dst := filepath.Join(t.TempDir(), "job.cells")
+	f, err := os.Create(dst)
+	if err != nil {
+		t.Fatalf("creating download target: %v", err)
+	}
+	if _, err := f.ReadFrom(resp.Body); err != nil {
+		t.Fatalf("downloading artifact: %v", err)
+	}
+	f.Close()
+	var keys []string
+	for _, c := range sweep.Expand(specNormalized(spec)) {
+		keys = append(keys, c.Key)
+	}
+	n, err := artifact.CheckKeys(dst, campaign.Fingerprint(spec), keys)
+	if err != nil {
+		t.Fatalf("downloaded log failed verification: %v", err)
+	}
+	if n != len(keys) {
+		t.Fatalf("downloaded log holds %d records, want %d", n, len(keys))
 	}
 }
 
@@ -235,69 +259,20 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 	}
 }
 
-// Range submissions must be validated against the spec's own grid:
-// half-open, inside [0, total), and with both bounds present.
-func TestSubmitRejectsBadRanges(t *testing.T) {
-	_, ts, _ := startServer(t, t.TempDir())
-	for _, q := range []string{
-		"?start=1",          // end missing
-		"?end=3",            // start missing
-		"?start=a&end=3",    // non-numeric
-		"?start=-1&end=2",   // negative
-		"?start=2&end=2",    // empty range
-		"?start=3&end=2",    // inverted
-		"?start=0&end=5",    // beyond the 4-cell grid
-		"?start=99&end=100", // entirely outside
-	} {
-		code, _ := postSpecURL(t, ts.URL+"/api/v1/jobs"+q, tinySpec())
-		if code != http.StatusBadRequest {
-			t.Fatalf("range %q: status %d, want 400", q, code)
-		}
+// A submit with a query string is refused before anything is
+// persisted: a client asking for part of the grid (?start=1&end=3)
+// must not have the whole grid run in its place.
+func TestSubmitRejectsQueryString(t *testing.T) {
+	dir := t.TempDir()
+	_, ts, _ := startServer(t, dir)
+	code, _ := postSpecURL(t, ts.URL+"/api/v1/jobs?start=1&end=3", tinySpec())
+	if code != http.StatusBadRequest {
+		t.Fatalf("submit with ?start=1&end=3: status %d, want 400", code)
 	}
-}
-
-// FuzzParseRangeParams: with the campaign no longer checking the cells
-// a range job owns, parseRangeParams is the submit path's only check,
-// so every range it accepts lies inside the grid: 0 <= start < end <=
-// total. Only a submit naming neither bound is the full grid (0, 0).
-func FuzzParseRangeParams(f *testing.F) {
-	f.Fuzz(func(t *testing.T, start, end string, total int) {
-		r := &http.Request{URL: &url.URL{RawQuery: url.Values{"start": {start}, "end": {end}}.Encode()}}
-		s, e, err := parseRangeParams(r, total)
-		switch {
-		case err != nil:
-		case start == "" && end == "":
-			if s != 0 || e != 0 {
-				t.Fatalf("no range parsed as [%d, %d), want the full grid (0, 0)", s, e)
-			}
-		case !(0 <= s && s < e && e <= total):
-			t.Fatalf("start=%q end=%q accepted as [%d, %d) for a %d-cell grid", start, end, s, e, total)
-		}
-	})
-}
-
-// FuzzRangeSuffixRoundTrip: a daemon restart re-derives each job's
-// range from its on-disk ID, so parseRangeSuffix must invert jobID on
-// every valid range (and on the full grid, which has no suffix) and
-// refuse every ID jobID writes for an invalid one.
-func FuzzRangeSuffixRoundTrip(f *testing.F) {
-	spec := specNormalized(tinySpec())
-	f.Fuzz(func(t *testing.T, start, end int) {
-		id := jobID(spec, start, end)
-		s, e, err := parseRangeSuffix(id)
-		switch {
-		case end <= 0:
-			if err != nil || s != 0 || e != 0 {
-				t.Fatalf("full-grid ID %q parsed as (%d, %d, %v), want (0, 0, nil)", id, s, e, err)
-			}
-		case 0 <= start && start < end:
-			if err != nil || s != start || e != end {
-				t.Fatalf("ID %q parsed as (%d, %d, %v), want (%d, %d, nil)", id, s, e, err, start, end)
-			}
-		case err == nil:
-			t.Fatalf("ID %q of invalid range [%d, %d) parsed as [%d, %d)", id, start, end, s, e)
-		}
-	})
+	specs, err := filepath.Glob(filepath.Join(dir, "*.spec.json"))
+	if err != nil || len(specs) != 0 {
+		t.Fatalf("rejected submit left spec files %v (%v)", specs, err)
+	}
 }
 
 func TestUnknownJobIs404AndEarlyResultIs409(t *testing.T) {
@@ -323,9 +298,7 @@ func TestUnknownJobIs404AndEarlyResultIs409(t *testing.T) {
 }
 
 // The artifact endpoint's error paths: unknown job 404, not-done 409,
-// wrong HTTP method 405 (the mux method patterns), and a done range
-// job refusing the result endpoint with 409 because it has no
-// aggregate.
+// and wrong HTTP method 405 (the mux method patterns).
 func TestArtifactEndpointErrorPaths(t *testing.T) {
 	_, ts, _ := startServer(t, t.TempDir())
 
@@ -339,8 +312,7 @@ func TestArtifactEndpointErrorPaths(t *testing.T) {
 	}
 
 	// A running (or queued) job must refuse the download — its log is
-	// mid-append and a coordinator must never merge a half-computed
-	// range.
+	// mid-append.
 	_, j := postSpec(t, ts, slowSpec())
 	resp, err = http.Get(ts.URL + "/api/v1/jobs/" + j.ID + "/artifact")
 	if err != nil {
@@ -358,120 +330,6 @@ func TestArtifactEndpointErrorPaths(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("POST to artifact endpoint: status %d, want 405", resp.StatusCode)
-	}
-}
-
-// TestRangeJobLifecycle drives one cell-range lease end to end: submit
-// [1, 3) of a 4-cell grid, watch it run exactly 2 cells, refuse the
-// result endpoint (no aggregate), and download a checkpoint log
-// holding exactly the range's keys with decodable payloads.
-func TestRangeJobLifecycle(t *testing.T) {
-	_, ts, _ := startServer(t, t.TempDir())
-	spec := specNormalized(tinySpec())
-	cls := sweep.Expand(spec)
-
-	code, j := postSpecRange(t, ts, spec, 1, 3)
-	if code != http.StatusCreated {
-		t.Fatalf("submit range: status %d, want 201", code)
-	}
-	wantID := fmt.Sprintf("%016x-r1-3", campaign.Fingerprint(spec))
-	if j.ID != wantID || j.Total != 2 || j.CellStart != 1 || j.CellEnd != 3 {
-		t.Fatalf("range job = %+v, want ID %s Total 2", j, wantID)
-	}
-	done := waitState(t, ts, j.ID, "done", func(j job) bool { return j.State == stateDone })
-	if done.Done != 2 || done.Error != "" {
-		t.Fatalf("done range job = %+v", done)
-	}
-
-	resp, err := http.Get(ts.URL + "/api/v1/jobs/" + j.ID + "/result")
-	if err != nil {
-		t.Fatalf("GET result: %v", err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusConflict {
-		t.Fatalf("result of range job: status %d, want 409", resp.StatusCode)
-	}
-
-	resp, err = http.Get(ts.URL + "/api/v1/jobs/" + j.ID + "/artifact")
-	if err != nil {
-		t.Fatalf("GET artifact: %v", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET artifact: status %d, want 200", resp.StatusCode)
-	}
-	dst := filepath.Join(t.TempDir(), "range.cells")
-	f, err := os.Create(dst)
-	if err != nil {
-		t.Fatalf("creating download target: %v", err)
-	}
-	if _, err := f.ReadFrom(resp.Body); err != nil {
-		t.Fatalf("downloading artifact: %v", err)
-	}
-	f.Close()
-	keys := []string{cls[1].Key, cls[2].Key}
-	n, err := artifact.CheckKeys(dst, campaign.Fingerprint(spec), keys)
-	if err != nil {
-		t.Fatalf("downloaded log failed verification: %v", err)
-	}
-	if n != 2 {
-		t.Fatalf("downloaded log holds %d records, want 2", n)
-	}
-
-	// The same grid's other range is a distinct job.
-	code, j2 := postSpecRange(t, ts, spec, 0, 1)
-	if code != http.StatusCreated || j2.ID == j.ID {
-		t.Fatalf("second range: status %d id %s (first was %s)", code, j2.ID, j.ID)
-	}
-}
-
-// TestRangeJobRestartDetection restarts a daemon over a data directory
-// holding one finished and one never-started range job: done-ness must
-// be re-derived from the checkpoint log itself (range jobs have no
-// result artifact), and the unfinished one must surface as interrupted.
-func TestRangeJobRestartDetection(t *testing.T) {
-	dir := t.TempDir()
-	spec := specNormalized(tinySpec())
-
-	s1, err := New(dir, Options{Workers: 1})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	ctx1, cancel1 := context.WithCancel(context.Background())
-	s1.Start(ctx1)
-	ts1 := httptest.NewServer(s1.Handler())
-	_, j := postSpecRange(t, ts1, spec, 0, 2)
-	waitState(t, ts1, j.ID, "done", func(j job) bool { return j.State == stateDone })
-	cancel1()
-	s1.Wait()
-	ts1.Close()
-
-	// Plant a second range job's spec with no checkpoint log at all: a
-	// previous incarnation accepted it but never ran a cell.
-	plantID := fmt.Sprintf("%016x-r2-4", campaign.Fingerprint(spec))
-	data, err := json.MarshalIndent(spec, "", "  ")
-	if err != nil {
-		t.Fatalf("marshal: %v", err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, plantID+".spec.json"), append(data, '\n'), 0o644); err != nil {
-		t.Fatalf("planting spec: %v", err)
-	}
-
-	s2, err := New(dir, Options{Workers: 1})
-	if err != nil {
-		t.Fatalf("New (restart): %v", err)
-	}
-	s2.mu.Lock()
-	finished, plant := s2.jobs[j.ID], s2.jobs[plantID]
-	s2.mu.Unlock()
-	if finished == nil || finished.State != stateDone || finished.Done != 2 {
-		t.Fatalf("restart sees finished range job as %+v, want done with 2 cells", finished)
-	}
-	if finished.doneAt.IsZero() {
-		t.Fatalf("restart left doneAt zero; retention would treat the job as infinitely old")
-	}
-	if plant == nil || plant.State != stateInterrupted {
-		t.Fatalf("restart sees planted range job as %+v, want interrupted", plant)
 	}
 }
 
@@ -605,6 +463,23 @@ func TestDrainMarksInterruptedAndRestartResumes(t *testing.T) {
 	if j3 == nil || j3.State != stateDone {
 		t.Fatalf("third incarnation sees %+v, want done", j3)
 	}
+	if j3.doneAt.IsZero() {
+		t.Fatalf("restart left doneAt zero; retention would treat the job as infinitely old")
+	}
+
+	// A spec file whose name is not its fingerprint (here a leftover
+	// cell-range job, "<fp>-r0-2") stops the next incarnation, naming it.
+	stale := j.ID + "-r0-2"
+	data, err := json.MarshalIndent(specNormalized(spec), "", "  ")
+	if err != nil {
+		t.Fatalf("marshal: %v", err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, stale+".spec.json"), append(data, '\n'), 0o644); err != nil {
+		t.Fatalf("planting spec: %v", err)
+	}
+	if _, err := New(dir, Options{Workers: 1}); err == nil || !strings.Contains(err.Error(), stale) {
+		t.Fatalf("New over a leftover %s spec: err = %v, want one naming the job", stale, err)
+	}
 }
 
 func TestListOrdersBySubmission(t *testing.T) {
@@ -699,7 +574,7 @@ func TestSubmitManyQueuedDoesNotDeadlock(t *testing.T) {
 func TestTornHeaderCellsRecovers(t *testing.T) {
 	dir := t.TempDir()
 	spec := specNormalized(tinySpec())
-	id := jobID(spec, 0, 0)
+	id := jobID(spec)
 	data, err := json.MarshalIndent(spec, "", "  ")
 	if err != nil {
 		t.Fatalf("marshal: %v", err)

@@ -9,9 +9,9 @@
 #      clause), or any cmd/ package lacks a "// Command <name> ..."
 #      comment;
 #   4. any exported top-level symbol in internal/tenant,
-#      internal/defense, internal/artifact, internal/campaign,
-#      internal/fleet or internal/cache/model (func, method, type,
-#      var, const) has no doc comment.
+#      internal/defense, internal/specstr, internal/cache/model,
+#      internal/artifact, internal/campaign or internal/obs (func,
+#      method, type, var, const) has no doc comment.
 #
 # Exit codes: 0 = clean, 1 = lint findings, 2 = harness error.
 set -u
@@ -52,7 +52,7 @@ done
 # Exported-symbol doc audit for the declarative model registries:
 # every top-level exported declaration must be immediately preceded by
 # a comment line.
-for f in internal/tenant/*.go internal/defense/*.go internal/specstr/*.go internal/cache/model/*.go internal/artifact/*.go internal/campaign/*.go internal/fleet/*.go internal/obs/*.go; do
+for f in internal/tenant/*.go internal/defense/*.go internal/specstr/*.go internal/cache/model/*.go internal/artifact/*.go internal/campaign/*.go internal/obs/*.go; do
     case "$f" in *_test.go) continue ;; esac
     awk -v file="$f" '
         # Top-level exported funcs/types/vars/consts, and exported
