@@ -170,37 +170,6 @@ func TestSubmitRunResult(t *testing.T) {
 	if !bytes.Equal(got.Bytes(), want.Bytes()) {
 		t.Fatalf("served artifact differs from sweep.Run artifact")
 	}
-
-	// The done job's raw checkpoint log downloads and verifies as
-	// exactly the grid's cells.
-	resp, err = http.Get(ts.URL + "/api/v1/jobs/" + j.ID + "/artifact")
-	if err != nil {
-		t.Fatalf("GET artifact: %v", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET artifact: status %d, want 200", resp.StatusCode)
-	}
-	dst := filepath.Join(t.TempDir(), "job.cells")
-	f, err := os.Create(dst)
-	if err != nil {
-		t.Fatalf("creating download target: %v", err)
-	}
-	if _, err := f.ReadFrom(resp.Body); err != nil {
-		t.Fatalf("downloading artifact: %v", err)
-	}
-	f.Close()
-	var keys []string
-	for _, c := range sweep.Expand(specNormalized(spec)) {
-		keys = append(keys, c.Key)
-	}
-	n, err := artifact.CheckKeys(dst, campaign.Fingerprint(spec), keys)
-	if err != nil {
-		t.Fatalf("downloaded log failed verification: %v", err)
-	}
-	if n != len(keys) {
-		t.Fatalf("downloaded log holds %d records, want %d", n, len(keys))
-	}
 }
 
 func specNormalized(spec sweep.Spec) sweep.Spec {
@@ -333,6 +302,110 @@ func TestArtifactEndpointErrorPaths(t *testing.T) {
 	}
 }
 
+// TestArtifactDownloadHoldsGridKeys downloads a done job's raw
+// checkpoint log and verifies it as exactly the grid's cells.
+func TestArtifactDownloadHoldsGridKeys(t *testing.T) {
+	_, ts, _ := startServer(t, t.TempDir())
+	spec := specNormalized(tinySpec())
+	code, j := postSpec(t, ts, spec)
+	if code != http.StatusCreated {
+		t.Fatalf("submit: status %d, want 201", code)
+	}
+	waitState(t, ts, j.ID, "done", func(j job) bool { return j.State == stateDone })
+
+	resp, err := http.Get(ts.URL + "/api/v1/jobs/" + j.ID + "/artifact")
+	if err != nil {
+		t.Fatalf("GET artifact: %v", err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET artifact: status %d, want 200", resp.StatusCode)
+	}
+	dst := filepath.Join(t.TempDir(), "job.cells")
+	f, err := os.Create(dst)
+	if err != nil {
+		t.Fatalf("creating download target: %v", err)
+	}
+	if _, err := f.ReadFrom(resp.Body); err != nil {
+		t.Fatalf("downloading artifact: %v", err)
+	}
+	f.Close()
+	var keys []string
+	for _, c := range sweep.Expand(spec) {
+		keys = append(keys, c.Key)
+	}
+	n, err := artifact.CheckKeys(dst, campaign.Fingerprint(spec), keys)
+	if err != nil {
+		t.Fatalf("downloaded log failed verification: %v", err)
+	}
+	if n != len(keys) {
+		t.Fatalf("downloaded log holds %d records, want %d", n, len(keys))
+	}
+}
+
+// TestRestartReloadsJobStates restarts a daemon over a data directory
+// holding one finished and one never-started job: the finished one is
+// done (from its result file, with a completion time), the other is
+// interrupted, and a spec file whose name is not its fingerprint stops
+// the next incarnation, naming it.
+func TestRestartReloadsJobStates(t *testing.T) {
+	dir := t.TempDir()
+	spec := specNormalized(tinySpec())
+
+	s1, err := New(dir, Options{Workers: 1})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	ctx1, cancel1 := context.WithCancel(context.Background())
+	s1.Start(ctx1)
+	ts1 := httptest.NewServer(s1.Handler())
+	_, j := postSpec(t, ts1, spec)
+	waitState(t, ts1, j.ID, "done", func(j job) bool { return j.State == stateDone })
+	cancel1()
+	s1.Wait()
+	ts1.Close()
+
+	plant := func(id string, spec sweep.Spec) {
+		t.Helper()
+		data, err := json.MarshalIndent(spec, "", "  ")
+		if err != nil {
+			t.Fatalf("marshal: %v", err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, id+".spec.json"), append(data, '\n'), 0o644); err != nil {
+			t.Fatalf("planting spec: %v", err)
+		}
+	}
+	// A second job's spec with no checkpoint log at all: a previous
+	// incarnation accepted it but never ran a cell.
+	other := specNormalized(slowSpec())
+	otherID := jobID(other)
+	plant(otherID, other)
+
+	s2, err := New(dir, Options{Workers: 1})
+	if err != nil {
+		t.Fatalf("New (restart): %v", err)
+	}
+	s2.mu.Lock()
+	finished, fresh := s2.jobs[j.ID], s2.jobs[otherID]
+	s2.mu.Unlock()
+	if finished == nil || finished.State != stateDone || finished.Done != finished.Total {
+		t.Fatalf("restart sees finished job as %+v, want done with every cell", finished)
+	}
+	if finished.doneAt.IsZero() {
+		t.Fatalf("restart left doneAt zero; retention would treat the job as infinitely old")
+	}
+	if fresh == nil || fresh.State != stateInterrupted {
+		t.Fatalf("restart sees never-started job as %+v, want interrupted", fresh)
+	}
+
+	// A leftover cell-range job ("<fp>-r0-2") is not its fingerprint.
+	stale := j.ID + "-r0-2"
+	plant(stale, spec)
+	if _, err := New(dir, Options{Workers: 1}); err == nil || !strings.Contains(err.Error(), stale) {
+		t.Fatalf("New over a leftover %s spec: err = %v, want one naming the job", stale, err)
+	}
+}
+
 // TestCancelThenResubmitResumes is the durability round-trip: cancel a
 // running job after at least one cell checkpoints, resubmit the same
 // spec, and require the finished artifact byte-identical to an
@@ -462,23 +535,6 @@ func TestDrainMarksInterruptedAndRestartResumes(t *testing.T) {
 	s3.mu.Unlock()
 	if j3 == nil || j3.State != stateDone {
 		t.Fatalf("third incarnation sees %+v, want done", j3)
-	}
-	if j3.doneAt.IsZero() {
-		t.Fatalf("restart left doneAt zero; retention would treat the job as infinitely old")
-	}
-
-	// A spec file whose name is not its fingerprint (here a leftover
-	// cell-range job, "<fp>-r0-2") stops the next incarnation, naming it.
-	stale := j.ID + "-r0-2"
-	data, err := json.MarshalIndent(specNormalized(spec), "", "  ")
-	if err != nil {
-		t.Fatalf("marshal: %v", err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, stale+".spec.json"), append(data, '\n'), 0o644); err != nil {
-		t.Fatalf("planting spec: %v", err)
-	}
-	if _, err := New(dir, Options{Workers: 1}); err == nil || !strings.Contains(err.Error(), stale) {
-		t.Fatalf("New over a leftover %s spec: err = %v, want one naming the job", stale, err)
 	}
 }
 
