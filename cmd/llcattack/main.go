@@ -33,10 +33,10 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"syscall"
 	"time"
 
+	"repro/internal/artifact"
 	"repro/internal/defense"
 	"repro/internal/obs"
 	"repro/internal/profiling"
@@ -118,34 +118,23 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	// With -o, write to a temp file in the target directory and rename
-	// into place only on full success, so a failed run never truncates a
-	// previous report (the llcsweep convention).
+	// With -o, stage the report beside its destination and install it
+	// only on full success, so a failed run never truncates a previous
+	// report.
 	out := stdout
-	var file *os.File
-	var tmpPath string
+	var staged *artifact.Staged
 	if *outFile != "" {
-		f, err := os.CreateTemp(filepath.Dir(*outFile), filepath.Base(*outFile)+".tmp-*")
+		st, err := artifact.Stage(*outFile)
 		if err != nil {
 			fmt.Fprintf(stderr, "llcattack: %v\n", err)
 			return 1
 		}
-		file = f
-		tmpPath = f.Name()
-		out = f
+		defer st.Abort()
+		staged, out = st, st
 	}
 	fail := func(err error) int {
-		if file != nil {
-			file.Close()
-			os.Remove(tmpPath)
-		}
 		fmt.Fprintf(stderr, "llcattack: %v\n", err)
 		return 1
-	}
-	if file != nil {
-		if err := file.Chmod(0o644); err != nil {
-			return fail(err)
-		}
 	}
 
 	// Profiles bracket only the scenario run — flag parsing and report
@@ -174,7 +163,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return fail(err)
 	}
 	if sink != nil {
-		if terr := writeTrace(*traceFile, sink.Tracer); terr != nil {
+		if terr := artifact.WriteFile(*traceFile, sink.Tracer.WriteJSON); terr != nil {
 			return fail(terr)
 		}
 		fmt.Fprintf(stderr, "llcattack: trace: %d spans -> %s\n", sink.Tracer.Len(), *traceFile)
@@ -184,45 +173,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stderr, "llcattack: %s x %d trials, %d/%d succeeded, wall time %s\n",
 		*id, *trials, rep.Aggregate.Successes, *trials, time.Since(start).Round(time.Millisecond))
 	err = rep.WriteJSON(out)
-	if file == nil {
-		if err != nil {
-			fmt.Fprintf(stderr, "llcattack: %v\n", err)
-			return 1
-		}
-		return 0
-	}
-	if cerr := file.Close(); err == nil {
-		err = cerr
+	if err == nil && staged != nil {
+		err = staged.Commit()
 	}
 	if err != nil {
-		return fail(err)
-	}
-	if err := os.Rename(tmpPath, *outFile); err != nil {
 		return fail(err)
 	}
 	return 0
-}
-
-// writeTrace installs the trace file atomically (temp + rename, the
-// report convention), so a crash mid-write never leaves a truncated
-// trace that a viewer would reject.
-func writeTrace(path string, tr *obs.Tracer) error {
-	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return err
-	}
-	err = f.Chmod(0o644)
-	if err == nil {
-		err = tr.WriteJSON(f)
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(f.Name(), path)
-	}
-	if err != nil {
-		os.Remove(f.Name())
-	}
-	return err
 }

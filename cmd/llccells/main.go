@@ -78,15 +78,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	var spec sweep.Spec
 	data, err := os.ReadFile(*specFile)
 	if err != nil {
 		fmt.Fprintf(stderr, "llccells: %v\n", err)
 		return 2
 	}
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
+	spec, err := sweep.DecodeSpec(bytes.NewReader(data))
+	if err != nil {
 		fmt.Fprintf(stderr, "llccells: spec %s: %v\n", *specFile, err)
 		return 2
 	}
@@ -159,13 +157,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 			len(missing), *cellsLog)
 	}
 
-	var buf bytes.Buffer
-	if *trials {
-		if err := writeTrials(&buf, views); err != nil {
-			fmt.Fprintf(stderr, "llccells: %v\n", err)
-			return 1
+	render := func(w io.Writer) error {
+		if *trials {
+			return writeTrials(w, views)
 		}
-	} else {
 		// Aggregate exactly the present cells through the same pure fold
 		// the sweep uses, so a complete log reproduces llcsweep's artifact
 		// byte-for-byte.
@@ -177,23 +172,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		res := sweep.Aggregate(spec, present, flat)
 		if *asCSV {
-			err = res.WriteCSV(&buf)
-		} else {
-			err = res.WriteJSON(&buf)
+			return res.WriteCSV(w)
 		}
-		if err != nil {
-			fmt.Fprintf(stderr, "llccells: %v\n", err)
-			return 1
-		}
+		return res.WriteJSON(w)
 	}
 	if *outFile == "" {
-		if _, err := stdout.Write(buf.Bytes()); err != nil {
-			fmt.Fprintf(stderr, "llccells: %v\n", err)
-			return 1
-		}
-		return 0
+		err = render(stdout)
+	} else {
+		err = artifact.WriteFile(*outFile, render)
 	}
-	if err := os.WriteFile(*outFile, buf.Bytes(), 0o644); err != nil {
+	if err != nil {
 		fmt.Fprintf(stderr, "llccells: %v\n", err)
 		return 1
 	}

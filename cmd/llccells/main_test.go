@@ -32,8 +32,10 @@ func writeSpec(t *testing.T, dir string, spec sweep.Spec) string {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// End in a newline, as an editor saves a file: trailing whitespace
+	// is not trailing data.
 	p := filepath.Join(dir, "spec.json")
-	if err := os.WriteFile(p, data, 0o644); err != nil {
+	if err := os.WriteFile(p, append(data, '\n'), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	return p
@@ -186,12 +188,20 @@ func TestUsageAndForeignLogErrors(t *testing.T) {
 	specPath := writeSpec(t, dir, spec)
 	cells := filepath.Join(dir, "grid.cells")
 	runCampaign(t, spec, cells, nil)
+	// A second value after the spec: decoding only the first would
+	// render a different grid than the file declares.
+	data, _ := json.Marshal(spec)
+	trailing := filepath.Join(dir, "trailing.json")
+	if err := os.WriteFile(trailing, append(data, `{"trials": -1}`...), 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	for _, args := range [][]string{
 		{},
 		{"-spec", specPath},
 		{"-cells", cells},
 		{"-spec", specPath, "-cells", cells, "-status", "-trials"},
+		{"-spec", trailing, "-cells", cells},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(args, &stdout, &stderr); code != 2 {
@@ -202,7 +212,7 @@ func TestUsageAndForeignLogErrors(t *testing.T) {
 	other := tinySpec()
 	other.Seed = 99
 	otherPath := filepath.Join(dir, "other.json")
-	data, _ := json.Marshal(other)
+	data, _ = json.Marshal(other)
 	if err := os.WriteFile(otherPath, data, 0o644); err != nil {
 		t.Fatal(err)
 	}

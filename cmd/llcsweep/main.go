@@ -51,14 +51,12 @@ package main
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"syscall"
@@ -147,17 +145,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "llcsweep: %v\n", err)
 			return 2
 		}
-		dec := json.NewDecoder(bytes.NewReader(data))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&spec); err != nil {
+		if spec, err = sweep.DecodeSpec(bytes.NewReader(data)); err != nil {
 			fmt.Fprintf(stderr, "llcsweep: spec %s: %v\n", *specFile, err)
-			return 2
-		}
-		// Reject trailing content (e.g. a second object from a bad merge):
-		// silently decoding only the first value would run a different
-		// grid than the file appears to declare.
-		if dec.More() {
-			fmt.Fprintf(stderr, "llcsweep: spec %s: trailing data after the spec object\n", *specFile)
 			return 2
 		}
 	}
@@ -318,43 +307,24 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		}
 		defer ckpt.Close()
 	}
-	// With -o, write to a temp file in the target directory and rename
-	// into place only on full success: creating it up front fails fast on
-	// an unwritable path (before hours of grid compute), and a sweep or
-	// write error leaves any previous artifact at that path untouched.
+	// With -o, stage the artifact beside its destination and install it
+	// only on full success: staging up front fails fast on an unwritable
+	// path (before hours of grid compute), and a sweep or write error
+	// leaves any previous artifact at that path untouched.
 	out := stdout
-	var file *os.File
-	var tmpPath string
+	var staged *artifact.Staged
 	if *outFile != "" {
-		f, err := os.CreateTemp(filepath.Dir(*outFile), filepath.Base(*outFile)+".tmp-*")
+		st, err := artifact.Stage(*outFile)
 		if err != nil {
 			fmt.Fprintf(stderr, "llcsweep: %v\n", err)
 			return 1
 		}
-		file = f
-		tmpPath = f.Name()
-		out = f
+		defer st.Abort()
+		staged, out = st, st
 	}
-	// fail is the single cleanup path for every post-open error: drop the
-	// temp file (Close after an earlier Close is harmless) so no .tmp-*
-	// litter or truncated artifact survives a failed run.
 	fail := func(err error) int {
-		if file != nil {
-			file.Close()
-			os.Remove(tmpPath)
-		}
 		fmt.Fprintf(stderr, "llcsweep: %v\n", err)
 		return 1
-	}
-
-	if file != nil {
-		// CreateTemp's restrictive 0600 would survive the rename; use the
-		// conventional artifact mode instead (as git does for checkouts).
-		// Deliberately not umask-derived: reading the umask portably
-		// requires Unix-only, process-global syscall.Umask flips.
-		if err := file.Chmod(0o644); err != nil {
-			return fail(err)
-		}
 	}
 
 	// Profiles bracket only the sweep run — spec plumbing and artifact
@@ -380,15 +350,15 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			sink.Metrics = obs.NewRegistry()
 		}
 	}
-	// emitObs writes the trace file (temp + rename) and the stderr
-	// metrics summary after the run; it must run on the shard early-exit
-	// path too.
+	// emitObs installs the trace file and writes the stderr metrics
+	// summary after the run; it must run on the shard early-exit path
+	// too.
 	emitObs := func() error {
 		if sink == nil {
 			return nil
 		}
 		if sink.Tracer != nil {
-			if err := writeTrace(*traceFile, sink.Tracer); err != nil {
+			if err := artifact.WriteFile(*traceFile, sink.Tracer.WriteJSON); err != nil {
 				return err
 			}
 			fmt.Fprintf(stderr, "llcsweep: trace: %d spans -> %s\n", sink.Tracer.Len(), *traceFile)
@@ -453,49 +423,13 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	} else {
 		err = res.WriteJSON(out)
 	}
-	if file == nil {
-		if err != nil {
-			fmt.Fprintf(stderr, "llcsweep: %v\n", err)
-			return 1
-		}
-		return 0
-	}
-	// Close errors matter: a writeback that fails at close (ENOSPC,
-	// networked filesystems) must not install a truncated artifact.
-	if cerr := file.Close(); err == nil {
-		err = cerr
+	if err == nil && staged != nil {
+		err = staged.Commit()
 	}
 	if err != nil {
-		return fail(err)
-	}
-	if err := os.Rename(tmpPath, *outFile); err != nil {
 		return fail(err)
 	}
 	return 0
-}
-
-// writeTrace installs the trace file atomically (temp + rename, the
-// artifact convention) so a crash mid-write never leaves a truncated
-// trace.
-func writeTrace(path string, tr *obs.Tracer) error {
-	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return err
-	}
-	err = f.Chmod(0o644)
-	if err == nil {
-		err = tr.WriteJSON(f)
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(f.Name(), path)
-	}
-	if err != nil {
-		os.Remove(f.Name())
-	}
-	return err
 }
 
 // parseShard parses a -shard value "i/N" into (i, N), requiring

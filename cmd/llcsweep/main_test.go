@@ -250,10 +250,21 @@ func TestShardMergeCLI(t *testing.T) {
 
 // TestShardMergeFlagValidation pins the usage errors: malformed -shard
 // values, -shard without -checkpoint or with artifact outputs, -merge
-// with -resume, and -shard with -merge are all exit 2 before any work.
+// with -resume, -shard with -merge and a spec file with trailing data
+// are all exit 2 before any work. A spec file ending in a newline
+// decodes, so its run gets as far as the -shard check.
 func TestShardMergeFlagValidation(t *testing.T) {
 	dir := t.TempDir()
 	ck := filepath.Join(dir, "x.cells")
+	const spec = `{"experiments": ["evset/bins"], "trials": 3}`
+	bracket := filepath.Join(dir, "bracket.json")
+	newline := filepath.Join(dir, "newline.json")
+	if err := os.WriteFile(bracket, []byte(spec+"]"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(newline, []byte(spec+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name string
 		args []string
@@ -267,6 +278,8 @@ func TestShardMergeFlagValidation(t *testing.T) {
 		{"merge needs checkpoint", tinyArgs("-merge", "a.cells,b.cells"), "-merge requires -checkpoint"},
 		{"merge rejects resume", tinyArgs("-merge", "a.cells,b.cells", "-checkpoint", ck, "-resume"), "-merge and -resume"},
 		{"shard and merge exclusive", tinyArgs("-shard", "0/3", "-merge", "a.cells", "-checkpoint", ck), "mutually exclusive"},
+		{"spec with trailing ]", []string{"-spec", bracket}, "after the spec"},
+		{"spec ending in a newline", []string{"-spec", newline, "-shard", "0/3"}, "-shard requires -checkpoint"},
 	}
 	for _, tc := range cases {
 		var stdout, stderr bytes.Buffer

@@ -36,7 +36,6 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
-	"path/filepath"
 )
 
 // Magic identifies a cell-result log file ("LLCA" little-endian).
@@ -102,11 +101,7 @@ func Create(path string, fingerprint uint64) (*Log, error) {
 	if err != nil {
 		return nil, fmt.Errorf("artifact: %w", err)
 	}
-	var hdr [headerSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], Magic)
-	binary.LittleEndian.PutUint32(hdr[4:8], Version)
-	binary.LittleEndian.PutUint64(hdr[8:16], fingerprint)
-	if _, err := f.Write(hdr[:]); err != nil {
+	if _, err := f.Write(encodeHeader(fingerprint)); err != nil {
 		f.Close()
 		os.Remove(path)
 		return nil, fmt.Errorf("artifact: %s: %w", path, err)
@@ -314,43 +309,23 @@ func filterOrder(order []string, index map[string][]byte) []string {
 	return out
 }
 
-// compact rewrites the log with exactly the indexed records (temp file
-// + fsync + rename, the same never-install-a-partial-file discipline
-// the CLIs use for JSON artifacts) and swaps the open handle to it.
+// compact rewrites the log with exactly the indexed records through
+// the file installer (never a partial file in place) and swaps the open
+// handle to it.
 func (l *Log) compact(fingerprint uint64) error {
-	tmp, err := os.CreateTemp(filepath.Dir(l.path), filepath.Base(l.path)+".compact-*")
-	if err != nil {
-		return fmt.Errorf("artifact: %w", err)
-	}
-	tmpPath := tmp.Name()
-	fail := func(err error) error {
-		tmp.Close()
-		os.Remove(tmpPath)
-		return fmt.Errorf("artifact: compacting %s: %w", l.path, err)
-	}
-	if err := tmp.Chmod(0o644); err != nil {
-		return fail(err)
-	}
-	var hdr [headerSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], Magic)
-	binary.LittleEndian.PutUint32(hdr[4:8], Version)
-	binary.LittleEndian.PutUint64(hdr[8:16], fingerprint)
-	if _, err := tmp.Write(hdr[:]); err != nil {
-		return fail(err)
-	}
-	for _, key := range l.order {
-		if _, err := tmp.Write(encodeRecord(key, l.index[key])); err != nil {
-			return fail(err)
+	err := WriteFile(l.path, func(w io.Writer) error {
+		if _, err := w.Write(encodeHeader(fingerprint)); err != nil {
+			return err
 		}
-	}
-	if err := tmp.Sync(); err != nil {
-		return fail(err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fail(err)
-	}
-	if err := os.Rename(tmpPath, l.path); err != nil {
-		return fail(err)
+		for _, key := range l.order {
+			if _, err := w.Write(encodeRecord(key, l.index[key])); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return fmt.Errorf("artifact: compacting %s: %w", l.path, err)
 	}
 	old := l.f
 	f, err := os.OpenFile(l.path, os.O_RDWR, 0)
@@ -360,6 +335,16 @@ func (l *Log) compact(fingerprint uint64) error {
 	old.Close()
 	l.f = f
 	return nil
+}
+
+// encodeHeader builds the log header: magic u32 | version u32 |
+// fingerprint u64.
+func encodeHeader(fingerprint uint64) []byte {
+	hdr := make([]byte, headerSize)
+	binary.LittleEndian.PutUint32(hdr[0:4], Magic)
+	binary.LittleEndian.PutUint32(hdr[4:8], Version)
+	binary.LittleEndian.PutUint64(hdr[8:16], fingerprint)
+	return hdr
 }
 
 // encodeRecord frames one record: keyLen u32 | payloadLen u32 | key |

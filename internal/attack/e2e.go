@@ -59,9 +59,6 @@ type E2EResult struct {
 // fractions (the paper's headline number: 81%).
 func (r E2EResult) MedianFraction() float64 { return stats.Median(r.Fractions) }
 
-// MeanFraction returns the mean extracted-bit fraction (paper: 68%).
-func (r E2EResult) MeanFraction() float64 { return stats.Mean(r.Fractions) }
-
 // MeanErrorRate returns the mean bit error rate (paper: 3%).
 func (r E2EResult) MeanErrorRate() float64 { return stats.Mean(r.ErrorRates) }
 

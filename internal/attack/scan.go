@@ -78,12 +78,3 @@ func (s *Session) ScanForTarget(sets []*evset.EvictionSet, scanner *psd.Scanner,
 	res.Duration = s.H.Clock().Now() - start
 	return res
 }
-
-// RatePerSecond returns the scan rate in sets per (virtual) second.
-func (r ScanResult) RatePerSecond() float64 {
-	secs := r.Duration.Seconds()
-	if secs <= 0 {
-		return 0
-	}
-	return float64(r.Scanned) / secs
-}

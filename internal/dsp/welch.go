@@ -70,25 +70,6 @@ func Welch(x []float64, fs float64) PSD {
 	return psd
 }
 
-// BinAt returns the index of the bin closest to frequency f.
-func (p PSD) BinAt(f float64) int {
-	if len(p.Freqs) == 0 {
-		return 0
-	}
-	df := p.Freqs[1] - p.Freqs[0]
-	if df <= 0 {
-		return 0
-	}
-	i := int(f/df + 0.5)
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(p.Freqs) {
-		i = len(p.Freqs) - 1
-	}
-	return i
-}
-
 // PeakNear returns the maximum power within ±tol of frequency f.
 func (p PSD) PeakNear(f, tol float64) float64 {
 	best := 0.0
@@ -109,15 +90,6 @@ func (p PSD) MedianPower() float64 {
 	s := append([]float64(nil), p.Power...)
 	insertionSort(s)
 	return s[len(s)/2]
-}
-
-// TotalPower integrates the PSD.
-func (p PSD) TotalPower() float64 {
-	t := 0.0
-	for _, v := range p.Power {
-		t += v
-	}
-	return t
 }
 
 func insertionSort(s []float64) {

@@ -256,9 +256,6 @@ func (h *Host) Config() Config { return h.cfg }
 // Clock returns the shared virtual clock.
 func (h *Host) Clock() *clock.Clock { return h.clk }
 
-// Memory returns the host's physical memory.
-func (h *Host) Memory() *memory.Host { return h.mem }
-
 // NewAddressSpace creates a fresh address space (one per agent/container).
 func (h *Host) NewAddressSpace() *memory.AddressSpace {
 	return memory.NewAddressSpace(h.mem)
@@ -310,15 +307,6 @@ func (h *Host) setFor(d defense.Domain, pa memory.PAddr) SetID {
 		s.Index = h.def.Index(d, uint64(pa.Line()), s.Slice, s.Index, h.cfg.LLCSets)
 	}
 	return s
-}
-
-// SetOfDomain is the privileged domain-aware set resolution: the set an
-// access by domain d would touch. Ground-truth code compares the set a
-// victim line occupies (victim domain) with the sets attacker lines
-// occupy (attacker domain); under a skewing defense the two mappings
-// legitimately disagree.
-func (h *Host) SetOfDomain(d defense.Domain, pa memory.PAddr) SetID {
-	return h.setFor(d, pa)
 }
 
 // region maps a domain to its way-allocation region for the shared
@@ -749,17 +737,6 @@ func (h *Host) hasPrivate(coreID int, pa memory.PAddr) bool {
 // (privileged).
 func (h *Host) InPrivate(coreID int, pa memory.PAddr) bool {
 	return h.hasPrivate(coreID, pa)
-}
-
-// InL2 reports whether the core's L2 holds the line (privileged).
-func (h *Host) InL2(coreID int, pa memory.PAddr) bool {
-	return h.cores[coreID].l2.Contains(h.l2Index(pa), cache.Tag(pa.Line()))
-}
-
-// L2SetOccupancy returns the number of valid lines in the core's L2 set
-// containing pa (privileged; used by tests).
-func (h *Host) L2SetOccupancy(coreID int, pa memory.PAddr) int {
-	return h.cores[coreID].l2.OccupiedWays(h.l2Index(pa))
 }
 
 // SFOccupancy returns how many valid entries the SF set holds

@@ -93,10 +93,6 @@ func (h *Host) Schedule(e Event) {
 // ScheduledLen returns the number of pending scheduled events.
 func (h *Host) ScheduledLen() int { return h.sched.Len() }
 
-// ClearScheduled drops all pending scheduled events (used between
-// experiment trials).
-func (h *Host) ClearScheduled() { h.sched.events = h.sched.events[:0] }
-
 // drainScheduled applies every scheduled event whose time has passed.
 // The common case, nothing due, is decided inline on every access;
 // drainDue does the work.

@@ -59,7 +59,6 @@ func (p PAddr) FrameNumber() uint64 { return uint64(p) >> PageBits }
 // Host models the physical memory of one machine: a pool of frames that
 // address spaces draw from at page-fault time.
 type Host struct {
-	frames     uint64   // total number of 4 kB frames
 	freeList   []uint32 // frame numbers in allocation order
 	nextVictim int      // index into freeList for sequential carve-outs
 }
@@ -83,13 +82,10 @@ func NewHost(bytes uint64, rng *xrand.Rand) *Host {
 	if n > MaxFrames {
 		panic("memory: host larger than 2^32 frames")
 	}
-	h := &Host{frames: n, freeList: make([]uint32, n)}
+	h := &Host{freeList: make([]uint32, n)}
 	h.shuffle(rng)
 	return h
 }
-
-// Frames returns the number of physical frames on the host.
-func (h *Host) Frames() uint64 { return h.frames }
 
 // Reset returns every frame to the pool and reshuffles it with rng,
 // restoring the state NewHost would produce with the same size and rng

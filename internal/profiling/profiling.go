@@ -40,15 +40,6 @@ type Config struct {
 	MutexFile string
 }
 
-// Start begins CPU profiling to cpuFile when it is non-empty. The
-// returned stop function ends the CPU profile and, when memFile is
-// non-empty, writes a post-GC heap profile there; call it exactly once
-// after the timed region. It is StartWith for the two original
-// profiles, kept for callers that need neither contention profile.
-func Start(cpuFile, memFile string) (stop func() error, err error) {
-	return StartWith(Config{CPUFile: cpuFile, MemFile: memFile})
-}
-
 // StartWith begins collection for every profile named in cfg. The
 // returned stop function must be called exactly once after the timed
 // region: it stops the CPU profile and block/mutex sampling, then

@@ -32,6 +32,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -178,8 +179,8 @@ func New(dataDir string, opts Options) (*Server, error) {
 		if err != nil {
 			return nil, err
 		}
-		var spec sweep.Spec
-		if err := json.Unmarshal(data, &spec); err != nil {
+		spec, err := sweep.DecodeSpec(bytes.NewReader(data))
+		if err != nil {
 			return nil, fmt.Errorf("job %s: %w", id, err)
 		}
 		spec.Normalize()
@@ -383,7 +384,9 @@ func (s *Server) runJob(ctx context.Context, id string) {
 		})
 	}
 	if err == nil {
-		err = writeResult(s.resultPath(id), res)
+		// A job is done exactly when its result file exists, after a
+		// restart too, so the file is installed whole or not at all.
+		err = artifact.WriteFile(s.resultPath(id), res.WriteJSON)
 	}
 
 	s.mu.Lock()
@@ -406,27 +409,6 @@ func (s *Server) runJob(ctx context.Context, id string) {
 		j.Error = err.Error()
 	}
 	s.cond.Broadcast()
-}
-
-// writeResult installs the final artifact atomically (temp + rename,
-// the CLI convention) so a crash mid-write can never leave a truncated
-// result that a restart would mistake for a finished job.
-func writeResult(path string, res *sweep.Result) error {
-	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return err
-	}
-	err = res.WriteJSON(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(f.Name(), path)
-	}
-	if err != nil {
-		os.Remove(f.Name())
-	}
-	return err
 }
 
 // readHeaderTimeout bounds how long a client may take to send a
@@ -541,25 +523,18 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 // is checked after the body is read, under the body deadline, so a
 // refused submit cannot hold the connection either.
 func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
-	var spec sweep.Spec
 	// A writer without deadline support leaves the read unbounded, as
 	// before; the daemon's own server always has it.
 	rc := http.NewResponseController(w)
 	rc.SetReadDeadline(time.Now().Add(s.bodyTimeout))
-	body := http.MaxBytesReader(w, r.Body, 1<<20)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
+	// DecodeSpec reads the body to EOF, so the whole declared body is
+	// read under the deadline; net/http would otherwise discard the rest
+	// before the reply, with no deadline at all.
+	spec, err := sweep.DecodeSpec(http.MaxBytesReader(w, r.Body, 1<<20))
+	if err != nil {
 		// The deadline stays: net/http's discard of the unread body
 		// before the reply then fails at once and closes the connection.
 		httpError(w, http.StatusBadRequest, "decoding spec: %v", err)
-		return
-	}
-	// Decode returns after the spec's closing brace, so read the rest of
-	// the declared body under the deadline too; net/http would otherwise
-	// discard it before the reply, with no deadline at all.
-	if _, err := io.Copy(io.Discard, body); err != nil {
-		httpError(w, http.StatusBadRequest, "reading spec body: %v", err)
 		return
 	}
 	rc.SetReadDeadline(time.Time{})
@@ -580,10 +555,11 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		// Persist the spec before acknowledging: the job must be
 		// recoverable the moment the client learns its ID.
-		data, err := json.MarshalIndent(spec, "", "  ")
-		if err == nil {
-			err = os.WriteFile(s.specPath(id), append(data, '\n'), 0o644)
-		}
+		err = artifact.WriteFile(s.specPath(id), func(f io.Writer) error {
+			enc := json.NewEncoder(f)
+			enc.SetIndent("", "  ")
+			return enc.Encode(spec)
+		})
 		if err != nil {
 			httpError(w, http.StatusInternalServerError, "persisting spec: %v", err)
 			return

@@ -210,12 +210,22 @@ func TestEventsStreamBacklogAndCounts(t *testing.T) {
 }
 
 func TestSubmitRejectsBadSpecs(t *testing.T) {
-	_, ts, _ := startServer(t, t.TempDir())
+	dir := t.TempDir()
+	_, ts, _ := startServer(t, dir)
+	valid, err := json.Marshal(tinySpec())
+	if err != nil {
+		t.Fatalf("marshal spec: %v", err)
+	}
 	for _, body := range []string{
 		"{not json",
 		`{"unknown_field": 1}`,
 		`{"experiments": ["no/such/experiment"], "trials": 3}`,
 		`{"trials": -1}`,
+		// Trailing data after a valid spec: decoding only the first
+		// value would run a different grid than the body declares.
+		string(valid) + `{"trials": -1}`,
+		string(valid) + "garbage",
+		string(valid) + "]",
 	} {
 		resp, err := http.Post(ts.URL+"/api/v1/jobs", "application/json", strings.NewReader(body))
 		if err != nil {
@@ -225,6 +235,19 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("body %q: status %d, want 400", body, resp.StatusCode)
 		}
+	}
+	specs, err := filepath.Glob(filepath.Join(dir, "*.spec.json"))
+	if err != nil || len(specs) != 0 {
+		t.Fatalf("rejected submits left spec files %v (%v)", specs, err)
+	}
+	// Trailing whitespace is not trailing data.
+	resp, err := http.Post(ts.URL+"/api/v1/jobs", "application/json", strings.NewReader(string(valid)+"\n"))
+	if err != nil {
+		t.Fatalf("POST: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("spec with a trailing newline: status %d, want 201", resp.StatusCode)
 	}
 }
 

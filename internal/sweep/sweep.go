@@ -24,6 +24,7 @@ import (
 	"context"
 	"encoding/csv"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"runtime/pprof"
@@ -81,6 +82,32 @@ type Spec struct {
 	// supplies its default of 1, not this package), so the spec embedded
 	// in an artifact always reproduces that artifact exactly.
 	Seed uint64 `json:"seed"`
+}
+
+// DecodeSpec reads one JSON Spec from r, the only way a spec crosses
+// the process boundary (spec files, daemon submits, the daemon's
+// persisted specs). It is strict: an unknown field is an error, and so
+// is anything but whitespace after the spec's value, because decoding
+// only the first of two values would run a different grid than the
+// input appears to declare. r is read to EOF.
+func DecodeSpec(r io.Reader) (Spec, error) {
+	var spec Spec
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&spec); err != nil {
+		return Spec{}, err
+	}
+	// A second Decode, not dec.More: More reports false for a stray
+	// closing ']' or '}'.
+	var extra json.RawMessage
+	switch err := dec.Decode(&extra); {
+	case err == io.EOF:
+		return spec, nil
+	case err == nil:
+		return Spec{}, errors.New("trailing data after the spec")
+	default:
+		return Spec{}, fmt.Errorf("after the spec: %w", err)
+	}
 }
 
 // Normalize fills defaulted fields in place: a small but meaningful
