@@ -200,7 +200,7 @@ func BenchmarkFigure7_WelchPSD(b *testing.B) {
 func BenchmarkTable6_ScanOneSet(b *testing.B) {
 	s := attack.NewSession(cloudCfg(), ec2m.Sect163(), 7)
 	p := psd.DefaultParams(s.V.ExpectedAccessPeriod())
-	scanner, _, _ := s.TrainAll(p, xrand.New(8))
+	scanner, _, _ := s.TrainScanner(p, xrand.New(8))
 	bulk := s.BuildEvictionSets(evset.BulkOptions{Algo: evset.BinSearch{}, PerSet: evset.FilteredOptions()})
 	if len(bulk.Sets) == 0 {
 		b.Fatal("no sets")
@@ -219,7 +219,9 @@ func BenchmarkTable6_ScanOneSet(b *testing.B) {
 func BenchmarkFigure9_ExtractBits(b *testing.B) {
 	s := attack.NewSession(cloudCfg(), ec2m.Sect163(), 9)
 	p := psd.DefaultParams(s.V.ExpectedAccessPeriod())
-	_, ex, _ := s.TrainAll(p, xrand.New(10))
+	rng := xrand.New(10)
+	_, td, _ := s.TrainScanner(p, rng)
+	ex := attack.TrainExtractor(s.V.IterCycles, td.Traces, td.Truth, rng)
 	// One long captured trace, re-extracted each iteration.
 	pool := evset.NewCandidates(s.Env, 2*evset.DefaultPoolSize(s.H.Config()), s.V.TargetOffset())
 	var lines []memory.VAddr
@@ -247,7 +249,9 @@ func BenchmarkFigure9_ExtractBits(b *testing.B) {
 func BenchmarkE2E_FullAttack(b *testing.B) {
 	train := attack.NewSession(cloudCfg(), ec2m.Sect163(), 11)
 	p := psd.DefaultParams(train.V.ExpectedAccessPeriod())
-	scanner, ex, _ := train.TrainAll(p, xrand.New(12))
+	rng := xrand.New(12)
+	scanner, td, _ := train.TrainScanner(p, rng)
+	ex := attack.TrainExtractor(train.V.IterCycles, td.Traces, td.Truth, rng)
 	opt := attack.DefaultE2EOptions()
 	opt.Traces = 2
 	b.ResetTimer()

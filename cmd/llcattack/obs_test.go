@@ -99,7 +99,7 @@ func TestTraceByteIdentity(t *testing.T) {
 			}
 		}
 
-		// Clause 10's attribution guarantee: phase spans partition each
+		// Clause 9's attribution guarantee: phase spans partition each
 		// trial's simulated time exactly.
 		if len(perTrial) != len(rep.Outcomes) {
 			t.Fatalf("trace covers %d trials, report has %d outcomes", len(perTrial), len(rep.Outcomes))

@@ -264,48 +264,32 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	// different grid/seed/trial count is rejected, never silently mixed.
 	var ckpt *artifact.Log
 	if *ckptFile != "" {
-		fp := campaign.Fingerprint(spec)
-		if _, err := os.Stat(*ckptFile); err == nil {
-			if !*resume {
-				fmt.Fprintf(stderr, "llcsweep: checkpoint %s already exists; pass -resume to continue it\n", *ckptFile)
-				return 2
-			}
-			l, err := artifact.Open(*ckptFile, fp)
-			var short *artifact.ErrShortHeader
-			if errors.As(err, &short) {
-				// A crash between checkpoint creation and the header sync
-				// leaves a file too short to hold any verified record; it
-				// must recreate, not wedge every resume forever.
-				fmt.Fprintf(stderr, "llcsweep: resume: checkpoint %s holds no verified records (torn header); recreating\n", *ckptFile)
-				if rerr := os.Remove(*ckptFile); rerr != nil {
-					fmt.Fprintf(stderr, "llcsweep: %v\n", rerr)
-					return 2
-				}
-				l, err = artifact.Create(*ckptFile, fp)
-			}
-			if err != nil {
-				fmt.Fprintf(stderr, "llcsweep: %v\n", err)
-				return 2
-			}
-			ckpt = l
-			if l.DroppedTail > 0 || l.DroppedDuplicates > 0 {
-				fmt.Fprintf(stderr, "llcsweep: resume: dropped %d unverified tail record(s) and %d duplicated cell(s); those cells re-run\n",
-					l.DroppedTail, l.DroppedDuplicates)
-			}
-		} else {
-			if *resume {
-				// Tolerated so kill/resume loops can use one command line;
-				// noted so a typo'd path does not pass silently.
-				fmt.Fprintf(stderr, "llcsweep: resume: checkpoint %s not found, starting fresh\n", *ckptFile)
-			}
-			l, err := artifact.Create(*ckptFile, fp)
-			if err != nil {
-				fmt.Fprintf(stderr, "llcsweep: %v\n", err)
-				return 2
-			}
-			ckpt = l
+		fi, statErr := os.Stat(*ckptFile)
+		switch {
+		case statErr == nil && !*resume:
+			fmt.Fprintf(stderr, "llcsweep: checkpoint %s already exists; pass -resume to continue it\n", *ckptFile)
+			return 2
+		case statErr == nil && fi.Size() < artifact.HeaderSize:
+			// A crash between checkpoint creation and the header sync
+			// leaves a file too short to hold any verified record;
+			// OpenOrCreate recreates it rather than wedge every resume.
+			fmt.Fprintf(stderr, "llcsweep: resume: checkpoint %s holds no verified records (torn header); recreating\n", *ckptFile)
+		case statErr != nil && *resume:
+			// Tolerated so kill/resume loops can use one command line;
+			// noted so a typo'd path does not pass silently.
+			fmt.Fprintf(stderr, "llcsweep: resume: checkpoint %s not found, starting fresh\n", *ckptFile)
 		}
+		l, err := artifact.OpenOrCreate(*ckptFile, campaign.Fingerprint(spec))
+		if err != nil {
+			fmt.Fprintf(stderr, "llcsweep: %v\n", err)
+			return 2
+		}
+		ckpt = l
 		defer ckpt.Close()
+		if l.DroppedTail > 0 || l.DroppedDuplicates > 0 {
+			fmt.Fprintf(stderr, "llcsweep: resume: dropped %d unverified tail record(s) and %d duplicated cell(s); those cells re-run\n",
+				l.DroppedTail, l.DroppedDuplicates)
+		}
 	}
 	// With -o, stage the artifact beside its destination and install it
 	// only on full success: staging up front fails fast on an unwritable

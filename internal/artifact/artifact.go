@@ -44,9 +44,10 @@ const Magic = 0x4143_4c4c
 // Version is the current format version; Open rejects others.
 const Version = 1
 
-// headerSize is the fixed on-disk header: magic u32, version u32,
-// spec fingerprint u64, all little-endian.
-const headerSize = 16
+// HeaderSize is the fixed on-disk header: magic u32, version u32,
+// spec fingerprint u64, all little-endian. A shorter file is a torn
+// header (ErrShortHeader).
+const HeaderSize = 16
 
 // recordOverhead is the fixed per-record framing: key length u32,
 // payload length u32, trailing CRC-32C u32.
@@ -193,7 +194,7 @@ func (l *Log) load(fingerprint uint64) error {
 	if err != nil {
 		return fmt.Errorf("artifact: %s: %w", l.path, err)
 	}
-	if len(data) < headerSize {
+	if len(data) < HeaderSize {
 		return &ErrShortHeader{Path: l.path, Size: int64(len(data))}
 	}
 	if m := binary.LittleEndian.Uint32(data[0:4]); m != Magic {
@@ -209,8 +210,8 @@ func (l *Log) load(fingerprint uint64) error {
 	// Scan records until the data runs out or a record fails to verify.
 	// goodEnd tracks the byte offset of the verified prefix.
 	dupped := map[string]bool{}
-	goodEnd := headerSize
-	off := headerSize
+	goodEnd := HeaderSize
+	off := HeaderSize
 	for off < len(data) {
 		rest := data[off:]
 		if len(rest) < 8 {
@@ -340,7 +341,7 @@ func (l *Log) compact(fingerprint uint64) error {
 // encodeHeader builds the log header: magic u32 | version u32 |
 // fingerprint u64.
 func encodeHeader(fingerprint uint64) []byte {
-	hdr := make([]byte, headerSize)
+	hdr := make([]byte, HeaderSize)
 	binary.LittleEndian.PutUint32(hdr[0:4], Magic)
 	binary.LittleEndian.PutUint32(hdr[4:8], Version)
 	binary.LittleEndian.PutUint64(hdr[8:16], fingerprint)

@@ -260,7 +260,7 @@ func TestGarbageHeaderRejected(t *testing.T) {
 
 	// Right magic, wrong version.
 	vpath := filepath.Join(dir, "v.bin")
-	var hdr [headerSize]byte
+	var hdr [HeaderSize]byte
 	binary.LittleEndian.PutUint32(hdr[0:4], Magic)
 	binary.LittleEndian.PutUint32(hdr[4:8], Version+1)
 	binary.LittleEndian.PutUint64(hdr[8:16], fp)
@@ -293,7 +293,7 @@ func TestShortHeaderIsTyped(t *testing.T) {
 		}
 	}
 	p := filepath.Join(dir, "garbage.cells")
-	if err := os.WriteFile(p, bytes.Repeat([]byte{0x4c}, headerSize), 0o644); err != nil {
+	if err := os.WriteFile(p, bytes.Repeat([]byte{0x4c}, HeaderSize), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	_, err := Open(p, fp)

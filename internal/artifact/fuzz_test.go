@@ -20,7 +20,7 @@ import (
 func FuzzArtifactOpen(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var fingerprint uint64
-		if len(data) >= headerSize {
+		if len(data) >= HeaderSize {
 			fingerprint = binary.LittleEndian.Uint64(data[8:16])
 		}
 		path := filepath.Join(t.TempDir(), "cells.bin")
@@ -35,7 +35,7 @@ func FuzzArtifactOpen(f *testing.F) {
 		if len(keys) != l.Len() {
 			t.Fatalf("Keys() lists %d keys, Len() = %d", len(keys), l.Len())
 		}
-		want := data[:headerSize:headerSize] // capped: appends copy
+		want := data[:HeaderSize:HeaderSize] // capped: appends copy
 		for _, k := range keys {
 			p, ok := l.Get(k)
 			if !ok {
@@ -161,7 +161,7 @@ func FuzzMerge(f *testing.F) {
 			l.Close()
 		}
 		want, _ := os.ReadFile(srcs[0])
-		want = want[:headerSize:headerSize]
+		want = want[:HeaderSize:HeaderSize]
 		written := make(map[string]bool)
 		for _, k := range order {
 			p, in := union[k]

@@ -27,10 +27,10 @@ func TestExtractionOnTargetSetQuiet(t *testing.T) {
 	s := newTestSession(t, 1, false)
 	rng := xrand.New(2)
 	p := psd.DefaultParams(s.V.ExpectedAccessPeriod())
-	scanner, ex, ts := s.TrainAll(p, rng)
+	_, td, ts := s.TrainScanner(p, rng)
 	t.Logf("training: target=%d nontarget=%d FN=%.3f FP=%.3f",
 		ts.TargetTraces, ts.NonTargetTraces, ts.FalseNegative, ts.FalsePositive)
-	_ = scanner
+	ex := TrainExtractor(s.V.IterCycles, td.Traces, td.Truth, rng)
 
 	// Extract bits from a dedicated signing.
 	tp := s.newTrainingPool()
@@ -76,16 +76,16 @@ func TestEndToEndCloudNoise(t *testing.T) {
 	train := newTestSession(t, 21, true)
 	rng := xrand.New(22)
 	p := psd.DefaultParams(train.V.ExpectedAccessPeriod())
-	scanner, ex, ts := train.TrainAll(p, rng)
+	scanner, td, ts := train.TrainScanner(p, rng)
+	ex := TrainExtractor(train.V.IterCycles, td.Traces, td.Truth, rng)
 	t.Logf("training under noise: FN=%.3f FP=%.3f", ts.FalseNegative, ts.FalsePositive)
 
 	s := newTestSession(t, 23, true)
 	opt := DefaultE2EOptions()
 	opt.Traces = 3
 	res := s.RunEndToEnd(scanner, ex, opt)
-	t.Logf("sets=%d build=%.1fms scan: found=%v correct=%v in %.1fms (%d scanned)",
-		res.SetsBuilt, res.BuildTime.Millis(), res.Scan.Found, res.Scan.Correct,
-		res.Scan.Duration.Millis(), res.Scan.Scanned)
+	t.Logf("scan: found=%v correct=%v in %.1fms (%d scanned)",
+		res.Scan.Found, res.Scan.Correct, res.Scan.Duration.Millis(), res.Scan.Scanned)
 	t.Logf("fractions=%v errors=%v total=%.1fms", res.Fractions, res.ErrorRates, res.TotalTime.Millis())
 	if !res.SignalFound {
 		t.Fatal("end-to-end attack found no signal under cloud noise")
@@ -105,16 +105,16 @@ func TestEndToEndQuiet(t *testing.T) {
 	train := newTestSession(t, 5, false)
 	rng := xrand.New(6)
 	p := psd.DefaultParams(train.V.ExpectedAccessPeriod())
-	scanner, ex, _ := train.TrainAll(p, rng)
+	scanner, td, _ := train.TrainScanner(p, rng)
+	ex := TrainExtractor(train.V.IterCycles, td.Traces, td.Truth, rng)
 
 	// Attack a different host/victim with the trained classifiers.
 	s := newTestSession(t, 7, false)
 	opt := DefaultE2EOptions()
 	opt.Traces = 3
 	res := s.RunEndToEnd(scanner, ex, opt)
-	t.Logf("sets=%d build=%.1fms scan: found=%v correct=%v in %.1fms (%d scanned)",
-		res.SetsBuilt, res.BuildTime.Millis(), res.Scan.Found, res.Scan.Correct,
-		res.Scan.Duration.Millis(), res.Scan.Scanned)
+	t.Logf("scan: found=%v correct=%v in %.1fms (%d scanned)",
+		res.Scan.Found, res.Scan.Correct, res.Scan.Duration.Millis(), res.Scan.Scanned)
 	t.Logf("fractions=%v errors=%v total=%.1fms", res.Fractions, res.ErrorRates, res.TotalTime.Millis())
 	if !res.SignalFound {
 		t.Fatal("end-to-end attack found no signal")

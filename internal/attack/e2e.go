@@ -35,9 +35,6 @@ func DefaultE2EOptions() E2EOptions {
 
 // E2EResult reports one end-to-end attack (§7.3).
 type E2EResult struct {
-	// Step 1.
-	SetsBuilt int
-	BuildTime clock.Cycles
 	// Step 2.
 	Scan ScanResult
 	// Step 3: per-signature extraction fractions and error rates.
@@ -66,33 +63,28 @@ func (r E2EResult) MeanErrorRate() float64 { return stats.Mean(r.ErrorRates) }
 // pre-trained classifiers: build eviction sets at the victim's page
 // offset, identify the target SF set with the PSD scanner while
 // triggering signings, then monitor `Traces` further signings and
-// extract their nonce bits.
+// extract their nonce bits. Each step runs as the session's "build",
+// "scan" and "extract" phase, and the first step that fails ends the
+// run.
 func (s *Session) RunEndToEnd(scanner *psd.Scanner, ex *Extractor, opt E2EOptions) E2EResult {
 	t0 := s.H.Clock().Now()
 	res := E2EResult{}
-
-	// Step 1: eviction sets for all SF sets at the target page offset.
 	var bulk evset.BulkResult
-	s.Phase("build", func() { bulk = s.BuildEvictionSets(opt.Bulk) })
-	res.SetsBuilt = len(bulk.Sets)
-	res.BuildTime = bulk.Duration
-	if len(bulk.Sets) == 0 {
-		res.TotalTime = s.H.Clock().Now() - t0
-		return res
+	res.SignalFound = s.Phases.Run("build", func() bool {
+		bulk = s.BuildEvictionSets(opt.Bulk)
+		return len(bulk.Sets) > 0
+	}) && s.Phases.Run("scan", func() bool {
+		res.Scan = s.ScanForTarget(bulk.Sets, scanner, ScanOptions{Timeout: opt.ScanTimeout})
+		return res.Scan.Found
+	})
+	if res.SignalFound {
+		// On traced runs each signing emits a cat="probe" span nested
+		// (on the same simulated timeline) inside the extract phase.
+		s.Phases.Run("extract", func() bool {
+			s.extract(&res, ex, opt.Traces)
+			return res.BitsRecovered > 0
+		})
 	}
-
-	// Step 2: find the target set.
-	s.Phase("scan", func() { res.Scan = s.ScanForTarget(bulk.Sets, scanner, ScanOptions{Timeout: opt.ScanTimeout}) })
-	if !res.Scan.Found {
-		res.TotalTime = s.H.Clock().Now() - t0
-		return res
-	}
-	res.SignalFound = true
-
-	// Step 3: monitor `Traces` signings and extract the nonce bits.
-	// On traced runs each signing emits a cat="probe" span nested (on
-	// the same simulated timeline) inside the scenario's extract phase.
-	s.Phase("extract", func() { s.extract(&res, ex, opt.Traces) })
 	res.TotalTime = s.H.Clock().Now() - t0
 	return res
 }

@@ -9,7 +9,6 @@
 package attack
 
 import (
-	"context"
 	"math/big"
 
 	"repro/internal/clock"
@@ -18,7 +17,6 @@ import (
 	"repro/internal/hierarchy"
 	"repro/internal/obs"
 	"repro/internal/probe"
-	"repro/internal/profiling"
 	"repro/internal/victim"
 	"repro/internal/xrand"
 )
@@ -49,14 +47,10 @@ type Session struct {
 	// it; like all instrumentation it reads clocks already being read
 	// and never touches a rng stream (determinism clause 9).
 	Trace *obs.TrialTrace
-	// Labels is the owning trial's pprof label set (nil for none), which
-	// Phase extends.
-	Labels context.Context
+	// Phases is the owning trial's step recorder (nil for none):
+	// RunEndToEnd runs its steps through it.
+	Phases *obs.Phases
 }
-
-// Phase runs f under the pprof label phase=name on top of the
-// session's Labels (profiling.Phase).
-func (s *Session) Phase(name string, f func()) { profiling.Phase(s.Labels, name, f) }
 
 // NewSession builds a host from the config and co-locates an attacker
 // environment and a victim using the given curve.

@@ -150,21 +150,22 @@ type TrainingStats struct {
 	FalsePositive   float64
 }
 
-// TrainAll trains both classifiers from this session's data and returns
-// them with the PSD validation metrics. When the training pool cannot
-// assemble labelled traces for both classes — on an undefended host it
-// always can, but an index-scrambling defense (randomize, scatter)
-// scatters the page-offset pool so thinly that no monitored set
-// resolves — it returns nil classifiers so the caller can fail its
-// training step instead of panicking inside the classifier.
-func (s *Session) TrainAll(p psd.Params, rng *xrand.Rand) (*psd.Scanner, *Extractor, TrainingStats) {
+// TrainScanner collects this session's training data and fits the PSD
+// scanner on it, returning the scanner, the data (which TrainExtractor
+// fits the boundary forest on, drawing from the same rng after the
+// scanner) and the PSD validation metrics. When the training pool
+// cannot assemble labelled traces for both classes — an
+// index-scrambling defense (randomize, scatter) scatters the
+// page-offset pool so thinly that no monitored set resolves — it
+// returns a nil scanner so the caller can fail its training step
+// instead of panicking inside the classifier.
+func (s *Session) TrainScanner(p psd.Params, rng *xrand.Rand) (*psd.Scanner, TrainingData, TrainingStats) {
 	td := s.CollectTrainingData(p, 12, 24)
 	if len(td.Target) == 0 || len(td.NonTarget) == 0 {
-		return nil, nil, TrainingStats{TargetTraces: len(td.Target), NonTargetTraces: len(td.NonTarget)}
+		return nil, td, TrainingStats{TargetTraces: len(td.Target), NonTargetTraces: len(td.NonTarget)}
 	}
 	scanner, m := psd.TrainScanner(p, td.Target, td.NonTarget, rng)
-	ex := TrainExtractor(s.V.IterCycles, td.Traces, td.Truth, rng)
-	return scanner, ex, TrainingStats{
+	return scanner, td, TrainingStats{
 		TargetTraces:    len(td.Target),
 		NonTargetTraces: len(td.NonTarget),
 		FalseNegative:   m.FalseNegativeRate(),

@@ -39,9 +39,7 @@ func newAttackSession(o Options, seed uint64) *attack.Session {
 
 // pooledAttackSession builds a cloud session on the trial's pooled host.
 func pooledAttackSession(o Options, t *Trial, seed uint64) *attack.Session {
-	s := attack.NewSessionOn(t.Host(cloudConfig(o), seed), victimCurve(o), seed)
-	s.Labels = t.Labels
-	return s
+	return attack.NewSessionOn(t.Host(cloudConfig(o), seed), victimCurve(o), seed)
 }
 
 // Figure7 captures one trace from the target SF set and one from a
@@ -131,7 +129,7 @@ func Table6(o Options) *Report {
 	train := newAttackSession(o, o.Seed^0x7121)
 	p := psd.DefaultParams(train.V.ExpectedAccessPeriod())
 	rng := xrand.New(o.Seed ^ 0x9)
-	scanner, ex, _ := train.TrainAll(p, rng)
+	scanner, td, _ := train.TrainScanner(p, rng)
 	if scanner == nil {
 		// An index-scrambling defense override (-defense randomize/scatter)
 		// starves the training pool; report the failure instead of running
@@ -139,6 +137,7 @@ func Table6(o Options) *Report {
 		rep.Notes = append(rep.Notes, "training failed: no monitorable training sets under the configured defense")
 		return rep
 	}
+	ex := attack.TrainExtractor(train.V.IterCycles, td.Traces, td.Truth, rng)
 
 	type scen struct {
 		name    string
@@ -287,11 +286,12 @@ func EndToEnd(o Options) *Report {
 	train := newAttackSession(o, o.Seed^0x7e2e)
 	p := psd.DefaultParams(train.V.ExpectedAccessPeriod())
 	rng := xrand.New(o.Seed ^ 0xe2)
-	scanner, ex, ts := train.TrainAll(p, rng)
+	scanner, td, ts := train.TrainScanner(p, rng)
 	if scanner == nil {
 		rep.Notes = append(rep.Notes, "training failed: no monitorable training sets under the configured defense")
 		return rep
 	}
+	ex := attack.TrainExtractor(train.V.IterCycles, td.Traces, td.Truth, rng)
 
 	pairs := trials(o, 6)
 	opt := attack.DefaultE2EOptions()

@@ -58,11 +58,10 @@ type Trial struct {
 	// spans at zero cost — and must never let tracing touch a rng
 	// stream or the simulated clock (determinism clause 9).
 	Trace *obs.TrialTrace
-	// Labels carries the pprof labels the trial runs under (a sweep
-	// cell's experiment and policy), nil for none. A runner that labels
-	// its own phases adds to these (attack.Session.Phase) rather than
-	// replacing them. Labels reach neither a rng stream nor a report.
-	Labels context.Context
+	// Phases records the trial's pipeline steps (the scenario
+	// runners'), each under the pprof labels the trial runs under (a
+	// sweep cell's experiment and policy) and on its Trace track.
+	Phases *obs.Phases
 	pool   *hostPool
 }
 
@@ -162,6 +161,7 @@ func RunTrials(ctx context.Context, n, workers int, seed uint64, sink *obs.Sink,
 		if tracer != nil {
 			t.Trace = &obs.TrialTrace{Tracer: tracer, TID: i}
 		}
+		t.Phases = obs.NewPhases(nil, t.Trace)
 		return t
 	}
 	out := make([]Sample, n)

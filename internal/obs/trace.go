@@ -1,8 +1,10 @@
 package obs
 
 import (
+	"context"
 	"encoding/json"
 	"io"
+	"runtime/pprof"
 	"sort"
 	"sync"
 	"time"
@@ -237,6 +239,114 @@ func (tt *TrialTrace) Span(name, cat string, start, dur clock.Cycles, wall time.
 		Name: name, Cat: cat, PID: tt.PID, TID: tt.TID,
 		Start: start, Dur: dur, Wall: wall, OK: ok,
 	})
+}
+
+// Step is one pipeline step of a trial: its name, its success flag and
+// the simulated cycles it advanced the trial's host clock by.
+type Step struct {
+	Name   string       `json:"name"`
+	OK     bool         `json:"ok"`
+	Cycles clock.Cycles `json:"cycles"`
+}
+
+// Phases records one trial's pipeline steps. Its Run is the one place
+// a step is marked: it labels the step for pprof, times it on the host
+// clock and the wall clock, traces it and records it, all around the
+// call that does the work. Recording only reads clocks, never a rng
+// stream, so a traced trial's steps are byte-identical to an untraced
+// one's (clause 9). A nil *Phases runs steps unrecorded.
+type Phases struct {
+	labels context.Context
+	trace  *TrialTrace
+	clk    *clock.Clock
+	steps  []Step
+	// origin is the host clock at the first step's start; wall0 and
+	// wall (traced trials only) are the recorder's creation time and
+	// the host time spent inside steps.
+	origin clock.Cycles
+	wall0  time.Time
+	wall   time.Duration
+}
+
+// NewPhases returns the recorder of one trial whose steps run under the
+// pprof labels of labels (nil for none) and, when tr is enabled, land
+// on tr as cat="phase" spans.
+func NewPhases(labels context.Context, tr *TrialTrace) *Phases {
+	if labels == nil {
+		labels = context.Background()
+	}
+	p := &Phases{labels: labels, trace: tr, clk: new(clock.Clock)}
+	if tr.Enabled() {
+		p.wall0 = time.Now()
+	}
+	return p
+}
+
+// Bind points the recorder at the trial's host clock. Until then it
+// reads a clock stopped at zero, as a freshly reset host's reads, so a
+// step that obtains the host itself can bind from inside its f.
+func (p *Phases) Bind(c *clock.Clock) {
+	if p != nil {
+		p.clk = c
+	}
+}
+
+// Run runs f as the step name and returns f's success flag. f runs
+// under the pprof label phase=name on top of the trial's labels; the
+// step is recorded with the cycles f advanced the host clock by and, on
+// a traced trial, emitted as a cat="phase" span carrying the wall time
+// of f itself.
+func (p *Phases) Run(name string, f func() bool) bool {
+	if p == nil {
+		return f()
+	}
+	start := p.clk.Now()
+	if len(p.steps) == 0 {
+		p.origin = start
+	}
+	traced := p.trace.Enabled()
+	var ok bool
+	var wall time.Duration
+	pprof.Do(p.labels, pprof.Labels("phase", name), func(context.Context) {
+		var w0 time.Time
+		if traced {
+			w0 = time.Now()
+		}
+		ok = f()
+		if traced {
+			wall = time.Since(w0)
+		}
+	})
+	d := p.clk.Now() - start
+	p.steps = append(p.steps, Step{Name: name, OK: ok, Cycles: d})
+	if traced {
+		p.wall += wall
+		p.trace.Span(name, "phase", start, d, wall, ok)
+	}
+	return ok
+}
+
+// Finish closes the trial, whose end-to-end success is ok, and returns
+// its steps and its cycles from the first step's start. On a traced
+// trial the cycles no step covered become one "unattributed" phase span
+// carrying the trial's wall time outside every step, so a trial's phase
+// spans sum exactly to its cycles.
+func (p *Phases) Finish(ok bool) ([]Step, clock.Cycles) {
+	if p == nil {
+		return nil, 0
+	}
+	now := p.clk.Now()
+	total := now - p.origin
+	if p.trace.Enabled() {
+		rem := total
+		for _, s := range p.steps {
+			rem -= s.Cycles
+		}
+		if rem > 0 {
+			p.trace.Span("unattributed", "phase", now-rem, rem, time.Since(p.wall0)-p.wall, ok)
+		}
+	}
+	return p.steps, total
 }
 
 // Sink bundles the observability outputs a run threads through its

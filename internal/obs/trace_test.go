@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -121,5 +122,74 @@ func TestTracerConcurrentEmit(t *testing.T) {
 	wg.Wait()
 	if tr.Len() != 800 {
 		t.Fatalf("len = %d, want 800", tr.Len())
+	}
+}
+
+// TestPhasesRecordsSteps pins the step recorder: each step's cycles are
+// the host clock's advance across f, its ok is f's result, an unbound
+// clock reads zero until f binds one, the span's wall time covers f,
+// the cycles no step covered become one "unattributed" span, and an
+// untraced recorder keeps the steps but emits nothing.
+func TestPhasesRecordsSteps(t *testing.T) {
+	const nap = 2 * time.Millisecond
+	run := func(tr *TrialTrace) ([]Step, clock.Cycles) {
+		clk := clock.New(0, nil)
+		p := NewPhases(nil, tr)
+		// f binds a clock that reads 100: the unbound clock read zero
+		// at the step's start, so the step is charged all of it.
+		clk.Advance(100)
+		if !p.Run("build", func() bool { p.Bind(clk); clk.Advance(400); return true }) {
+			t.Fatal("Run did not return f's true")
+		}
+		clk.Advance(7) // between steps: unattributed
+		if p.Run("scan", func() bool { time.Sleep(nap); clk.Advance(1000); return false }) {
+			t.Fatal("Run did not return f's false")
+		}
+		return p.Finish(false)
+	}
+	want := []Step{{Name: "build", OK: true, Cycles: 500}, {Name: "scan", OK: false, Cycles: 1000}}
+
+	steps, total := run(nil)
+	if !reflect.DeepEqual(steps, want) || total != 1507 {
+		t.Fatalf("untraced: steps %+v total %d, want %+v total 1507", steps, total, want)
+	}
+
+	tracer := NewTracer()
+	steps, total = run(&TrialTrace{Tracer: tracer, PID: 1, TID: 2})
+	if !reflect.DeepEqual(steps, want) || total != 1507 {
+		t.Fatalf("traced: steps %+v total %d, want %+v total 1507", steps, total, want)
+	}
+	spans := tracer.Spans()
+	if len(spans) != 3 {
+		t.Fatalf("got %d spans, want build, scan and the filler: %+v", len(spans), spans)
+	}
+	var sum clock.Cycles
+	for i, s := range spans {
+		if s.Cat != "phase" || s.PID != 1 || s.TID != 2 {
+			t.Errorf("span %d %+v not a phase span on track (1, 2)", i, s)
+		}
+		sum += s.Dur
+	}
+	if sum != total {
+		t.Errorf("phase spans sum to %d cycles, trial took %d", sum, total)
+	}
+	if s := spans[0]; s.Name != "build" || s.Start != 0 || s.Dur != 500 || !s.OK {
+		t.Errorf("build span %+v", s)
+	}
+	if s := spans[1]; s.Name != "scan" || s.Start != 507 || s.Dur != 1000 || s.OK || s.Wall < nap {
+		t.Errorf("scan span %+v, want wall >= %v", s, nap)
+	}
+	if s := spans[2]; s.Name != "unattributed" || s.Start != 1500 || s.Dur != 7 || s.OK {
+		t.Errorf("filler span %+v", s)
+	}
+
+	// A nil recorder just runs f.
+	var p *Phases
+	ran := false
+	if !p.Run("x", func() bool { ran = true; return true }) || !ran {
+		t.Fatal("nil recorder did not run f")
+	}
+	if steps, total := p.Finish(true); steps != nil || total != 0 {
+		t.Fatalf("nil recorder finished with %+v, %d", steps, total)
 	}
 }

@@ -8,22 +8,10 @@
 package profiling
 
 import (
-	"context"
 	"os"
 	"runtime"
 	"runtime/pprof"
 )
-
-// Phase runs f under the pprof label phase=name on top of the labels in
-// ctx (nil for none), so a CPU profile splits by phase (go tool pprof
-// -tagfocus phase=scan). Callers label each phase once, never an
-// access. Labels reach neither the simulation nor any report.
-func Phase(ctx context.Context, name string, f func()) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	pprof.Do(ctx, pprof.Labels("phase", name), func(context.Context) { f() })
-}
 
 // Config selects which profiles to collect; every path may be empty to
 // skip that profile, so callers pass flag values through unconditionally.

@@ -37,13 +37,9 @@ import (
 )
 
 // Step is one pipeline stage of a scenario trial with its virtual-cycle
-// budget. Steps appear in execution order; a failed trial stops at its
-// first failing step.
-type Step struct {
-	Name   string       `json:"name"`
-	OK     bool         `json:"ok"`
-	Cycles clock.Cycles `json:"cycles"`
-}
+// budget, as the trial's recorder (obs.Phases) ran it. Steps appear in
+// execution order; a failed trial stops at its first failing step.
+type Step = obs.Step
 
 // Outcome is the structured result of one scenario trial.
 type Outcome struct {

@@ -5,11 +5,13 @@ import (
 	"context"
 	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/clock"
 	"repro/internal/defense"
 	"repro/internal/experiments"
 	"repro/internal/hierarchy"
+	"repro/internal/obs"
 	"repro/internal/tenant"
 	"repro/internal/xrand"
 )
@@ -235,5 +237,61 @@ func TestCellConfigCarriesVariant(t *testing.T) {
 	swept := grid("poisson").WithDefense(defense.Spec{Model: "partition", Ways: 4})
 	if got := cellConfig(own("covert/channel/quiesce"), swept); got.Defense.Model != "partition" {
 		t.Errorf("grid defense overridden by the variant's: %+v", got.Defense)
+	}
+}
+
+// TestPhaseSpansMatchOutcome runs one traced trial of a scenario per
+// Run function (and the covert channel's failed set-up) and checks the
+// trace against the report: the phase spans are the Outcome's steps
+// plus the "unattributed" filler, name for name, with equal ok flags
+// and sim cycles; every span with at least 1e5 sim cycles carries at
+// least 1 µs of wall time, since that much simulation cannot run
+// faster; and the spans' wall times sum to no more than the trial's.
+func TestPhaseSpansMatchOutcome(t *testing.T) {
+	for _, tc := range []struct {
+		id   string
+		seed uint64
+	}{
+		{"scan/psd", 1},
+		{"e2e/extract", 1},
+		{"e2e/keyrecovery", 2},
+		{"covert/channel", 2},
+		{"covert/channel/quiesce", 3},
+	} {
+		tracer := obs.NewTracer()
+		t0 := time.Now()
+		rep, err := RunWithObs(context.Background(), tc.id, nil, nil, 1, 1, tc.seed, &obs.Sink{Tracer: tracer})
+		trialWall := time.Since(t0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o := rep.Outcomes[0]
+		want := map[string]Step{}
+		filler := o.TotalCycles
+		for _, s := range o.Steps {
+			want[s.Name] = s
+			filler -= s.Cycles
+		}
+		if filler > 0 {
+			want["unattributed"] = Step{Name: "unattributed", OK: o.Success, Cycles: filler}
+		}
+		got := map[string]Step{}
+		var wall time.Duration
+		for _, s := range tracer.Spans() {
+			if s.Cat != "phase" {
+				continue
+			}
+			got[s.Name] = Step{Name: s.Name, OK: s.OK, Cycles: s.Dur}
+			wall += s.Wall
+			if s.Dur >= 1e5 && s.Wall < time.Microsecond {
+				t.Errorf("%s seed %d: phase %q ran %d sim cycles in %v of wall time", tc.id, tc.seed, s.Name, s.Dur, s.Wall)
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s seed %d: phase spans %+v, want the outcome's steps and filler %+v", tc.id, tc.seed, got, want)
+		}
+		if wall > trialWall {
+			t.Errorf("%s seed %d: phase spans book %v of wall time, the trial took %v", tc.id, tc.seed, wall, trialWall)
+		}
 	}
 }

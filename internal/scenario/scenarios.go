@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"math/big"
-	"time"
 
 	"repro/internal/attack"
 	"repro/internal/clock"
@@ -13,9 +12,7 @@ import (
 	"repro/internal/hierarchy"
 	"repro/internal/lattice"
 	"repro/internal/memory"
-	"repro/internal/obs"
 	"repro/internal/probe"
-	"repro/internal/profiling"
 	"repro/internal/psd"
 	"repro/internal/tenant"
 	"repro/internal/xrand"
@@ -192,121 +189,62 @@ func scanTimeout(cfg hierarchy.Config) clock.Cycles {
 	return clock.FromMillis(60_000)
 }
 
-// stepTimer stamps pipeline steps with their virtual-cycle budgets.
-type stepTimer struct {
-	h     *hierarchy.Host
-	start clock.Cycles
-	last  clock.Cycles
-	steps []Step
-	// tr receives one cat="phase" span per marked step when the trial
-	// is traced (nil otherwise); wallLast is the host-time cursor for
-	// each span's wall_us attribution. Tracing reads the same clock
-	// values the steps already record plus the host wall clock — it
-	// feeds nothing back into steps or the simulated clock, so a traced
-	// Outcome is byte-identical to an untraced one (clause 9).
-	tr       *obs.TrialTrace
-	wallLast time.Time
-}
-
-func newStepTimer(h *hierarchy.Host, tr *obs.TrialTrace) *stepTimer {
-	now := h.Clock().Now()
-	st := &stepTimer{h: h, start: now, last: now, tr: tr}
-	if tr.Enabled() {
-		st.wallLast = time.Now()
-	}
-	return st
-}
-
-// emit records one phase span covering the d cycles after st.last and
-// advances the wall cursor. No-op on untraced runs.
-func (st *stepTimer) emit(name string, ok bool, d clock.Cycles) {
-	if !st.tr.Enabled() {
-		return
-	}
-	now := time.Now()
-	st.tr.Span(name, "phase", st.last, d, now.Sub(st.wallLast), ok)
-	st.wallLast = now
-}
-
-// mark closes the current step at the host clock's present reading.
-func (st *stepTimer) mark(name string, ok bool) {
-	now := st.h.Clock().Now()
-	st.steps = append(st.steps, Step{Name: name, OK: ok, Cycles: now - st.last})
-	st.emit(name, ok, now-st.last)
-	st.last = now
-}
-
-// markSpan records a step whose duration was measured by the callee.
-func (st *stepTimer) markSpan(name string, ok bool, d clock.Cycles) {
-	st.steps = append(st.steps, Step{Name: name, OK: ok, Cycles: d})
-	st.emit(name, ok, d)
-	st.last += d
-}
-
-// outcome finalizes the trial with the pipeline's total virtual time.
-// On traced runs, any virtual time the pipeline spent outside a marked
-// step is emitted as an "unattributed" phase span, so the phase spans
-// of a trial always sum exactly to TotalCycles.
-func (st *stepTimer) outcome(success bool) Outcome {
-	now := st.h.Clock().Now()
-	if rem := now - st.last; rem > 0 {
-		st.emit("unattributed", success, rem)
-	}
-	return Outcome{
-		Success:     success,
-		Steps:       st.steps,
-		TotalCycles: now - st.start,
-	}
+// outcome closes the trial's recorder into its Outcome: the steps run so
+// far, and the whole pipeline's virtual time.
+func outcome(t *experiments.Trial, success bool) Outcome {
+	steps, total := t.Phases.Finish(success)
+	return Outcome{Success: success, Steps: steps, TotalCycles: total}
 }
 
 // newSession co-locates an attacker and a sect163 victim on the trial's
-// pooled host.
+// pooled host and binds the trial's recorder to that host's clock.
 func newSession(t *experiments.Trial, cfg hierarchy.Config) *attack.Session {
 	s := attack.NewSessionOn(t.Host(cfg, t.Seed), ec2m.Sect163(), t.Seed)
-	s.Trace, s.Labels = t.Trace, t.Labels
+	s.Trace, s.Phases = t.Trace, t.Phases
+	t.Phases.Bind(s.H.Clock())
 	return s
 }
 
 // train runs the §7.2 controlled training phase on the session's own
-// host and returns both classifiers.
-func train(s *attack.Session, seed uint64) (scanner *psd.Scanner, ex *attack.Extractor) {
-	p := psd.DefaultParams(s.V.ExpectedAccessPeriod())
-	s.Phase("train", func() { scanner, ex, _ = s.TrainAll(p, xrand.New(seed^0x7a1)) })
+// host as the "train" step. It returns the PSD scanner (nil when
+// training fails) and, when withExtractor is set, the boundary-forest
+// extractor, fitted after the scanner on the same data and rng.
+func train(s *attack.Session, seed uint64, withExtractor bool) (scanner *psd.Scanner, ex *attack.Extractor) {
+	s.Phases.Run("train", func() bool {
+		rng := xrand.New(seed ^ 0x7a1)
+		var td attack.TrainingData
+		scanner, td, _ = s.TrainScanner(psd.DefaultParams(s.V.ExpectedAccessPeriod()), rng)
+		if scanner != nil && withExtractor {
+			ex = attack.TrainExtractor(s.V.IterCycles, td.Traces, td.Truth, rng)
+		}
+		return scanner != nil
+	})
 	return scanner, ex
 }
 
-// build runs step 1, eviction-set construction at the victim's page
-// offset, as the "build" phase.
-func build(s *attack.Session) (bulk evset.BulkResult) {
-	s.Phase("build", func() { bulk = s.BuildEvictionSets(attack.DefaultE2EOptions().Bulk) })
-	return bulk
-}
-
-// scan runs step 2, target-set identification, as the "scan" phase.
-func scan(s *attack.Session, bulk evset.BulkResult, scanner *psd.Scanner, cfg hierarchy.Config) (res attack.ScanResult) {
-	s.Phase("scan", func() { res = s.ScanForTarget(bulk.Sets, scanner, attack.ScanOptions{Timeout: scanTimeout(cfg)}) })
-	return res
+// locate runs train → build → scan, the prefix of the scan and
+// key-recovery pipelines, one step each, and reports whether all three
+// succeeded; the first step that fails ends it. The scan step succeeds
+// when the scanner found a set and, with correct (scan/psd's
+// privileged check, as in Table 6), only when that set is the victim's.
+func locate(s *attack.Session, seed uint64, cfg hierarchy.Config, correct bool) (target attack.ScanResult, ok bool) {
+	scanner, _ := train(s, seed, false)
+	var bulk evset.BulkResult
+	ok = scanner != nil && s.Phases.Run("build", func() bool {
+		bulk = s.BuildEvictionSets(attack.DefaultE2EOptions().Bulk)
+		return len(bulk.Sets) > 0
+	}) && s.Phases.Run("scan", func() bool {
+		target = s.ScanForTarget(bulk.Sets, scanner, attack.ScanOptions{Timeout: scanTimeout(cfg)})
+		return target.Found && (target.Correct || !correct)
+	})
+	return target, ok
 }
 
 // runScan is steps 1-2 of the protocol: success means the PSD scanner
 // identified the CORRECT set (privileged check, as in Table 6).
 func runScan(t *experiments.Trial, cfg hierarchy.Config) Outcome {
-	s := newSession(t, cfg)
-	st := newStepTimer(s.H, t.Trace)
-	scanner, _ := train(s, t.Seed)
-	st.mark("train", scanner != nil)
-	if scanner == nil {
-		return st.outcome(false)
-	}
-	bulk := build(s)
-	st.markSpan("build", len(bulk.Sets) > 0, bulk.Duration)
-	if len(bulk.Sets) == 0 {
-		return st.outcome(false)
-	}
-	res := scan(s, bulk, scanner, cfg)
-	ok := res.Found && res.Correct
-	st.markSpan("scan", ok, res.Duration)
-	return st.outcome(ok)
+	_, ok := locate(newSession(t, cfg), t.Seed, cfg, true)
+	return outcome(t, ok)
 }
 
 // runExtract is the §7.3 protocol: success is the paper's per-host
@@ -314,30 +252,19 @@ func runScan(t *experiments.Trial, cfg hierarchy.Config) Outcome {
 // fields carry the exact extraction accounting.
 func runExtract(t *experiments.Trial, cfg hierarchy.Config) Outcome {
 	s := newSession(t, cfg)
-	st := newStepTimer(s.H, t.Trace)
-	scanner, ex := train(s, t.Seed)
-	st.mark("train", scanner != nil)
+	scanner, ex := train(s, t.Seed, true)
 	if scanner == nil {
-		return st.outcome(false)
+		return outcome(t, false)
 	}
 	opt := attack.DefaultE2EOptions()
 	opt.Traces = 5
 	opt.ScanTimeout = scanTimeout(cfg)
 	res := s.RunEndToEnd(scanner, ex, opt)
-	st.markSpan("build", res.SetsBuilt > 0, res.BuildTime)
-	if res.SetsBuilt == 0 {
-		return st.outcome(false)
-	}
-	st.markSpan("scan", res.Scan.Found, res.Scan.Duration)
-	if !res.Scan.Found {
-		return st.outcome(false)
-	}
-	st.markSpan("extract", res.BitsRecovered > 0, res.TotalTime-res.BuildTime-res.Scan.Duration)
 	// "Produced a signal" requires recovered bits, not just a scanner
 	// verdict: a defended host's garbage-trained scanner can still
 	// false-positive a set, but an extraction that reads zero bits is a
 	// failed attack.
-	o := st.outcome(res.SignalFound && res.BitsRecovered > 0)
+	o := outcome(t, res.SignalFound && res.BitsRecovered > 0)
 	o.BitsRecovered = res.BitsRecovered
 	o.BitsTotal = res.BitsTotal
 	o.BitsWrong = res.BitsWrong
@@ -354,43 +281,29 @@ func runExtract(t *experiments.Trial, cfg hierarchy.Config) Outcome {
 // scores the result.
 func runKeyRecovery(t *experiments.Trial, cfg hierarchy.Config) Outcome {
 	s := newSession(t, cfg)
-	st := newStepTimer(s.H, t.Trace)
-	scanner, ex := train(s, t.Seed)
-	st.mark("train", scanner != nil)
-	if scanner == nil {
-		return st.outcome(false)
-	}
-	bulk := build(s)
-	st.markSpan("build", len(bulk.Sets) > 0, bulk.Duration)
-	if len(bulk.Sets) == 0 {
-		return st.outcome(false)
-	}
-	target := scan(s, bulk, scanner, cfg)
-	st.markSpan("scan", target.Found, target.Duration)
-	if !target.Found {
-		return st.outcome(false)
+	target, ok := locate(s, t.Seed, cfg, false)
+	if !ok {
+		return outcome(t, false)
 	}
 
 	// Collect candidate leaks: one signing per trace; the comb reader in
 	// leaks.go anchors iteration 0, reads the leading nonce bits, and
-	// measures the per-nonce ladder length — all attacker-visible.
+	// measures the per-nonce ladder length — all attacker-visible. The
+	// monitor's set-up stays outside the extract step.
 	nbits := s.V.Curve.N.BitLen()
 	var cands []scoredLeak
-	var extractStart clock.Cycles
-	s.Phase("extract", func() {
-		m := probe.NewMonitor(s.Env, probe.Parallel, target.Set.Lines)
-		extractStart = s.H.Clock().Now()
+	m := probe.NewMonitor(s.Env, probe.Parallel, target.Set.Lines)
+	if !t.Phases.Run("extract", func() bool {
 		for i := 0; len(cands) < wantLeaks && i < maxSignings; i++ {
 			rec := s.TriggerOneSigning()
 			tr := m.Capture(rec.End - s.H.Clock().Now() + 30_000)
-			if sl, ok := leakFromTrace(tr, rec.Sig.R, rec.Sig.S, rec.Digest, ex.IterCycles, rec.Start, nbits); ok {
+			if sl, ok := leakFromTrace(tr, rec.Sig.R, rec.Sig.S, rec.Digest, s.V.IterCycles, rec.Start, nbits); ok {
 				cands = append(cands, sl)
 			}
 		}
-	})
-	st.markSpan("extract", len(cands) >= latticeSubset, s.H.Clock().Now()-extractStart)
-	if len(cands) < latticeSubset {
-		o := st.outcome(false)
+		return len(cands) >= latticeSubset
+	}) {
+		o := outcome(t, false)
 		o.Leaks = len(cands)
 		return o
 	}
@@ -404,12 +317,15 @@ func runKeyRecovery(t *experiments.Trial, cfg hierarchy.Config) Outcome {
 	}
 	// Some leaks carry a misread bit or a mismeasured ladder length: walk
 	// lattice attempts over subsets of the confidence-ranked leaks, best
-	// subset first, until a candidate key verifies.
+	// subset first, until a candidate key verifies. The lattice is
+	// off-host computation: it advances no virtual clock, so its step
+	// carries a zero cycle budget by construction (LatticeAttempts
+	// records the work done instead).
 	leaks := bestLeaks(cands)
 	rng := xrand.New(t.Seed ^ 0x1a771ce)
 	var recovered *big.Int
 	attempts := 0
-	s.Phase("lattice", func() {
+	t.Phases.Run("lattice", func() bool {
 		for _, idxs := range attemptSubsets(len(leaks), latticeSubset, maxLatticeTrys, rng) {
 			attempts++
 			subset := make([]lattice.Leak, 0, latticeSubset)
@@ -418,17 +334,14 @@ func runKeyRecovery(t *experiments.Trial, cfg hierarchy.Config) Outcome {
 			}
 			if d, ok := lattice.HNP(curve.N, subset, verify); ok {
 				recovered = d
-				break
+				return true
 			}
 		}
+		return false
 	})
-	// The lattice is off-host computation: it consumes no victim time and
-	// advances no virtual clock, so its step carries a zero cycle budget
-	// by construction (LatticeAttempts records the work done instead).
-	st.markSpan("lattice", recovered != nil, 0)
 
 	keyOK := recovered != nil && recovered.Cmp(s.V.Key.D) == 0
-	o := st.outcome(keyOK)
+	o := outcome(t, keyOK)
 	o.Leaks = len(leaks)
 	o.LatticeAttempts = attempts
 	o.KeyRecovered = keyOK
@@ -450,26 +363,28 @@ func runCovert(t *experiments.Trial, cfg hierarchy.Config) Outcome {
 		e          *evset.Env
 		lines, alt []memory.VAddr
 		sender     memory.PAddr
-		ok         bool
 	)
-	profiling.Phase(t.Labels, "build", func() { e, lines, alt, sender, ok = experiments.CovertSetup(t, cfg, t.Seed) })
-	if !ok {
-		return Outcome{Steps: []Step{{Name: "build", OK: false}}}
+	// The build step obtains the trial's host, freshly reset to clock
+	// zero, so it binds the recorder itself and is charged the whole
+	// set-up. A failed set-up returns no host: its step and the trial
+	// read zero cycles.
+	if !t.Phases.Run("build", func() bool {
+		var ok bool
+		e, lines, alt, sender, ok = experiments.CovertSetup(t, cfg, t.Seed)
+		if ok {
+			t.Phases.Bind(e.Host().Clock())
+		}
+		return ok
+	}) {
+		return outcome(t, false)
 	}
-	// CovertSetup obtained the pooled host freshly reset (clock zero), so
-	// a zero-started timer charges the whole setup to the build step.
-	st := &stepTimer{h: e.Host(), tr: t.Trace}
-	if st.tr.Enabled() {
-		st.wallLast = time.Now()
-	}
-	st.mark("build", true)
 	var cres probe.CovertResult
-	profiling.Phase(t.Labels, "channel", func() {
+	t.Phases.Run("channel", func() bool {
 		m := probe.NewMonitor(e, probe.Parallel, lines).WithAlt(alt)
 		cres = probe.RunCovertChannel(e, m, 2, sender, interval, sends)
+		return cres.Sent > 0
 	})
-	st.mark("channel", cres.Sent > 0)
-	o := st.outcome(cres.DetectionRate >= 0.5)
+	o := outcome(t, cres.DetectionRate >= 0.5)
 	o.BitsRecovered = cres.Detected
 	o.BitsTotal = cres.Sent
 	o.CapacityBps = cres.DetectionRate / interval.Seconds()

@@ -481,7 +481,7 @@ func RunCells(ctx context.Context, cls []Cell, which []int, n, workers int, sink
 		}
 		var s experiments.Sample
 		pprof.Do(ctx, pprof.Labels("experiment", c.Exp.ID, "policy", c.PolicyName), func(labels context.Context) {
-			t2.Labels = labels
+			t2.Phases = obs.NewPhases(labels, t2.Trace)
 			s = c.Exp.Run(t2, c.Config)
 		})
 		samples[t.Index] = s

@@ -2,7 +2,9 @@ package tenant
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"math"
 	"strconv"
 	"strings"
@@ -300,6 +302,13 @@ func ParseList(s string) ([]Spec, error) {
 			dec.DisallowUnknownFields()
 			if err := dec.Decode(&specs[i]); err != nil {
 				return nil, fmt.Errorf("tenant: bad JSON spec: %w", err)
+			}
+			// The single-object form hands over the whole string: only
+			// whitespace may follow the object (sweep.DecodeSpec's rule;
+			// dec.More would pass a stray ']' or '}').
+			var extra json.RawMessage
+			if err := dec.Decode(&extra); err != io.EOF {
+				return nil, errors.New("tenant: bad JSON spec: trailing data after the object")
 			}
 			if err := specs[i].Validate(); err != nil {
 				return nil, err

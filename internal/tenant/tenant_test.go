@@ -140,6 +140,15 @@ func TestParseList(t *testing.T) {
 	if err != nil || len(specs) != 1 || specs[0].Model != "hotset" {
 		t.Fatalf("JSON object: specs = %+v, err = %v", specs, err)
 	}
+	// Only whitespace may follow the single JSON object.
+	if specs, err := ParseList("{\"model\":\"burst\"}\n"); err != nil || len(specs) != 1 || specs[0].Model != "burst" {
+		t.Fatalf("JSON object with a trailing newline: specs = %+v, err = %v", specs, err)
+	}
+	for _, bad := range []string{`{"model":"burst"}{"model":"no-such-model"}`, `{"model":"burst"}]`} {
+		if specs, err := ParseList(bad); err == nil {
+			t.Errorf("ParseList(%s) accepted trailing data: %+v", bad, specs)
+		}
+	}
 	if specs, err := ParseList("  "); err != nil || specs != nil {
 		t.Fatalf("blank list: specs = %+v, err = %v", specs, err)
 	}
