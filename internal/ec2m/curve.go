@@ -184,21 +184,6 @@ func ElemToInt(e gf2m.Elem) *big.Int {
 	return out
 }
 
-// IntToElem converts an integer to a field element, reducing bit-length
-// by truncation to the field size (as standard implementations do).
-func IntToElem(f *gf2m.Field, v *big.Int) gf2m.Elem {
-	e := f.NewElem()
-	words := v.Bits()
-	for i := 0; i < len(words) && i < len(e); i++ {
-		e[i] = uint64(words[i])
-	}
-	// Mask to field width.
-	for i := f.M; i < len(e)*64; i++ {
-		e.SetBit(i, 0)
-	}
-	return e
-}
-
 // randScalar returns a uniform scalar in [1, n-1].
 func randScalar(n *big.Int, rng *xrand.Rand) *big.Int {
 	bytes := (n.BitLen() + 7) / 8

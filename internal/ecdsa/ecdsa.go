@@ -102,36 +102,6 @@ func (k *PrivateKey) Sign(z *big.Int, rng *xrand.Rand, hook ec2m.LadderHook) (Si
 	}
 }
 
-// Verify checks the signature algebraically: u1·G + u2·Q must have
-// x-coordinate r (mod n). Verification is exact on curves whose N is the
-// true subgroup order (ToyCurve); on the reproduction-scale curves it
-// holds only for recomputation-style checks (see ec2m parameter notes).
-func Verify(pub *PrivateKey, z *big.Int, sig Signature) bool {
-	c := pub.Curve
-	n := c.N
-	if sig.R == nil || sig.S == nil || sig.R.Sign() <= 0 || sig.S.Sign() <= 0 {
-		return false
-	}
-	if sig.R.Cmp(n) >= 0 || sig.S.Cmp(n) >= 0 {
-		return false
-	}
-	w := new(big.Int).ModInverse(sig.S, n)
-	if w == nil {
-		return false
-	}
-	u1 := new(big.Int).Mul(new(big.Int).Mod(z, n), w)
-	u1.Mod(u1, n)
-	u2 := new(big.Int).Mul(sig.R, w)
-	u2.Mod(u2, n)
-	p := c.Add(c.ScalarMult(u1, c.G), c.ScalarMult(u2, pub.Q))
-	if p.Inf {
-		return false
-	}
-	x := ec2m.ElemToInt(p.X)
-	x.Mod(x, n)
-	return x.Cmp(sig.R) == 0
-}
-
 // NonceBits returns the nonce bits as the ladder visits them: from bit
 // BitLen-2 down to 0 (the top bit is implicit). This is the ground-truth
 // sequence the attack's extracted bits are scored against (§7.3).

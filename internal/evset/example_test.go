@@ -1,18 +1,17 @@
-// Quickstart: build one Snoop Filter eviction set on a simulated Cloud
-// Run host with the paper's techniques — L2-driven candidate filtering
-// (§5.1) plus binary-search pruning (§5.2) — and verify that it works by
-// evicting the target line.
-package main
+package evset_test
 
 import (
 	"fmt"
-	"log"
 
 	"repro/internal/evset"
 	"repro/internal/hierarchy"
 )
 
-func main() {
+// ExampleBuildSingle builds one Snoop Filter eviction set on a
+// simulated Cloud Run host with the paper's techniques, L2-driven
+// candidate filtering (§5.1) plus binary-search pruning (§5.2), and
+// checks that it evicts the target line.
+func ExampleBuildSingle() {
 	// A Skylake-SP-shaped host with Cloud Run background noise. Use
 	// hierarchy.SkylakeSP(28) for the full 57,344-set geometry.
 	cfg := hierarchy.Scaled(4).WithCloudNoise()
@@ -41,7 +40,8 @@ func main() {
 		PerSet: evset.FilteredOptions(),
 	})
 	if !res.OK {
-		log.Fatalf("construction failed after %d attempts", res.Attempts)
+		fmt.Printf("construction failed after %d attempts\n", res.Attempts)
+		return
 	}
 	fmt.Printf("built a %d-line SF eviction set in %.2f ms (filtering %.2f ms, %d attempts, %d backtracks)\n",
 		res.Set.Size(), res.Duration.Millis(), filterTime.Millis(), res.Attempts, res.Backtracks)
@@ -59,4 +59,12 @@ func main() {
 	fmt.Printf("ground truth: %v — all %d lines congruent with the target's SF set %v\n",
 		res.Set.Verified(env.Main, cfg.SFWays), res.Set.Size(), env.Main.SetOf(target))
 	fmt.Printf("virtual time consumed: %.2f ms\n", (host.Clock().Now() - start).Millis())
+	// Output:
+	// host: Scaled-SKX — 4 slices x 512 LLC sets, 8-way SF, noise 11.5 acc/ms/set
+	// calibrated thresholds: private<112 cycles, LLC<242 cycles
+	// candidate pool: 768 addresses at page offset 0x2c0
+	// built a 8-line SF eviction set in 0.39 ms (filtering 0.32 ms, 1 attempts, 0 backtracks)
+	// self-test: evicted the target in 10/10 trials
+	// ground truth: true — all 8 lines congruent with the target's SF set 1:267
+	// virtual time consumed: 0.39 ms
 }

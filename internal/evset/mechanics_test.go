@@ -34,8 +34,7 @@ func TestDebugLLCEvictionMechanics(t *testing.T) {
 	t.Logf("after EvictPrivate: inLLC=%v inPriv0=%v", h.InLLC(pa), h.InPrivate(0, pa))
 
 	e.Main.LoadSharedAll(e.Helper, congruent[:cfg.LLCWays])
-	t.Logf("after traversal of %d congruent: inLLC=%v occupancy=%d",
-		cfg.LLCWays, h.InLLC(pa), h.LLCOccupancy(target))
+	t.Logf("after traversal of %d congruent: inLLC=%v", cfg.LLCWays, h.InLLC(pa))
 	lat, lvl := e.Main.TimedAccess(ta)
 	t.Logf("timed access: lat=%d lvl=%v", lat, lvl)
 }

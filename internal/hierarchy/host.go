@@ -163,33 +163,30 @@ func buildDefense(cfg Config) defense.Model {
 	return m
 }
 
-// NewHost builds a host from the config with the given seed. It panics
-// on a config whose memory, noise, tenant or defense parameters fail
-// Config.Validate.
+// NewHost builds a host from the config with the given seed: it
+// allocates the host's structures, then seeds them with Reset(seed). It
+// panics on a config whose memory, noise, tenant or defense parameters
+// fail Config.Validate.
 func NewHost(cfg Config, seed uint64) *Host {
 	if err := cfg.Validate(); err != nil {
 		panic(err.Error())
 	}
-	rng := xrand.New(seed)
 	h := &Host{
 		cfg:  cfg,
-		rng:  rng,
-		mem:  memory.NewHost(cfg.MemoryBytes, rng.Split()),
+		mem:  memory.NewHost(cfg.MemoryBytes),
 		hash: slicehash.New(cfg.Slices),
+		clk:  new(clock.Clock),
 	}
 	h.def = buildDefense(cfg)
 	if h.def != nil {
-		h.def.Reset(defenseSeed(seed))
 		h.defSplit = h.def.PartitionWays()
 		h.defHooks = defense.HooksOf(h.def)
 	}
-	h.clk = clock.New(cfg.TimerJitter, rng.Split())
-	polRng := rng.Split()
 	h.cores = make([]core, cfg.Cores)
 	for i := range h.cores {
 		h.cores[i] = core{
-			l1: cache.New(cache.Config{Name: fmt.Sprintf("L1[%d]", i), Sets: cfg.L1Sets, Ways: cfg.L1Ways, Policy: cache.TrueLRU}, polRng),
-			l2: cache.New(cache.Config{Name: fmt.Sprintf("L2[%d]", i), Sets: cfg.L2Sets, Ways: cfg.L2Ways, Policy: cfg.L2Policy}, polRng),
+			l1: cache.New(cache.Config{Name: fmt.Sprintf("L1[%d]", i), Sets: cfg.L1Sets, Ways: cfg.L1Ways, Policy: cache.TrueLRU}, nil),
+			l2: cache.New(cache.Config{Name: fmt.Sprintf("L2[%d]", i), Sets: cfg.L2Sets, Ways: cfg.L2Ways, Policy: cfg.L2Policy}, nil),
 		}
 	}
 	h.llc = make([]*cache.Cache, cfg.Slices)
@@ -198,27 +195,25 @@ func NewHost(cfg Config, seed uint64) *Host {
 		// The defense's way partition covers both shared structures: a
 		// partition that spared the Snoop Filter would leave the paper's
 		// SF attack untouched.
-		h.llc[s] = cache.New(cache.Config{Name: fmt.Sprintf("LLC[%d]", s), Sets: cfg.LLCSets, Ways: cfg.LLCWays, Policy: cfg.LLCPolicy, PartitionAt: h.defSplit}, polRng)
-		h.sf[s] = cache.New(cache.Config{Name: fmt.Sprintf("SF[%d]", s), Sets: cfg.LLCSets, Ways: cfg.SFWays, Policy: cfg.SFPolicy, PartitionAt: h.defSplit}, polRng)
+		h.llc[s] = cache.New(cache.Config{Name: fmt.Sprintf("LLC[%d]", s), Sets: cfg.LLCSets, Ways: cfg.LLCWays, Policy: cfg.LLCPolicy, PartitionAt: h.defSplit}, nil)
+		h.sf[s] = cache.New(cache.Config{Name: fmt.Sprintf("SF[%d]", s), Sets: cfg.LLCSets, Ways: cfg.SFWays, Policy: cfg.SFPolicy, PartitionAt: h.defSplit}, nil)
 	}
 	h.lastSync = make([]clock.Cycles, cfg.Slices*cfg.LLCSets)
 	h.tenants = buildTenants(cfg)
-	for i := range h.tenants {
-		h.tenants[i].model.Reset(tenantSeed(seed, i))
-	}
 	h.quietHost = quietHost(cfg, h.defHooks, h.tenants)
 	h.stepCuts = newStepCuts(h.tenants, clock.Cycles(cfg.Lat.Issue+cfg.Lat.Drain[L1Hit]))
+	h.Reset(seed)
 	return h
 }
 
-// Reset restores the host to the state NewHost(h.Config(), seed) would
-// produce, reusing the cores, LLC/SF slice arrays, memory frame pool and
-// noise bookkeeping instead of reallocating them. The sub-streams are
-// split from the seed in the same order as in NewHost (memory, clock,
-// policies), so a reset host replays the exact access-by-access behaviour
-// of a fresh one — the property the parallel trial engine's host pools
-// rely on for byte-identical reports. Agents and address spaces created
-// before the reset are invalidated and must be rebuilt.
+// Reset seeds the host with seed, reusing the cores, LLC/SF slice
+// arrays, memory frame pool and noise bookkeeping. It is the one place
+// that splits the seed into sub-streams (memory, clock, policies, then
+// the tenant and defense seeds), and NewHost ends with it, so a reset
+// host replays the exact access-by-access behaviour of a fresh one — the
+// property the parallel trial engine's host pools rely on for
+// byte-identical reports. Agents and address spaces created before the
+// reset are invalidated and must be rebuilt.
 func (h *Host) Reset(seed uint64) {
 	rng := xrand.New(seed)
 	h.rng = rng
@@ -738,11 +733,3 @@ func (h *Host) hasPrivate(coreID int, pa memory.PAddr) bool {
 func (h *Host) InPrivate(coreID int, pa memory.PAddr) bool {
 	return h.hasPrivate(coreID, pa)
 }
-
-// SFOccupancy returns how many valid entries the SF set holds
-// (privileged; used by tests).
-func (h *Host) SFOccupancy(set SetID) int { return h.sf[set.Slice].OccupiedWays(set.Index) }
-
-// LLCOccupancy returns how many valid lines the LLC set holds
-// (privileged; used by tests).
-func (h *Host) LLCOccupancy(set SetID) int { return h.llc[set.Slice].OccupiedWays(set.Index) }

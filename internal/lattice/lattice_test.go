@@ -22,8 +22,8 @@ func TestLLLReducesClassicExample(t *testing.T) {
 	// whose first vector is (0,1,0).
 	b := Basis{intRow(1, 1, 1), intRow(-1, 0, 2), intRow(3, 5, 6)}
 	LLL(b)
-	if NormSq(b[0]).Cmp(big.NewInt(1)) != 0 {
-		t.Fatalf("first reduced vector %v has norm^2 %v, want 1", b[0], NormSq(b[0]))
+	if dot(b[0], b[0]).Cmp(big.NewInt(1)) != 0 {
+		t.Fatalf("first reduced vector %v has norm^2 %v, want 1", b[0], dot(b[0], b[0]))
 	}
 }
 
@@ -43,10 +43,10 @@ func TestLLLFindsPlantedShortVector(t *testing.T) {
 	// lattice element (keeps the lattice unchanged only if added, so
 	// instead append smallness by construction: row0 = small).
 	b[0] = intRow(3, -2, 1, 0, 2, -1)
-	planted := NormSq(b[0])
+	planted := dot(b[0], b[0])
 	LLL(b)
-	if NormSq(b[0]).Cmp(planted) > 0 {
-		t.Fatalf("reduced first vector norm^2 %v exceeds planted %v", NormSq(b[0]), planted)
+	if dot(b[0], b[0]).Cmp(planted) > 0 {
+		t.Fatalf("reduced first vector norm^2 %v exceeds planted %v", dot(b[0], b[0]), planted)
 	}
 }
 

@@ -50,9 +50,6 @@ func dot(a, b []*big.Int) *big.Int {
 	return s
 }
 
-// NormSq returns the squared Euclidean norm of a row.
-func NormSq(v []*big.Int) *big.Int { return dot(v, v) }
-
 // LLL reduces the basis in place with the Lenstra–Lenstra–Lovász
 // algorithm (delta = 3/4). The rows must be linearly independent (HNP's
 // basis is triangular with a nonzero diagonal); LLL panics otherwise.

@@ -59,7 +59,7 @@ func (s *lllState) gsoRow(k int) {
 		}
 		s.mu[k][j] = acc
 	}
-	bk := new(big.Rat).SetInt(NormSq(s.b[k]))
+	bk := new(big.Rat).SetInt(dot(s.b[k], s.b[k]))
 	for j := 0; j < k; j++ {
 		t := new(big.Rat).Mul(s.mu[k][j], s.mu[k][j])
 		t.Mul(t, s.B[j])

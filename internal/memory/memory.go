@@ -41,9 +41,6 @@ type PAddr uint64
 // PageOffset returns the low 12 bits (shared between VA and PA).
 func (v VAddr) PageOffset() uint64 { return uint64(v) & (PageSize - 1) }
 
-// LineOffset returns the low 6 bits within the cache line.
-func (v VAddr) LineOffset() uint64 { return uint64(v) & (LineSize - 1) }
-
 // PageNumber returns the virtual page number.
 func (v VAddr) PageNumber() uint64 { return uint64(v) >> PageBits }
 
@@ -52,9 +49,6 @@ func (p PAddr) PageOffset() uint64 { return uint64(p) & (PageSize - 1) }
 
 // Line returns the physical line address (low 6 bits cleared).
 func (p PAddr) Line() PAddr { return p &^ (LineSize - 1) }
-
-// FrameNumber returns the physical frame number.
-func (p PAddr) FrameNumber() uint64 { return uint64(p) >> PageBits }
 
 // Host models the physical memory of one machine: a pool of frames that
 // address spaces draw from at page-fault time.
@@ -67,14 +61,10 @@ type Host struct {
 // numbers frames in uint32.
 const MaxFrames = 1 << 32
 
-// NewHost creates a host with the given physical memory size in bytes.
-// Frames are handed out in a pseudo-random order, reproducing the fact
-// that a container's pages land on effectively arbitrary frames. It
-// panics on a host smaller than one page or larger than 2^32 frames.
-//
-// The shuffle costs one rng draw per frame (262,144 for a 1 GiB host)
-// however few pages a trial maps; see shuffle for why it cannot be lazy.
-func NewHost(bytes uint64, rng *xrand.Rand) *Host {
+// NewHost allocates a host with the given physical memory size in bytes.
+// Its pool hands out no frame until Reset shuffles it. It panics on a
+// host smaller than one page or larger than 2^32 frames.
+func NewHost(bytes uint64) *Host {
 	if bytes < PageSize {
 		panic("memory: host smaller than one page")
 	}
@@ -82,16 +72,18 @@ func NewHost(bytes uint64, rng *xrand.Rand) *Host {
 	if n > MaxFrames {
 		panic("memory: host larger than 2^32 frames")
 	}
-	h := &Host{freeList: make([]uint32, n)}
-	h.shuffle(rng)
-	return h
+	return &Host{freeList: make([]uint32, n), nextVictim: int(n)}
 }
 
-// Reset returns every frame to the pool and reshuffles it with rng,
-// restoring the state NewHost would produce with the same size and rng
-// at the same cost, minus the allocation. Address spaces created before
-// the reset are invalidated — their pages may alias newly handed-out
-// frames — so callers must rebuild them.
+// Reset returns every frame to the pool and shuffles it with rng, so
+// frames are handed out in a pseudo-random order, reproducing the fact
+// that a container's pages land on effectively arbitrary frames. The
+// order depends on rng alone, not on what the host did before. Address
+// spaces created before the reset are invalidated — their pages may
+// alias newly handed-out frames — so callers must rebuild them.
+//
+// The shuffle costs one rng draw per frame (262,144 for a 1 GiB host)
+// however few pages a trial maps; see shuffle for why it cannot be lazy.
 func (h *Host) Reset(rng *xrand.Rand) { h.shuffle(rng) }
 
 // shuffle refills the pool with a Fisher–Yates permutation of every
@@ -139,7 +131,6 @@ const vaBase = 0x5600_0000_0000 >> PageBits
 type AddressSpace struct {
 	host     *Host
 	table    []uint64 // vpn-vaBase -> frame+1 (0 = unmapped)
-	mapped   int      // number of mapped pages
 	nextPage uint64   // bump allocator for fresh virtual pages
 }
 
@@ -161,7 +152,6 @@ func (as *AddressSpace) Map(n int) VAddr {
 		as.table = append(as.table, as.host.allocFrame()+1)
 	}
 	as.table = append(as.table, 0) // guard page gap
-	as.mapped += n
 	as.nextPage += uint64(n) + 1
 	return VAddr(base << PageBits)
 }
@@ -175,15 +165,6 @@ func (as *AddressSpace) Translate(v VAddr) PAddr {
 	}
 	return PAddr((as.table[idx]-1)<<PageBits | v.PageOffset())
 }
-
-// Mapped reports whether the page containing v is mapped.
-func (as *AddressSpace) Mapped(v VAddr) bool {
-	idx := v.PageNumber() - vaBase
-	return idx < uint64(len(as.table)) && as.table[idx] != 0
-}
-
-// PageCount returns the number of mapped pages.
-func (as *AddressSpace) PageCount() int { return as.mapped }
 
 // Buffer is a convenience wrapper representing a contiguous virtual
 // allocation used for candidate addresses.

@@ -35,24 +35,20 @@ type Span struct {
 	OK bool
 }
 
-// threadKey identifies one named track.
-type threadKey struct{ pid, tid int }
-
 // Tracer collects spans concurrently and renders them as Chrome
 // trace_event JSON (Perfetto-viewable). Emission order does not
 // matter: WriteJSON sorts spans by (PID, TID, Start, Name), so the
 // file is deterministic for any worker count. A nil Tracer drops
 // everything (the disabled path).
 type Tracer struct {
-	mu      sync.Mutex
-	spans   []Span
-	procs   map[int]string
-	threads map[threadKey]string
+	mu    sync.Mutex
+	spans []Span
+	procs map[int]string
 }
 
 // NewTracer returns an empty tracer.
 func NewTracer() *Tracer {
-	return &Tracer{procs: make(map[int]string), threads: make(map[threadKey]string)}
+	return &Tracer{procs: make(map[int]string)}
 }
 
 // Emit records one span (no-op on a nil receiver). Safe for
@@ -74,17 +70,6 @@ func (t *Tracer) SetProcessName(pid int, name string) {
 	}
 	t.mu.Lock()
 	t.procs[pid] = name
-	t.mu.Unlock()
-}
-
-// SetThreadName names one (PID, TID) track (trace_event "thread_name"
-// metadata); no-op on a nil receiver.
-func (t *Tracer) SetThreadName(pid, tid int, name string) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.threads[threadKey{pid, tid}] = name
 	t.mu.Unlock()
 }
 
@@ -178,22 +163,6 @@ func (t *Tracer) WriteJSON(w io.Writer) error {
 				Args: map[string]any{"name": t.procs[pid]},
 			})
 		}
-		tks := make([]threadKey, 0, len(t.threads))
-		for tk := range t.threads {
-			tks = append(tks, tk)
-		}
-		sort.Slice(tks, func(a, b int) bool {
-			if tks[a].pid != tks[b].pid {
-				return tks[a].pid < tks[b].pid
-			}
-			return tks[a].tid < tks[b].tid
-		})
-		for _, tk := range tks {
-			f.TraceEvents = append(f.TraceEvents, traceEvent{
-				Name: "thread_name", Ph: "M", PID: tk.pid, TID: tk.tid,
-				Args: map[string]any{"name": t.threads[tk]},
-			})
-		}
 		t.mu.Unlock()
 		sortSpans(spans)
 		for _, s := range spans {
@@ -260,12 +229,23 @@ type Phases struct {
 	trace  *TrialTrace
 	clk    *clock.Clock
 	steps  []Step
-	// origin is the host clock at the first step's start; wall0 and
-	// wall (traced trials only) are the recorder's creation time and
-	// the host time spent inside steps.
-	origin clock.Cycles
-	wall0  time.Time
-	wall   time.Duration
+	// origin and end are the host clock at the first step's start and
+	// at the last step's end.
+	origin, end clock.Cycles
+	// On a traced trial, gaps are the stretches of cycles no step
+	// covered, wallEnd is when the last step ended on the wall clock
+	// (the recorder's creation before the first), and idle is host
+	// time outside steps that no gap has taken yet.
+	gaps    []gap
+	wallEnd time.Time
+	idle    time.Duration
+}
+
+// gap is one stretch of a trial's cycles between steps, with the host
+// time it took.
+type gap struct {
+	start, dur clock.Cycles
+	wall       time.Duration
 }
 
 // NewPhases returns the recorder of one trial whose steps run under the
@@ -277,7 +257,7 @@ func NewPhases(labels context.Context, tr *TrialTrace) *Phases {
 	}
 	p := &Phases{labels: labels, trace: tr, clk: new(clock.Clock)}
 	if tr.Enabled() {
-		p.wall0 = time.Now()
+		p.wallEnd = time.Now()
 	}
 	return p
 }
@@ -302,51 +282,59 @@ func (p *Phases) Run(name string, f func() bool) bool {
 	}
 	start := p.clk.Now()
 	if len(p.steps) == 0 {
-		p.origin = start
+		p.origin, p.end = start, start
 	}
 	traced := p.trace.Enabled()
 	var ok bool
-	var wall time.Duration
+	var w0, w1 time.Time
 	pprof.Do(p.labels, pprof.Labels("phase", name), func(context.Context) {
-		var w0 time.Time
 		if traced {
 			w0 = time.Now()
 		}
 		ok = f()
 		if traced {
-			wall = time.Since(w0)
+			w1 = time.Now()
 		}
 	})
 	d := p.clk.Now() - start
 	p.steps = append(p.steps, Step{Name: name, OK: ok, Cycles: d})
 	if traced {
-		p.wall += wall
-		p.trace.Span(name, "phase", start, d, wall, ok)
+		p.noteGap(start, w0)
+		p.trace.Span(name, "phase", start, d, w1.Sub(w0), ok)
+		p.wallEnd = w1
 	}
+	p.end = start + d
 	return ok
+}
+
+// noteGap notes the cycles from the last step's end to start, which
+// the wall clock reached at w, as a gap. Host time spent where no
+// cycles passed carries over to the next gap.
+func (p *Phases) noteGap(start clock.Cycles, w time.Time) {
+	p.idle += w.Sub(p.wallEnd)
+	if start > p.end {
+		p.gaps = append(p.gaps, gap{start: p.end, dur: start - p.end, wall: p.idle})
+		p.idle = 0
+	}
 }
 
 // Finish closes the trial, whose end-to-end success is ok, and returns
 // its steps and its cycles from the first step's start. On a traced
-// trial the cycles no step covered become one "unattributed" phase span
-// carrying the trial's wall time outside every step, so a trial's phase
-// spans sum exactly to its cycles.
+// trial each stretch of cycles no step covered becomes an
+// "unattributed" phase span at its own position, carrying the host time
+// spent there, so a trial's phase spans tile its cycles exactly.
 func (p *Phases) Finish(ok bool) ([]Step, clock.Cycles) {
 	if p == nil {
 		return nil, 0
 	}
 	now := p.clk.Now()
-	total := now - p.origin
 	if p.trace.Enabled() {
-		rem := total
-		for _, s := range p.steps {
-			rem -= s.Cycles
-		}
-		if rem > 0 {
-			p.trace.Span("unattributed", "phase", now-rem, rem, time.Since(p.wall0)-p.wall, ok)
+		p.noteGap(now, time.Now())
+		for _, g := range p.gaps {
+			p.trace.Span("unattributed", "phase", g.start, g.dur, g.wall, ok)
 		}
 	}
-	return p.steps, total
+	return p.steps, now - p.origin
 }
 
 // Sink bundles the observability outputs a run threads through its

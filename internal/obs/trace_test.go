@@ -33,7 +33,6 @@ func TestWriteJSONDeterministic(t *testing.T) {
 		tr := NewTracer()
 		tr.SetProcessName(1, "cell-b")
 		tr.SetProcessName(0, "cell-a")
-		tr.SetThreadName(0, 0, "trial 0")
 		spans := []Span{
 			{Name: "build", Cat: "phase", PID: 0, TID: 0, Start: 0, Dur: 2000, Wall: time.Millisecond, OK: true},
 			{Name: "scan", Cat: "phase", PID: 0, TID: 0, Start: 2000, Dur: 4000, OK: true},
@@ -55,14 +54,14 @@ func TestWriteJSONDeterministic(t *testing.T) {
 	}
 	f := decodeTrace(t, a)
 	evs := f["traceEvents"].([]any)
-	if len(evs) != 6 { // 2 process_name + 1 thread_name + 3 spans
-		t.Fatalf("got %d events, want 6: %s", len(evs), a)
+	if len(evs) != 5 { // 2 process_name + 3 spans
+		t.Fatalf("got %d events, want 5: %s", len(evs), a)
 	}
 	first := evs[0].(map[string]any)
 	if first["ph"] != "M" || first["name"] != "process_name" {
 		t.Fatalf("metadata must lead: %v", first)
 	}
-	span := evs[3].(map[string]any)
+	span := evs[2].(map[string]any)
 	if span["name"] != "build" || span["ph"] != "X" {
 		t.Fatalf("first span = %v", span)
 	}
@@ -128,8 +127,9 @@ func TestTracerConcurrentEmit(t *testing.T) {
 // TestPhasesRecordsSteps pins the step recorder: each step's cycles are
 // the host clock's advance across f, its ok is f's result, an unbound
 // clock reads zero until f binds one, the span's wall time covers f,
-// the cycles no step covered become one "unattributed" span, and an
-// untraced recorder keeps the steps but emits nothing.
+// each stretch of cycles no step covered becomes an "unattributed" span
+// at its own position, and an untraced recorder keeps the steps but
+// emits nothing.
 func TestPhasesRecordsSteps(t *testing.T) {
 	const nap = 2 * time.Millisecond
 	run := func(tr *TrialTrace) ([]Step, clock.Cycles) {
@@ -145,23 +145,24 @@ func TestPhasesRecordsSteps(t *testing.T) {
 		if p.Run("scan", func() bool { time.Sleep(nap); clk.Advance(1000); return false }) {
 			t.Fatal("Run did not return f's false")
 		}
+		clk.Advance(3) // after the last step: unattributed
 		return p.Finish(false)
 	}
 	want := []Step{{Name: "build", OK: true, Cycles: 500}, {Name: "scan", OK: false, Cycles: 1000}}
 
 	steps, total := run(nil)
-	if !reflect.DeepEqual(steps, want) || total != 1507 {
-		t.Fatalf("untraced: steps %+v total %d, want %+v total 1507", steps, total, want)
+	if !reflect.DeepEqual(steps, want) || total != 1510 {
+		t.Fatalf("untraced: steps %+v total %d, want %+v total 1510", steps, total, want)
 	}
 
 	tracer := NewTracer()
 	steps, total = run(&TrialTrace{Tracer: tracer, PID: 1, TID: 2})
-	if !reflect.DeepEqual(steps, want) || total != 1507 {
-		t.Fatalf("traced: steps %+v total %d, want %+v total 1507", steps, total, want)
+	if !reflect.DeepEqual(steps, want) || total != 1510 {
+		t.Fatalf("traced: steps %+v total %d, want %+v total 1510", steps, total, want)
 	}
 	spans := tracer.Spans()
-	if len(spans) != 3 {
-		t.Fatalf("got %d spans, want build, scan and the filler: %+v", len(spans), spans)
+	if len(spans) != 4 {
+		t.Fatalf("got %d spans, want build, scan and two fillers: %+v", len(spans), spans)
 	}
 	var sum clock.Cycles
 	for i, s := range spans {
@@ -176,11 +177,14 @@ func TestPhasesRecordsSteps(t *testing.T) {
 	if s := spans[0]; s.Name != "build" || s.Start != 0 || s.Dur != 500 || !s.OK {
 		t.Errorf("build span %+v", s)
 	}
-	if s := spans[1]; s.Name != "scan" || s.Start != 507 || s.Dur != 1000 || s.OK || s.Wall < nap {
+	if s := spans[1]; s.Name != "unattributed" || s.Start != 500 || s.Dur != 7 || s.OK {
+		t.Errorf("filler span %+v, want the 7 cycles between build and scan", s)
+	}
+	if s := spans[2]; s.Name != "scan" || s.Start != 507 || s.Dur != 1000 || s.OK || s.Wall < nap {
 		t.Errorf("scan span %+v, want wall >= %v", s, nap)
 	}
-	if s := spans[2]; s.Name != "unattributed" || s.Start != 1500 || s.Dur != 7 || s.OK {
-		t.Errorf("filler span %+v", s)
+	if s := spans[3]; s.Name != "unattributed" || s.Start != 1507 || s.Dur != 3 || s.OK {
+		t.Errorf("filler span %+v, want the 3 cycles after scan", s)
 	}
 
 	// A nil recorder just runs f.

@@ -13,8 +13,6 @@ func TestDebugSenderEviction(t *testing.T) {
 	m.Prime()
 
 	// State after prime.
-	set := h.SetOf(sender)
-	t.Logf("SF occupancy=%d (ways=%d)", h.SFOccupancy(set), h.Config().SFWays)
 	priv := 0
 	for _, va := range lines {
 		if h.InPrivate(0, e.Main.Translate(va)) {
@@ -38,5 +36,5 @@ func TestDebugSenderEviction(t *testing.T) {
 	t.Logf("lines invalidated=%d senderInSF=%v", inv, h.InSF(sender))
 
 	lat := m.probeLatency()
-	t.Logf("probe lat=%d thresh=%.0f", lat, m.DetectThreshold())
+	t.Logf("probe lat=%d thresh=%.0f", lat, m.detectThresh)
 }

@@ -179,9 +179,6 @@ func (m *Monitor) Probe() bool {
 	return float64(m.probeLatency()) > m.detectThresh
 }
 
-// DetectThreshold returns the calibrated detection threshold.
-func (m *Monitor) DetectThreshold() float64 { return m.detectThresh }
-
 // Trace is a sequence of detection timestamps (virtual cycles).
 type Trace struct {
 	Start, End clock.Cycles

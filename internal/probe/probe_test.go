@@ -59,7 +59,7 @@ func TestParallelProbingDetectsSender(t *testing.T) {
 	m := NewMonitor(e, Parallel, lines)
 	res := RunCovertChannel(e, m, 2, sender, 10000, 200)
 	t.Logf("sent=%d detected=%d thresh=%.0f probeLat(mean)=%.0f primeLat(mean)=%.0f nprobe=%d",
-		res.Sent, res.Detected, m.DetectThreshold(), mean(res.ProbeLatency), mean(res.PrimeLatency), len(res.ProbeLatency))
+		res.Sent, res.Detected, m.detectThresh, mean(res.ProbeLatency), mean(res.PrimeLatency), len(res.ProbeLatency))
 	if res.DetectionRate < 0.85 {
 		t.Fatalf("parallel probing detection rate = %.2f, want >= 0.85", res.DetectionRate)
 	}

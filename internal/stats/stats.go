@@ -1,6 +1,6 @@
 // Package stats provides the small statistical toolkit used by the
 // experiment harnesses: summary statistics (mean/stddev/median),
-// percentiles, histograms, empirical CDFs, success-rate counters and
+// percentiles, success-rate counters and
 // Wilson score intervals (the 95% bounds the scenario reports put on
 // every success rate). Everything is deterministic and allocation-
 // conscious, so aggregation never perturbs a report's byte identity.
@@ -109,126 +109,6 @@ func Summarize(xs []float64) Summary {
 // String formats the summary as "mean ± stddev (median m, n=N)".
 func (s Summary) String() string {
 	return fmt.Sprintf("%.3g ± %.3g (median %.3g, n=%d)", s.Mean, s.Stddev, s.Median, s.N)
-}
-
-// CDF is an empirical cumulative distribution function over samples.
-type CDF struct {
-	sorted []float64
-}
-
-// NewCDF builds an empirical CDF from the samples (copied).
-func NewCDF(xs []float64) *CDF {
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	return &CDF{sorted: s}
-}
-
-// At returns P(X <= x).
-func (c *CDF) At(x float64) float64 {
-	if len(c.sorted) == 0 {
-		return 0
-	}
-	// Index of first element > x.
-	i := sort.SearchFloat64s(c.sorted, math.Nextafter(x, math.Inf(1)))
-	return float64(i) / float64(len(c.sorted))
-}
-
-// Quantile returns the q-th quantile (q in [0,1]).
-func (c *CDF) Quantile(q float64) float64 {
-	if len(c.sorted) == 0 {
-		return 0
-	}
-	if q <= 0 {
-		return c.sorted[0]
-	}
-	if q >= 1 {
-		return c.sorted[len(c.sorted)-1]
-	}
-	rank := q * float64(len(c.sorted)-1)
-	lo := int(rank)
-	frac := rank - float64(lo)
-	if lo+1 >= len(c.sorted) {
-		return c.sorted[len(c.sorted)-1]
-	}
-	return c.sorted[lo]*(1-frac) + c.sorted[lo+1]*frac
-}
-
-// Points returns up to n evenly spaced (x, P(X<=x)) pairs suitable for
-// plotting the CDF as a series.
-func (c *CDF) Points(n int) (xs, ps []float64) {
-	if len(c.sorted) == 0 || n <= 0 {
-		return nil, nil
-	}
-	if n > len(c.sorted) {
-		n = len(c.sorted)
-	}
-	xs = make([]float64, n)
-	ps = make([]float64, n)
-	for i := 0; i < n; i++ {
-		idx := i * (len(c.sorted) - 1) / max(n-1, 1)
-		xs[i] = c.sorted[idx]
-		ps[i] = float64(idx+1) / float64(len(c.sorted))
-	}
-	return xs, ps
-}
-
-// Histogram is a fixed-width-bin histogram.
-type Histogram struct {
-	Lo, Hi  float64
-	Counts  []int
-	Under   int
-	Over    int
-	binSize float64
-}
-
-// NewHistogram creates a histogram over [lo, hi) with the given number of
-// bins. It panics if bins <= 0 or hi <= lo.
-func NewHistogram(lo, hi float64, bins int) *Histogram {
-	if bins <= 0 || hi <= lo {
-		panic("stats: invalid histogram bounds")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, bins), binSize: (hi - lo) / float64(bins)}
-}
-
-// Add records a sample.
-func (h *Histogram) Add(x float64) {
-	switch {
-	case x < h.Lo:
-		h.Under++
-	case x >= h.Hi:
-		h.Over++
-	default:
-		i := int((x - h.Lo) / h.binSize)
-		if i >= len(h.Counts) { // guard against float edge cases
-			i = len(h.Counts) - 1
-		}
-		h.Counts[i]++
-	}
-}
-
-// Total returns the number of in-range samples.
-func (h *Histogram) Total() int {
-	t := 0
-	for _, c := range h.Counts {
-		t += c
-	}
-	return t
-}
-
-// BinCenter returns the center x of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	return h.Lo + (float64(i)+0.5)*h.binSize
-}
-
-// Mode returns the center of the most populated bin.
-func (h *Histogram) Mode() float64 {
-	best, bestC := 0, -1
-	for i, c := range h.Counts {
-		if c > bestC {
-			best, bestC = i, c
-		}
-	}
-	return h.BinCenter(best)
 }
 
 // Wilson returns the Wilson score confidence interval for a binomial

@@ -52,67 +52,6 @@ func TestPercentileOrderingProperty(t *testing.T) {
 	}
 }
 
-func TestCDFMonotoneProperty(t *testing.T) {
-	xs := []float64{1, 2, 2, 3, 10}
-	c := NewCDF(xs)
-	if v := c.At(0); v != 0 {
-		t.Fatalf("At(0) = %v", v)
-	}
-	if v := c.At(2); !almost(v, 0.6) {
-		t.Fatalf("At(2) = %v", v)
-	}
-	if v := c.At(10); !almost(v, 1) {
-		t.Fatalf("At(10) = %v", v)
-	}
-	prev := -1.0
-	for x := -1.0; x < 12; x += 0.25 {
-		v := c.At(x)
-		if v < prev {
-			t.Fatalf("CDF decreased at %v", x)
-		}
-		prev = v
-	}
-}
-
-func TestCDFQuantileInverse(t *testing.T) {
-	xs := make([]float64, 101)
-	for i := range xs {
-		xs[i] = float64(i)
-	}
-	c := NewCDF(xs)
-	if q := c.Quantile(0.5); math.Abs(q-50) > 1 {
-		t.Fatalf("quantile(0.5) = %v", q)
-	}
-	if q := c.Quantile(0); q != 0 {
-		t.Fatalf("quantile(0) = %v", q)
-	}
-	if q := c.Quantile(1); q != 100 {
-		t.Fatalf("quantile(1) = %v", q)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for _, v := range []float64{-1, 0, 0.5, 5, 9.99, 10, 100} {
-		h.Add(v)
-	}
-	if h.Under != 1 || h.Over != 2 {
-		t.Fatalf("under=%d over=%d", h.Under, h.Over)
-	}
-	if h.Total() != 4 {
-		t.Fatalf("total=%d", h.Total())
-	}
-	if h.Counts[0] != 2 || h.Counts[5] != 1 || h.Counts[9] != 1 {
-		t.Fatalf("counts=%v", h.Counts)
-	}
-	if c := h.BinCenter(0); !almost(c, 0.5) {
-		t.Fatalf("bin center = %v", c)
-	}
-	if m := h.Mode(); !almost(m, 0.5) {
-		t.Fatalf("mode = %v", m)
-	}
-}
-
 func TestCounter(t *testing.T) {
 	var c Counter
 	if c.Rate() != 0 {
@@ -133,22 +72,6 @@ func TestSummaryString(t *testing.T) {
 	}
 	if s.String() == "" {
 		t.Fatal("empty string")
-	}
-}
-
-func TestCDFPoints(t *testing.T) {
-	xs := make([]float64, 50)
-	for i := range xs {
-		xs[i] = float64(i)
-	}
-	px, py := NewCDF(xs).Points(10)
-	if len(px) != 10 || len(py) != 10 {
-		t.Fatalf("points: %d/%d", len(px), len(py))
-	}
-	for i := 1; i < len(px); i++ {
-		if px[i] < px[i-1] || py[i] < py[i-1] {
-			t.Fatal("points not monotone")
-		}
 	}
 }
 

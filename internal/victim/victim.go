@@ -203,20 +203,6 @@ func (v *Victim) TriggerSignWithNonce(at clock.Cycles, digest, nonce *big.Int) *
 	return rec
 }
 
-// TriggerRequests keeps the victim busy with back-to-back signing
-// requests covering [at, until), returning all ground-truth records.
-func (v *Victim) TriggerRequests(at, until clock.Cycles, digest *big.Int) []*SignRecord {
-	var recs []*SignRecord
-	t := at
-	for t < until {
-		rec := v.TriggerSign(t, digest)
-		recs = append(recs, rec)
-		gap := clock.Cycles(v.rng.Float64() * 50000)
-		t = rec.End + gap
-	}
-	return recs
-}
-
 // RequestDuration returns the expected duration of one request.
 func (v *Victim) RequestDuration() clock.Cycles {
 	bits := v.Curve.N.BitLen() - 1

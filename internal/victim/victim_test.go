@@ -86,17 +86,3 @@ func TestActiveFraction(t *testing.T) {
 		t.Fatalf("ladder occupies %.2f of the request, want ~0.25", frac)
 	}
 }
-
-func TestTriggerRequestsCoversWindow(t *testing.T) {
-	_, v := newVictimHost(t)
-	until := v.RequestDuration() * 3
-	recs := v.TriggerRequests(0, until, big.NewInt(3))
-	if len(recs) < 2 {
-		t.Fatalf("only %d requests scheduled in a 3-request window", len(recs))
-	}
-	for i := 1; i < len(recs); i++ {
-		if recs[i].Start < recs[i-1].End {
-			t.Fatal("requests overlap")
-		}
-	}
-}
